@@ -35,12 +35,12 @@ print("\nfitted decay exponents of |beta_n(pi)| over n in [10, 100]:")
 for l in (0.5, 1.5, 2.5):
     pl = make_potential("x^2", mesh, l)
     t = build_coefficient_tables(build_u0(pl), pl, N=100)
-    vals = np.abs(np.array([g.at_end for g in t.beta]))
+    vals = np.abs(t.beta[:, -1])
     print(f"  l = {l}: r = {decay_fit(vals[10:101], 10):+.2f}   (theory -(2l+3) = {-(2 * l + 3):+.1f})")
 
 pint = make_potential("x^2", mesh, 1.0)
 tint = build_coefficient_tables(build_u0(pint), pint, N=40)
-print(f"  l = 1 (integer): |beta_30(pi)| = {abs(tint.beta[30].at_end):.1e}  (super-polynomial decay)")
+print(f"  l = 1 (integer): |beta_30(pi)| = {abs(tint.beta[30, -1]):.1e}  (super-polynomial decay)")
 
 # --- truncation diagnostics ---------------------------------------------------
 p = make_potential("x^2", mesh, 1.5)

@@ -63,7 +63,15 @@ from .spectral import (
     find_eigenvalues,
 )
 from .potentials import BUILTIN_POTENTIAL_NAMES, make_potential
-from .shooting import shoot_eigenvalue_near, shoot_endpoint, shoot_solution
 from .config import RunConfig, config_sha256, emit_config, parse_config
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the shooting oracle pulls in scipy.integrate/optimize: load it on first use
+    if name in ("shoot_eigenvalue_near", "shoot_endpoint", "shoot_solution"):
+        from . import shooting
+
+        return getattr(shooting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .mesh import UniformMesh, next_valid_size
 from .potentials import make_potential, potential_callable
-from .shooting import shoot_eigenvalue_near
 from .solution import build_solution, error_indicator, eval_u, eval_u_prime
 from .spectral import BoundaryCondition, SpectralProblem, decay_fit, find_eigenvalues
 
@@ -138,10 +137,9 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     if idx[-1] != mesh.m - 1:
         idx = np.append(idx, mesh.m - 1)
     rows = []
-    bm, gm = t.beta_matrix(), t.gamma_matrix()
     for n in range(t.N + 1):
         for i in idx:
-            rows.append((n, mesh.x[i], bm[n, i], gm[n, i]))
+            rows.append((n, mesh.x[i], t.beta[n, i], t.gamma[n, i]))
     _write_csv(out / "coefficients.csv", prov, "n,x,beta_n,gamma_n", rows)
 
     _write_csv(
@@ -151,8 +149,8 @@ def cmd_coeffs(cfg: RunConfig) -> int:
         [(k, t.beta_residual[k], t.gamma_residual[k]) for k in range(t.N + 1)],
     )
 
-    beta_abs = np.abs(bm[:, -1])
-    gamma_abs = np.abs(gm[:, -1])
+    beta_abs = np.abs(t.beta[:, -1])
+    gamma_abs = np.abs(t.gamma[:, -1])
     n_lo, n_hi = 10, min(100, t.N)
     beta_exp, beta_msg = _fit_or_none(beta_abs, n_lo, n_hi)
     gamma_exp, gamma_msg = _fit_or_none(gamma_abs, n_lo, n_hi)
@@ -179,6 +177,8 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 
 def _oracle_rows(cfg: RunConfig, sol, pairs):
+    from .shooting import shoot_eigenvalue_near  # scipy.integrate: only --oracle needs it
+
     resolved = potential_callable(cfg.potential)
     if resolved is None:
         raise ConfigError("--oracle needs an analytic potential (builtin or const:), not csv:")
@@ -247,8 +247,8 @@ def cmd_decay_sweep(cfg: RunConfig) -> int:
         t = sol.tables
         prov = _provenance(sub, "decay-sweep", mesh, sol)
         tag = _fmt(lv)
-        beta_abs = np.abs(t.beta_matrix()[:, -1])
-        gamma_abs = np.abs(t.gamma_matrix()[:, -1])
+        beta_abs = np.abs(t.beta[:, -1])
+        gamma_abs = np.abs(t.gamma[:, -1])
         for name, arr in (
             (f"beta_abs_loglog_l{tag}.dat", beta_abs),
             (f"gamma_abs_loglog_l{tag}.dat", gamma_abs),

@@ -34,21 +34,22 @@ samples where x^{2n} underflows are defined as 0 rather than divided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalBreakdownError, OrderCapError
+from .errors import DomainError, NumericalBreakdownError, OrderCapError
 from .mesh import (
     DEFAULT_CUTOFF_SLACK,
-    GridFunction,
+    UniformMesh,
     _CUM_W_DEN,
     _CUM_W_NUM,
     _cumulative_values,
     _guarded_cumulative_values,
 )
 from .special import c_kl, gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
-from .spps import ParticularSolution, PhiFamily, Potential, _picard_sweep
+from .spps import ParticularSolution, PhiFamily, Potential, _picard_fixed_point, _picard_sweep
 
 __all__ = [
     "RecurrenceAux",
@@ -109,11 +110,11 @@ def beta_recurrent(
     p: Potential,
     N: int,
     slack: float = DEFAULT_CUTOFF_SLACK,
-) -> tuple[list[np.ndarray], RecurrenceAux]:
+) -> tuple[np.ndarray, RecurrenceAux]:
     """Coefficients beta_0..beta_N by the recurrent integration scheme.
 
-    Returns the coefficient arrays and the auxiliary families, which
-    :func:`gamma_recurrent` reuses verbatim.
+    Returns the (N+1, m) table, row n holding beta_n on the mesh, and the
+    auxiliary families, which :func:`gamma_recurrent` reuses verbatim.
 
     Raises
     ------
@@ -132,7 +133,8 @@ def beta_recurrent(
     xl1 = x ** (l + 1.0)
     xu0p = x * u0pv
 
-    betas = [_beta0(u0)]
+    betas = np.empty((N + 1, mesh.m))
+    betas[0] = _beta0(u0)
     aux = RecurrenceAux()
     for n in range(1, N + 1):
         t2nm2 = x ** (2 * n - 2) if n > 1 else np.ones_like(x)
@@ -158,13 +160,12 @@ def beta_recurrent(
         sign = -1.0 if n % 2 else 1.0
         b_n = gamma_ratio_Bn(n, l)
         bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
-        beta_n = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * _safe_div(bracket, t2n))
-        beta_n[0] = 0.0
-        if not np.isfinite(beta_n).all():
+        betas[n] = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * _safe_div(bracket, t2n))
+        betas[n, 0] = 0.0
+        if not np.isfinite(betas[n]).all():
             raise NumericalBreakdownError(
                 f"non-finite beta coefficient at order n={n}", order=n
             )
-        betas.append(beta_n)
         aux.eta.append(eta)
         aux.kappa.append(kappa)
         aux.theta.append(theta)
@@ -175,11 +176,11 @@ def beta_recurrent(
 def gamma_recurrent(
     u0: ParticularSolution,
     p: Potential,
-    betas: list[np.ndarray],
+    betas: np.ndarray,
     aux: RecurrenceAux,
     N: int,
-) -> list[np.ndarray]:
-    """Coefficients gamma_0..gamma_N from the beta recurrence's auxiliaries."""
+) -> np.ndarray:
+    """(N+1, m) table of gamma_0..gamma_N from the beta recurrence's auxiliaries."""
     if N < 0:
         raise DomainError("N must be nonnegative")
     if len(betas) < N + 1 or len(aux.eta) < N:
@@ -191,7 +192,8 @@ def gamma_recurrent(
     xl1 = x ** (l + 1.0)
     Qxl1 = p.Q.values * xl1
 
-    gammas = [_gamma0(u0, p)]
+    gammas = np.empty((N + 1, mesh.m))
+    gammas[0] = _gamma0(u0, p)
     for n in range(1, N + 1):
         t2n = x ** (2 * n)
         eta, kappa = aux.eta[n - 1], aux.kappa[n - 1]
@@ -206,15 +208,14 @@ def gamma_recurrent(
             - _safe_div(betas[n - 1], x)
         )
         tail = b_n * _safe_div(mu * u0pv + _safe_div(kappa, u0v), t2n) - c_n * Qxl1
-        gamma_n = (4 * n + 1) / (4 * n - 3) * (gammas[n - 1] + inner) + sign * (
+        gammas[n] = (4 * n + 1) / (4 * n - 3) * (gammas[n - 1] + inner) + sign * (
             4 * n + 1
         ) * tail
-        gamma_n[0] = 0.0
-        if not np.isfinite(gamma_n).all():
+        gammas[n, 0] = 0.0
+        if not np.isfinite(gammas[n]).all():
             raise NumericalBreakdownError(
                 f"non-finite gamma coefficient at order n={n}", order=n
             )
-        gammas.append(gamma_n)
     return gammas
 
 
@@ -246,8 +247,6 @@ def _phi_prime_at(phi: PhiFamily, k: int, i: int) -> float:
     u0pv = phi.u0.u0_prime.values[i]
     if k == 0:
         return u0pv
-    import math
-
     fact = float(math.factorial(2 * k))
     term = u0pv * phi.xtilde[2 * k].values[i]
     if u0v > 0.0:
@@ -312,21 +311,10 @@ def direct_coefficients_extended(
     # the sweep runs until its update drowns in longdouble rounding noise
     s_pow = xv ** (2.0 * p.l + 1.0)
     two_l_p1 = 2 * l + 1
-    w = np.ones(mesh.m, dtype=ld)
-    A = B = np.zeros(mesh.m, dtype=ld)
-    prev_delta = np.inf
-    for it in range(120):
-        w_new, A, B = _picard_sweep(w, sq, s_pow, two_l_p1, h, weights=W)
-        delta = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if delta < 1e-19 * scale:
-            break
-        if delta < 1e-13 * scale and delta >= 0.5 * prev_delta:
-            break  # update no longer contracting: rounding floor reached
-        prev_delta = delta
-    else:
-        raise ConvergenceError("extended-precision Picard iteration stalled")
+    w, (A, B), _ = _picard_fixed_point(
+        lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h, weights=W),
+        np.ones(mesh.m, dtype=ld), 1e-19, 120, floor=1e-13,
+    )
     xl1 = xv ** (p.l + 1.0)
     u0v = xl1 * w
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,8 +348,6 @@ def direct_coefficients_extended(
     for k in range(N):
         cks.append(cks[-1] * (k + ld(0.5)) / (k + l + ld(1.5)))
 
-    import math as _math
-
     betas = np.empty(N + 1)
     gammas = np.empty(N + 1)
     for n in range(N + 1):
@@ -370,7 +356,7 @@ def direct_coefficients_extended(
         tot_g = ld(0.0)
         for k in range(n + 1):
             lk = ld(exact_row[2 * k].numerator) / ld(exact_row[2 * k].denominator)
-            fact = ld(_math.factorial(2 * k))
+            fact = ld(math.factorial(2 * k))
             phi_k = ((-1.0) ** k) * fact * u0v[i] * xt[2 * k][i]
             if k == 0:
                 phi_kp = u0pv[i]
@@ -426,6 +412,9 @@ def select_truncation(
 class CoefficientTables:
     """beta_n and gamma_n tables with truncation diagnostics.
 
+    ``beta`` and ``gamma`` are read-only (N+1, m) float64 arrays: row n
+    holds beta_n (gamma_n) on the mesh, column i all orders at x_i.
+
     ``beta_residual[K]`` is |sum_{n<=K} beta_n(b)| / b, the computable
     discrepancy of the truncated kernel diagonal from zero (its exact
     value); likewise for gamma.  ``N_opt`` is the plateau-selected
@@ -433,8 +422,9 @@ class CoefficientTables:
     residual sequence never flattens within the table.
     """
 
-    beta: list[GridFunction]
-    gamma: list[GridFunction]
+    mesh: UniformMesh
+    beta: np.ndarray
+    gamma: np.ndarray
     N: int
     beta_residual: np.ndarray
     gamma_residual: np.ndarray
@@ -444,17 +434,6 @@ class CoefficientTables:
     beta_plateau: int
     gamma_plateau: int
     converged: bool
-
-    @property
-    def mesh(self):
-        return self.beta[0].mesh
-
-    def beta_matrix(self) -> np.ndarray:
-        """Stacked (N+1, m) array of the beta tables."""
-        return np.stack([g.values for g in self.beta])
-
-    def gamma_matrix(self) -> np.ndarray:
-        return np.stack([g.values for g in self.gamma])
 
 
 def build_coefficient_tables(
@@ -466,15 +445,17 @@ def build_coefficient_tables(
     """Run both recurrences in one pass and attach residual diagnostics."""
     betas, aux = beta_recurrent(u0, p, N, slack=slack)
     gammas = gamma_recurrent(u0, p, betas, aux, N)
+    betas.flags.writeable = False
+    gammas.flags.writeable = False
     b = u0.mesh.b
-    beta_res = np.abs(np.cumsum([bn[-1] for bn in betas])) / b
-    gamma_res = np.abs(np.cumsum([gn[-1] for gn in gammas])) / b
+    beta_res = np.abs(np.cumsum(betas[:, -1])) / b
+    gamma_res = np.abs(np.cumsum(gammas[:, -1])) / b
     k_beta, ok_beta = select_truncation(beta_res)
     k_gamma, ok_gamma = select_truncation(gamma_res)
-    mesh = u0.mesh
     return CoefficientTables(
-        beta=[GridFunction(mesh, bn) for bn in betas],
-        gamma=[GridFunction(mesh, gn) for gn in gammas],
+        mesh=u0.mesh,
+        beta=betas,
+        gamma=gammas,
         N=N,
         beta_residual=beta_res,
         gamma_residual=gamma_res,

@@ -175,13 +175,20 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 
 
 def _cutoff_index(y: np.ndarray, slack: float) -> int:
+    # The test is per window, so chunks of 32, 128, 512, ... windows are
+    # screened in turn: the cut-off usually lies within the first few.
     m = y.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(y, 6)
-    d5 = np.abs(windows @ _DELTA5)
-    second_smallest = np.partition(np.abs(windows), 1, axis=1)[:, 1]
-    ok = d5 <= slack * second_smallest
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else m - 6
+    start, chunk = 0, 32
+    while start < windows.shape[0]:
+        w = windows[start : start + chunk]
+        d5 = np.abs(w @ _DELTA5)
+        second_smallest = np.partition(np.abs(w), 1, axis=1)[:, 1]
+        hits = np.flatnonzero(d5 <= slack * second_smallest)
+        if hits.size:
+            return start + int(hits[0])
+        start, chunk = start + chunk, 4 * chunk
+    return m - 6
 
 
 def cutoff_start_index(f: GridFunction | np.ndarray, slack: float = DEFAULT_CUTOFF_SLACK) -> int:

@@ -14,7 +14,9 @@ needs no special-casing and large-l evaluations cannot overflow.  The
 truncation error of both series is uniform in omega on the real axis,
 which is what makes large eigenvalue scans accurate.
 
-Evaluation is pure and thread-safe; omega may be a vector (one Bessel
+Evaluation reads only the family it needs (u: beta; u': gamma and Q),
+as a column view of the read-only table or, off the mesh, a six-column
+strip.  It is pure and thread-safe; omega may be a vector (one Bessel
 sweep covers a whole scan line).
 """
 
@@ -96,19 +98,14 @@ def _quintic_weights(mesh: UniformMesh, x: float) -> tuple[int, np.ndarray]:
     return j0, w
 
 
-def _coeff_values_at(sol: NsbfSolution, x: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(beta_n(x), gamma_n(x)) for n <= N_used, and Q(x); quintic off-mesh."""
+def _coeff_values_at(sol: NsbfSolution, x: float, *families: np.ndarray) -> tuple:
+    """Each of ``families`` (last axis on the mesh) at x; quintic off-mesh."""
     mesh = sol.mesh
     i = int(round(x / mesh.h))
     if 0 <= i < mesh.m and abs(mesh.x[i] - x) <= 1e-12 * mesh.b:
-        beta = sol.tables.beta_matrix()[: sol.N_used + 1, i]
-        gamma = sol.tables.gamma_matrix()[: sol.N_used + 1, i]
-        return beta, gamma, float(sol.potential.Q.values[i])
+        return tuple(f[..., i] for f in families)
     j0, w = _quintic_weights(mesh, x)
-    bm = sol.tables.beta_matrix()[: sol.N_used + 1, j0 : j0 + 6]
-    gm = sol.tables.gamma_matrix()[: sol.N_used + 1, j0 : j0 + 6]
-    q = float(sol.potential.Q.values[j0 : j0 + 6] @ w)
-    return bm @ w, gm @ w, q
+    return tuple(f[..., j0 : j0 + 6] @ w for f in families)
 
 
 def _validate_eval_args(sol: NsbfSolution, omega, x: float) -> np.ndarray:
@@ -123,7 +120,7 @@ def _validate_eval_args(sol: NsbfSolution, omega, x: float) -> np.ndarray:
 def eval_u(sol: NsbfSolution, omega, x: float):
     """Regular solution u_N(omega, x); omega scalar or 1-D array."""
     om = _validate_eval_args(sol, omega, x)
-    beta, _, _ = _coeff_values_at(sol, x)
+    (beta,) = _coeff_values_at(sol, x, sol.tables.beta[: sol.N_used + 1])
     z = om * x
     lead = x ** (sol.l + 1.0) * np.atleast_1d(bl_scaled(sol.l, z))
     jmat = spherical_j_sequence(2 * sol.N_used, z)  # (2N+1, len(z)); z is 1-D here
@@ -136,7 +133,9 @@ def eval_u(sol: NsbfSolution, omega, x: float):
 def eval_u_prime(sol: NsbfSolution, omega, x: float):
     """x-derivative of the regular solution; omega scalar or 1-D array."""
     om = _validate_eval_args(sol, omega, x)
-    _, gamma, Q = _coeff_values_at(sol, x)
+    gamma, Q = _coeff_values_at(
+        sol, x, sol.tables.gamma[: sol.N_used + 1], sol.potential.Q.values
+    )
     z = om * x
     l = sol.l
     if x == 0.0:
@@ -165,5 +164,6 @@ def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
     """
     if not (0 < x <= sol.b * (1 + 1e-12)):
         raise DomainError(f"error indicator needs x in (0, {sol.b}]")
-    beta, gamma, _ = _coeff_values_at(sol, x)
+    n = sol.N_used + 1
+    beta, gamma = _coeff_values_at(sol, x, sol.tables.beta[:n], sol.tables.gamma[:n])
     return float(abs(beta.sum() / x)), float(abs(gamma.sum() / x))

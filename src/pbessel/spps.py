@@ -175,17 +175,38 @@ def _ode_defect(u0v, x, l, qv, h, skip):
     return float(np.max(np.abs(upp - rhs) / (1.0 + np.abs(upp))))
 
 
+def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float = 1e-12):
+    """Iterate ``w, *aux = sweep(w)`` from the start ``w``; returns (w, aux, sweeps).
+
+    Stops when the update, relative to max(1, max|w|), drops below ``tol``
+    or stalls at the rounding floor: below ``floor`` and at least half the
+    previous update.  Healthy cases contract super-linearly and stop on ``tol``.
+    """
+    prev_delta = np.inf
+    for it in range(1, max_iter + 1):
+        w_new, *aux = sweep(w)
+        delta = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if delta < tol * scale or (delta < floor * scale and delta >= 0.5 * prev_delta):
+            return w, aux, it
+        prev_delta = delta
+    raise ConvergenceError(f"Picard iteration for u0 did not reach tol={tol} in {max_iter} sweeps")
+
+
 def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> ParticularSolution:
     """Construct the non-vanishing particular solution with x^{l+1} asymptotics.
 
     Picard iteration of the Volterra integral equation in the scaled
     variable w = u0/x^{l+1}, until successive sweeps differ by less than
-    ``tol`` in the weighted sup-norm (= plain sup-norm on w).
+    ``tol`` in the weighted sup-norm (= plain sup-norm on w), or until the
+    update stalls at the rounding floor above ``tol``; ``residual`` then
+    reports the defect at that floor.
 
     Raises
     ------
     ConvergenceError
-        If ``max_iter`` sweeps do not reach ``tol``.
+        If ``max_iter`` sweeps neither reach ``tol`` nor the rounding floor.
     NonVanishingError
         If the converged u0 has a non-positive sample on (0, b].  The
         spectral-shift workaround for sign-changing potentials is out of
@@ -198,24 +219,15 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
     sq = x * p.q.values
     sq[0] = p.xq_limit
 
-    w = np.ones(mesh.m)
-    iterations = 0
-    converged = False
     if l == -0.5:
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
         log_x[0] = 0.0  # multiplied by A(0) = 0; pinned for finiteness
         sq_log = sq * log_x
         sq_log[0] = 0.0
-        A = np.zeros(mesh.m)
-        for it in range(1, max_iter + 1):
-            w_new, A = _picard_sweep_log(w, sq, log_x, sq_log, h)
-            delta = float(np.max(np.abs(w_new - w)))
-            w = w_new
-            iterations = it
-            if delta < tol * max(1.0, float(np.max(np.abs(w)))):
-                converged = True
-                break
+        w, (A,), iterations = _picard_fixed_point(
+            lambda w: _picard_sweep_log(w, sq, log_x, sq_log, h), np.ones(mesh.m), tol, max_iter
+        )
         sqrt_x = np.sqrt(x)
         u0v = sqrt_x * w
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,15 +236,9 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
     else:
         two_l_p1 = 2.0 * l + 1.0
         s_pow = x ** (2.0 * l + 1.0)  # s^{2l+1}; s_pow[0] = 0 for l > -1/2
-        A = B = np.zeros(mesh.m)
-        for it in range(1, max_iter + 1):
-            w_new, A, B = _picard_sweep(w, sq, s_pow, two_l_p1, h)
-            delta = float(np.max(np.abs(w_new - w)))
-            w = w_new
-            iterations = it
-            if delta < tol * max(1.0, float(np.max(np.abs(w)))):
-                converged = True
-                break
+        w, (A, B), iterations = _picard_fixed_point(
+            lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h), np.ones(mesh.m), tol, max_iter
+        )
         u0v = x ** (l + 1.0) * w
         with np.errstate(divide="ignore", invalid="ignore"):
             xl = x**l
@@ -246,10 +252,6 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
         else:
             u0pv[0] = 1.0  # (l+1) x^l -> 1 for l = 0
 
-    if not converged:
-        raise ConvergenceError(
-            f"Picard iteration for u0 did not reach tol={tol} in {max_iter} sweeps"
-        )
     if not np.isfinite(u0v).all() or not np.isfinite(u0pv).all():
         raise ConvergenceError("Picard iteration for u0 produced non-finite samples")
     if np.any(u0v[1:] <= 0.0):

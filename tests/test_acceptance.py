@@ -88,8 +88,8 @@ def test_criterion_02_unperturbed_exactness():
         sol = build_solution(make_potential("zero", mesh, l), N=20)
         worst_coeff = max(
             worst_coeff,
-            max(abs(g.at_end) for g in sol.tables.beta),
-            max(abs(g.at_end) for g in sol.tables.gamma),
+            max(abs(sol.tables.beta[:, -1])),
+            max(abs(sol.tables.gamma[:, -1])),
         )
     assert worst_coeff <= 1e-10
 
@@ -175,11 +175,11 @@ def test_criterion_04_decay_rate_law(xsq_solutions_by_l):
     fits = {}
     for l in (0.5, 1.5):
         t = xsq_solutions_by_l[l].tables
-        vals = np.abs(np.array([g.at_end for g in t.beta]))
+        vals = np.abs(t.beta[:, -1])
         fits[l] = decay_fit(vals[10:101], 10)
         assert abs(fits[l] - (-(2 * l + 3))) <= 0.5, f"l={l}: fitted {fits[l]:.2f}"
-    b30_l1 = abs(xsq_solutions_by_l[1.0].tables.beta[30].at_end)
-    b30_l15 = abs(xsq_solutions_by_l[1.5].tables.beta[30].at_end)
+    b30_l1 = abs(xsq_solutions_by_l[1.0].tables.beta[30, -1])
+    b30_l15 = abs(xsq_solutions_by_l[1.5].tables.beta[30, -1])
     assert b30_l1 <= 1e-2 * b30_l15
     print(
         f"CRITERION 4 (decay law): PASS  r(0.5)={fits[0.5]:.2f}, r(1.5)={fits[1.5]:.2f}, "
@@ -214,9 +214,9 @@ def test_criterion_06_omega_zero_identities(xsq_solutions_by_l, hydrogen_solutio
         mesh = sol.mesh
         x = mesh.x
         # whole-mesh algebraic identity of the omega = 0 reduction
-        u_at_0 = x ** (sol.l + 1.0) + sol.tables.beta[0].values
+        u_at_0 = x ** (sol.l + 1.0) + sol.tables.beta[0]
         du_lead = (sol.l + 1.0) * np.where(x > 0, x**sol.l, 1.0 if sol.l == 0 else 0.0)
-        du_at_0 = du_lead + 0.5 * sol.potential.Q.values * x ** (sol.l + 1.0) + sol.tables.gamma[0].values
+        du_at_0 = du_lead + 0.5 * sol.potential.Q.values * x ** (sol.l + 1.0) + sol.tables.gamma[0]
         ref_u = sol.u0.u0.values
         ref_du = sol.u0.u0_prime.values
         scale_u = np.maximum(np.abs(ref_u), 1e-30)
@@ -260,7 +260,7 @@ def test_criterion_08_residual_diagnostic(ex1_solution):
     for frac in (0.25, 0.5, 1.0):
         i = round(frac * (mesh.m - 1))
         x = mesh.x[i]
-        seq = np.abs(np.cumsum([g.values[i] for g in t.beta])) / x
+        seq = np.abs(np.cumsum(t.beta[:, i])) / x
         floor = seq.min()
         for k in range(8, len(seq) - 1):
             if seq[k] <= 10 * floor:

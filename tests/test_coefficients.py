@@ -41,9 +41,29 @@ class TestUnperturbed:
             p = make_potential("zero", mesh, l)
             u0 = build_u0(p)
             tables = build_coefficient_tables(u0, p, N=20)
-            assert max(np.max(np.abs(g.values)) for g in tables.beta) <= 1e-10
-            assert max(np.max(np.abs(g.values)) for g in tables.gamma) <= 1e-10
+            assert np.max(np.abs(tables.beta)) <= 1e-10
+            assert np.max(np.abs(tables.gamma)) <= 1e-10
             assert tables.N_opt == 0
+
+
+class TestTableLayout:
+    def test_dense_read_only_tables(self):
+        mesh = UniformMesh(np.pi, 501)
+        p = make_potential("x^2", mesh, 1.5)
+        u0 = build_u0(p)
+        tables = build_coefficient_tables(u0, p, N=12)
+        betas, aux = beta_recurrent(u0, p, 12)
+        gammas = gamma_recurrent(u0, p, betas, aux, 12)
+        for table, rows in ((tables.beta, betas), (tables.gamma, gammas)):
+            assert table.shape == (13, mesh.m)
+            assert table.dtype == np.float64
+            assert not table.flags.writeable
+            assert np.array_equal(table, rows)
+            with pytest.raises(ValueError):
+                table[3, 7] = 1.0
+            with pytest.raises(ValueError):
+                table[2] *= 2.0
+        assert tables.mesh == mesh
 
 
 class TestRecurrentVsDirect:
@@ -134,7 +154,7 @@ class TestRecurrentVsDirect:
 class TestDecayBehavior:
     def test_decay_exponent_non_integer_l(self, xsq_15_tables):
         # |beta_n(pi)| ~ n^{-(2l+3)} for l = 3/2: slope -6 within +-0.5
-        vals = np.abs(np.array([g.at_end for g in xsq_15_tables.beta]))
+        vals = np.abs(xsq_15_tables.beta[:, -1])
         r = decay_fit(vals[10:101], 10)
         assert abs(r - (-6.0)) <= 0.5
 
@@ -152,7 +172,7 @@ class TestDecayBehavior:
         # |beta_n(x)| <= c x^{l+1}: log-log slope over the first decade >= l + 0.8
         x = MESH.x
         for n in (1, 3, 7):
-            vals = np.abs(xsq_15_tables.beta[n].values)
+            vals = np.abs(xsq_15_tables.beta[n])
             i = np.arange(40, 400, 20)
             good = vals[i] > 0
             slope = np.polyfit(np.log(x[i][good]), np.log(vals[i][good]), 1)[0]
@@ -173,9 +193,9 @@ class TestResidualDiagnostics:
         for frac in (0.25, 0.5, 1.0):
             i = round(frac * (MESH.m - 1))
             x = MESH.x[i]
-            bsum = abs(sum(g.values[i] for g in t.beta[: t.beta_plateau + 1]) / x)
-            gsum = abs(sum(g.values[i] for g in t.gamma[: t.gamma_plateau + 1]) / x)
-            bscale = max(abs(g.values[i]) for g in t.beta) / x
+            bsum = abs(sum(t.beta[: t.beta_plateau + 1, i]) / x)
+            gsum = abs(sum(t.gamma[: t.gamma_plateau + 1, i]) / x)
+            bscale = max(abs(t.beta[:, i])) / x
             assert bsum <= 1e-6 * bscale
             assert gsum <= 1e-6 * bscale
 
@@ -185,7 +205,7 @@ class TestResidualDiagnostics:
         # residual at the truncation is far below the leading coefficient
         # scale even though the beta sequence has not bottomed out at N=100
         # (it still decays like K^-5 there, so the table flags not-converged)
-        scale = max(abs(g.at_end) for g in t.beta) / np.pi
+        scale = max(abs(t.beta[:, -1])) / np.pi
         assert t.beta_residual[t.N_opt] <= 1e-10 * scale
         # the gamma sequence is V-shaped: floor strictly inside the table
         assert 0 < t.gamma_plateau < 100

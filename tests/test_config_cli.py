@@ -1,6 +1,9 @@
 """Configuration parsing, CLI commands, output determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,25 @@ def run_cli(tmp_path, command, cfg_text, *extra):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(cfg_text)
     return main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out"), *extra])
+
+
+class TestImport:
+    def test_import_leaves_shooting_oracle_unloaded(self):
+        import pbessel
+
+        src = str(Path(pbessel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, pbessel\n"
+            "print('scipy.integrate' in sys.modules, 'pbessel.shooting' in sys.modules)\n"
+            "from pbessel import shoot_solution\n"
+            "print(shoot_solution is pbessel.shooting.shoot_solution)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestCli:

@@ -196,6 +196,56 @@ class TestCutoff:
         assert cutoff_start_index(GridFunction(mesh, y), slack=1.0) == mesh.m - 6
 
 
+def _full_scan_cutoff(y, slack):
+    """Reference: screen every window at once and take the first pass."""
+    windows = np.lib.stride_tricks.sliding_window_view(y, 6)
+    d5 = np.abs(windows @ np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0]))
+    second_smallest = np.partition(np.abs(windows), 1, axis=1)[:, 1]
+    hits = np.flatnonzero(d5 <= slack * second_smallest)
+    return int(hits[0]) if hits.size else y.shape[0] - 6
+
+
+def _first_pass_at(m, k, rng):
+    # zeros from index k on, so window k is the first all-zero (passing) one;
+    # one nonzero in every window before it, which fails with two zeros beside it
+    y = np.zeros(m)
+    y[k - 1 :: -6] = rng.uniform(0.5, 2.0, size=len(range(k - 1, -1, -6)))
+    return y
+
+
+class TestChunkedCutoffScan:
+    """The chunked early-exit scan returns the full scan's index."""
+
+    def test_random_inputs_match_full_scan(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(300):
+            m = int(rng.choice([6, 11, 36, 41, 201, 1001, 5001]))
+            # log-uniform magnitudes make many windows fail, so hits land in
+            # every chunk and often nowhere (about half the cases return m-6)
+            y = rng.normal(size=m) * 10.0 ** rng.integers(-6, 6, size=m)
+            slack = float(rng.choice([100.0, 1e3, 1e4]))
+            assert cutoff_start_index(y, slack) == _full_scan_cutoff(y, slack)
+
+    @pytest.mark.parametrize("k", [31, 32, 159, 160, 161, 673])
+    def test_first_hit_at_chunk_boundary(self, k):
+        y = _first_pass_at(1001, k, np.random.default_rng(k))
+        assert _full_scan_cutoff(y, 100.0) == k
+        assert cutoff_start_index(y) == k
+
+    def test_hit_only_in_last_window(self):
+        m = 1001
+        y = _first_pass_at(m, m - 6, np.random.default_rng(1))
+        assert _full_scan_cutoff(y, 100.0) == m - 6
+        assert cutoff_start_index(y) == m - 6
+
+    def test_no_hit_returns_m_minus_6(self):
+        m = 1001
+        y = _first_pass_at(m + 1, m, np.random.default_rng(2))[:m]
+        windows = np.lib.stride_tricks.sliding_window_view(y, 6)
+        assert (np.count_nonzero(windows, axis=1) == 1).all()  # every window fails
+        assert cutoff_start_index(y) == m - 6
+
+
 class TestGuardedIntegral:
     def test_smooth_identical(self):
         _, f = grid(np.pi, 101, np.cos)
