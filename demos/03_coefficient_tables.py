@@ -26,7 +26,7 @@ betas, aux = beta_recurrent(u0, p, 6)
 fam = build_phi_family(u0, 6)
 print("recurrent vs direct beta_n(pi):")
 for n in range(7):
-    br, bd = betas[n][-1], beta_direct(fam, 1.5, n, np.pi)
+    br, bd = betas[n][-1], beta_direct(fam, n, np.pi)
     print(f"  n = {n}: {br:+.12e}  vs  {bd:+.12e}")
 
 # --- decay rate depends on l ------------------------------------------------

@@ -40,16 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdownError, OrderCapError
-from .mesh import (
-    DEFAULT_CUTOFF_SLACK,
-    UniformMesh,
-    _CUM_W_DEN,
-    _CUM_W_NUM,
-    _cumulative_values,
-    _guarded_cumulative_values,
-)
-from .special import c_kl, gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
-from .spps import ParticularSolution, PhiFamily, Potential, _picard_fixed_point, _picard_sweep
+from .mesh import DEFAULT_CUTOFF_SLACK, UniformMesh, _cumulative_values, _guarded_cumulative_values
+from .special import gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
+from .spps import ParticularSolution, PhiFamily, Potential, _u0_power_case, _xtilde_chain
 
 __all__ = [
     "RecurrenceAux",
@@ -219,60 +212,73 @@ def gamma_recurrent(
     return gammas
 
 
-def beta_direct(phi: PhiFamily, l: float, n: int, x: float) -> float:
+def _direct_sums(xi, l: float, u0i, u0pi, xt: list, Qi, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """beta_n(x_i) and gamma_n(x_i), n = 0..N, by the direct Fourier-Legendre sums.
+
+    ``xt`` holds Xt^(0..2N) at x_i.  The sums run in the dtype of ``xi``:
+    the Legendre coefficients are exact ratios and c_{k,l} follows its
+    exact gamma recurrence (c_0 = 1), both rounded in that dtype, and
+    phi_k' = (-1)^k (2k)! (u0' Xt^(2k) - Xt^(2k-1)/u0) is analytic.
+    """
+    betas = np.zeros(N + 1)
+    gammas = np.zeros(N + 1)
+    if xi == 0.0:
+        return betas, gammas  # every coefficient vanishes at the origin
+    dt = type(xi)
+    l = dt(l)
+    cks = [dt(1.0)]
+    for k in range(N):
+        cks.append(cks[-1] * (k + dt(0.5)) / (k + l + dt(1.5)))
+    for n in range(N + 1):
+        exact_row = legendre_even_coeffs(n).exact
+        tot_b = dt(0.0)
+        tot_g = dt(0.0)
+        for k in range(n + 1):
+            lk = dt(exact_row[2 * k].numerator) / dt(exact_row[2 * k].denominator)
+            fact = dt(math.factorial(2 * k))
+            phi_k = ((-1.0) ** k) * fact * u0i * xt[2 * k]
+            if k == 0:
+                phi_kp = u0pi
+            else:
+                phi_kp = ((-1.0) ** k) * fact * (u0pi * xt[2 * k] - xt[2 * k - 1] / u0i)
+            xpow = xi ** (2 * k + l + 1)
+            tot_b += lk * xi ** (-2 * k) * (phi_k - cks[k] * xpow)
+            unp = cks[k] * ((2 * k + l + 1) * xpow / xi + 0.5 * Qi * xpow)
+            tot_g += lk * xi ** (-2 * k) * (phi_kp - unp)
+        betas[n] = float((4 * n + 1) * tot_b)
+        gammas[n] = float((4 * n + 1) * tot_g)
+    return betas, gammas
+
+
+def _direct_at(phi: PhiFamily, n: int, x: float, Q: np.ndarray | None = None):
+    if n > DIRECT_ORDER_CAP:
+        raise OrderCapError(
+            f"direct formulas limited to n <= {DIRECT_ORDER_CAP}; use the recurrent tables"
+        )
+    if n > phi.order:
+        raise DomainError(f"phi family holds orders 0..{phi.order}, need {n}")
+    u0 = phi.u0
+    i = u0.mesh.index_of(x)
+    xt = [g.values[i] for g in phi.xtilde[: 2 * n + 1]]
+    Qi = 0.0 if Q is None else Q[i]  # only the gamma sums involve Q
+    return _direct_sums(u0.mesh.x[i], u0.l, u0.u0.values[i], u0.u0_prime.values[i], xt, Qi, n)
+
+
+def beta_direct(phi: PhiFamily, n: int, x: float) -> float:
     """beta_n(x) from the direct Fourier-Legendre formula (n <= 12).
 
     Cross-validation path: exact-rational Legendre coefficients put all
     the cancellation into the phi_k differences, which limits the usable
-    range to 10-15 orders in double precision.
+    range to 10-15 orders in double precision.  l is read from ``phi.u0``.
     """
-    if n > DIRECT_ORDER_CAP:
-        raise OrderCapError(
-            f"direct formula limited to n <= {DIRECT_ORDER_CAP}; use beta_recurrent"
-        )
-    if n > phi.order:
-        raise DomainError(f"phi family holds orders 0..{phi.order}, need {n}")
-    i = phi.u0.mesh.index_of(x)
-    row = legendre_even_coeffs(n).coeffs
-    total = 0.0
-    for k in range(n + 1):
-        diff = phi.phi[k].values[i] - c_kl(k, l) * x ** (2 * k + l + 1.0)
-        total += row[2 * k] * x ** (-2.0 * k) * diff
-    return (4 * n + 1) * total
-
-
-def _phi_prime_at(phi: PhiFamily, k: int, i: int) -> float:
-    # phi_k' = (-1)^k (2k)! (u0' Xt^(2k) - Xt^(2k-1)/u0), analytic from the recursion
-    u0v = phi.u0.u0.values[i]
-    u0pv = phi.u0.u0_prime.values[i]
-    if k == 0:
-        return u0pv
-    fact = float(math.factorial(2 * k))
-    term = u0pv * phi.xtilde[2 * k].values[i]
-    if u0v > 0.0:
-        term -= phi.xtilde[2 * k - 1].values[i] / u0v
-    return ((-1.0) ** k) * fact * term
+    betas, _ = _direct_at(phi, n, x)
+    return float(betas[n])
 
 
 def gamma_direct(phi: PhiFamily, p: Potential, n: int, x: float) -> float:
     """gamma_n(x) from the direct Fourier-Legendre formula (n <= 12)."""
-    if n > DIRECT_ORDER_CAP:
-        raise OrderCapError(
-            f"direct formula limited to n <= {DIRECT_ORDER_CAP}; use gamma_recurrent"
-        )
-    if n > phi.order:
-        raise DomainError(f"phi family holds orders 0..{phi.order}, need {n}")
-    l = p.l
-    i = phi.u0.mesh.index_of(x)
-    Q = p.Q.values[i]
-    row = legendre_even_coeffs(n).coeffs
-    total = 0.0
-    for k in range(n + 1):
-        unperturbed = c_kl(k, l) * (
-            (2 * k + l + 1.0) * x ** (2 * k + l) + 0.5 * Q * x ** (2 * k + l + 1.0)
-        )
-        total += row[2 * k] * x ** (-2.0 * k) * (_phi_prime_at(phi, k, i) - unperturbed)
-    return (4 * n + 1) * total
+    _, gammas = _direct_at(phi, n, x, p.Q.values)
+    return float(gammas[n])
 
 
 def direct_coefficients_extended(
@@ -284,93 +290,35 @@ def direct_coefficients_extended(
     about a digit per order (the Legendre coefficients grow while the
     values shrink), which caps them near n = 8-10; evaluated in extended
     precision they stay meaningful over the whole served range and give
-    an independent reference for the recurrent path.  The entire chain
-    (Picard iteration for u0, the Xt recursion, Q) is recomputed in
-    ``numpy.longdouble`` on the same mesh.
+    an independent reference for the recurrent path.  The mesh points,
+    the x q samples and the step are taken in ``numpy.longdouble``, and
+    the same Picard, quadrature and Xt kernels as the float64 path then
+    run in that dtype.
 
     Requires l > -1/2; the degenerate log-kernel case has no extended
     path.  ``x`` defaults to the right endpoint b.
     """
+    if N < 0:
+        raise DomainError("N must be nonnegative")
     if N > DIRECT_ORDER_CAP:
         raise OrderCapError(f"direct formulas limited to n <= {DIRECT_ORDER_CAP}")
     if p.l == -0.5:
         raise DomainError("extended direct evaluation requires l > -1/2")
     ld = np.longdouble
     mesh = p.mesh
-    l = ld(p.l)
+    i = mesh.m - 1 if x is None else mesh.index_of(x)
     xv = mesh.x.astype(ld)
     h = ld(mesh.b) / ld(mesh.m - 1)
-    W = np.array(_CUM_W_NUM, dtype=ld) / ld(_CUM_W_DEN)
     qv = p.q.values.astype(ld)
     sq = xv * qv
     sq[0] = ld(p.xq_limit)
-
-    # u0 in extended precision (same Picard sweep, longdouble arithmetic);
     # iterate to the longdouble fixed point: the direct formulas amplify a
     # relative u0 perturbation by many orders at the top of the range, so
     # the sweep runs until its update drowns in longdouble rounding noise
-    s_pow = xv ** (2.0 * p.l + 1.0)
-    two_l_p1 = 2 * l + 1
-    w, (A, B), _ = _picard_fixed_point(
-        lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h, weights=W),
-        np.ones(mesh.m, dtype=ld), 1e-19, 120, floor=1e-13,
-    )
-    xl1 = xv ** (p.l + 1.0)
-    u0v = xl1 * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xl = xv**p.l
-        b_over = np.zeros_like(B)
-        np.divide(B, xl1, out=b_over, where=xv > 0)
-        u0pv = (l + 1) * xl * (1 + A / two_l_p1) + l * b_over / two_l_p1
-    u0pv[0] = ld(1.0) if p.l == 0.0 else ld(0.0)
-
-    Qv, _ = _guarded_cumulative_values(qv, h, DEFAULT_CUTOFF_SLACK, weights=W)
-
-    # Xt chain
-    u0sq = u0v * u0v
-    xt = [np.ones(mesh.m, dtype=ld)]
-    for j in range(1, 2 * N + 1):
-        if j % 2 == 1:
-            xt.append(_cumulative_values(u0sq * xt[-1], h, weights=W))
-        else:
-            integrand = np.zeros(mesh.m, dtype=ld)
-            np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0)
-            integrand[0] = 0.0
-            vals, _ = _guarded_cumulative_values(integrand, h, DEFAULT_CUTOFF_SLACK, weights=W)
-            xt.append(-vals)
-
-    i = mesh.m - 1 if x is None else mesh.index_of(x)
-    xi = xv[i]
-    Qi = Qv[i]
-
-    # c_{k,l} by its exact gamma recurrence, c_0 = 1
-    cks = [ld(1.0)]
-    for k in range(N):
-        cks.append(cks[-1] * (k + ld(0.5)) / (k + l + ld(1.5)))
-
-    betas = np.empty(N + 1)
-    gammas = np.empty(N + 1)
-    for n in range(N + 1):
-        exact_row = legendre_even_coeffs(n).exact
-        tot_b = ld(0.0)
-        tot_g = ld(0.0)
-        for k in range(n + 1):
-            lk = ld(exact_row[2 * k].numerator) / ld(exact_row[2 * k].denominator)
-            fact = ld(math.factorial(2 * k))
-            phi_k = ((-1.0) ** k) * fact * u0v[i] * xt[2 * k][i]
-            if k == 0:
-                phi_kp = u0pv[i]
-            else:
-                phi_kp = ((-1.0) ** k) * fact * (
-                    u0pv[i] * xt[2 * k][i] - xt[2 * k - 1][i] / u0v[i]
-                )
-            xpow = xi ** (2 * k + l + 1)
-            tot_b += lk * xi ** (-2 * k) * (phi_k - cks[k] * xpow)
-            unp = cks[k] * ((2 * k + l + 1) * xpow / xi + 0.5 * Qi * xpow)
-            tot_g += lk * xi ** (-2 * k) * (phi_kp - unp)
-        betas[n] = float((4 * n + 1) * tot_b)
-        gammas[n] = float((4 * n + 1) * tot_g)
-    return betas, gammas
+    u0v, u0pv, _ = _u0_power_case(xv, sq, p.l, h, 1e-19, 120, floor=1e-13)
+    Qv, _ = _guarded_cumulative_values(qv, h, DEFAULT_CUTOFF_SLACK)
+    xt = _xtilde_chain(u0v, h, N)
+    return _direct_sums(xv[i], p.l, u0v[i], u0pv[i], [v[i] for v in xt], Qv[i], N)
 
 
 def select_truncation(

@@ -18,8 +18,9 @@ sample set, and everything before it is replaced by zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ __all__ = [
 # (j, y_j), j = 0..5, in units of the step h.  Derived from the exact
 # antiderivatives of the Lagrange basis; row 5 is the classical closed
 # rule (5/288)(19, 75, 50, 50, 75, 19).  Numerators over the common
-# denominator 1440 are kept so other dtypes can rebuild the exact ratios.
+# denominator 1440 are kept so each dtype rounds the exact ratios once.
 _CUM_W_NUM = (
     (475, 1427, -798, 482, -173, 27),
     (448, 2064, 224, 224, -96, 16),
@@ -49,7 +50,15 @@ _CUM_W_NUM = (
     (475, 1875, 1250, 1250, 1875, 475),
 )
 _CUM_W_DEN = 1440
-_CUM_W = np.array(_CUM_W_NUM, dtype=float) / _CUM_W_DEN
+
+
+@cache
+def _cum_weights(dtype: np.dtype) -> np.ndarray:
+    """The weight matrix in ``dtype``: each exact ratio rounded once."""
+    w = np.array(_CUM_W_NUM, dtype=dtype) / dtype.type(_CUM_W_DEN)
+    w.flags.writeable = False
+    return w
+
 
 # Fifth finite difference y0 - 5 y1 + 10 y2 - 10 y3 + 5 y4 - y5.
 _DELTA5 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
@@ -106,7 +115,10 @@ class UniformMesh:
 
     def index_of(self, x: float, tol: float = 1e-9) -> int:
         """Index of the mesh point closest to ``x``; raises if none is within tol*b."""
-        i = int(round(x / self.h))
+        r = float(x) / self.h
+        if not math.isfinite(r):
+            raise DomainError(f"x={x} is not a mesh point")
+        i = int(round(r))
         i = min(max(i, 0), self.m - 1)
         if abs(self.x[i] - x) > tol * self.b:
             raise DomainError(f"x={x} is not a mesh point (nearest is {self.x[i]})")
@@ -145,16 +157,17 @@ class GridFunction:
         return float(self.values[-1])
 
 
-def _cumulative_values(y: np.ndarray, h: float, weights: np.ndarray | None = None) -> np.ndarray:
+def _cumulative_values(y: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral of samples ``y`` with step ``h`` (panel quintics).
 
-    ``weights`` overrides the weight matrix (same shape as ``_CUM_W``), so
-    extended-precision callers can pass the exact ratios in their dtype.
+    Works in the dtype of ``y`` (at least float64): the weights are the
+    exact ratios rounded in that dtype, so longdouble samples keep their
+    extra digits.
     """
     m = y.shape[0]
     if m < 6 or (m - 1) % 5 != 0:
         raise InvalidMeshError(f"cannot tile {m} points into 6-point panels")
-    W = _CUM_W if weights is None else weights
+    W = _cum_weights(np.result_type(y.dtype, np.float64))
     panels = np.lib.stride_tricks.sliding_window_view(y, 6)[::5]  # (P, 6)
     inc = h * (panels @ W.T)  # (P, 5) increments relative to panel start
     starts = np.concatenate((np.zeros(1, dtype=inc.dtype), np.cumsum(inc[:, 4])[:-1]))
@@ -205,14 +218,12 @@ def cutoff_start_index(f: GridFunction | np.ndarray, slack: float = DEFAULT_CUTO
     return _cutoff_index(y, slack)
 
 
-def _guarded_cumulative_values(
-    y: np.ndarray, h: float, slack: float, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+def _guarded_cumulative_values(y: np.ndarray, h: float, slack: float) -> tuple[np.ndarray, int]:
     cut = _cutoff_index(y, slack)
     if cut > 0:
         y = y.copy()
         y[:cut] = 0.0
-    return _cumulative_values(y, h, weights), cut
+    return _cumulative_values(y, h), cut
 
 
 def cumulative_integral_guarded(

@@ -141,16 +141,15 @@ class ParticularSolution:
         return self.u0.mesh
 
 
-def _picard_sweep(w, sq, s_pow, two_l_p1, h, weights=None):
+def _picard_sweep(w, sq, s_pow, two_l_p1, h):
     """One Picard update of w = u0/x^{l+1} for l > -1/2.
 
-    Returns (w_new, A, B) with A = cum(s q w), B = cum(s^{2l+2} q w).
-    Works in the dtype of its inputs (the extended-precision direct path
-    reuses it with longdouble arrays and exact longdouble weights).
+    Returns (w_new, A, B) with A = cum(s q w), B = cum(s^{2l+2} q w),
+    in the dtype of its inputs.
     """
     gA = sq * w
-    A = _cumulative_values(gA, h, weights)
-    B = _cumulative_values(gA * s_pow, h, weights)
+    A = _cumulative_values(gA, h)
+    B = _cumulative_values(gA * s_pow, h)
     ratio = np.zeros_like(B)
     np.divide(B, s_pow, out=ratio, where=s_pow > 0.0)
     return 1.0 + (A - ratio) / two_l_p1, A, B
@@ -194,6 +193,52 @@ def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float = 1e-1
     raise ConvergenceError(f"Picard iteration for u0 did not reach tol={tol} in {max_iter} sweeps")
 
 
+def _u0_power_case(x, sq, l: float, h, tol: float, max_iter: int, floor: float = 1e-12):
+    """(u0, u0', sweeps) for l > -1/2, in the dtype of ``x``.
+
+    ``sq`` holds the samples x q(x), with lim_{x->0} x q at the origin;
+    ``tol``, ``max_iter`` and ``floor`` go to :func:`_picard_fixed_point`.
+    u0' is differentiated from the integral representation.
+    """
+    lt = x.dtype.type(l)
+    two_l_p1 = 2 * lt + 1
+    s_pow = x ** (2.0 * l + 1.0)  # s^{2l+1}; s_pow[0] = 0 for l > -1/2
+    w, (A, B), iterations = _picard_fixed_point(
+        lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h), np.ones_like(x), tol, max_iter, floor
+    )
+    xl1 = x ** (l + 1.0)
+    u0v = xl1 * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xl = x**l
+        b_over = np.zeros_like(B)
+        np.divide(B, xl1, out=b_over, where=x > 0.0)
+        u0pv = (lt + 1) * xl * (1 + A / two_l_p1) + lt * b_over / two_l_p1
+    # (l+1) x^l -> 1 for l = 0; 0 for l > 0, a placeholder for the unbounded l < 0
+    u0pv[0] = 1.0 if l == 0.0 else 0.0
+    return u0v, u0pv, iterations
+
+
+def _xtilde_chain(u0v, h, N: int) -> list:
+    """Xt^(0)..Xt^(2N) on the mesh, in the dtype of ``u0v``.
+
+    Odd n integrates u0^2 Xt^(n-1) plainly; even n integrates
+    Xt^(n-1)/u0^2 through the guarded path (the division amplifies noise
+    near the origin).
+    """
+    u0sq = u0v * u0v
+    xt = [np.ones_like(u0v)]
+    for n in range(1, 2 * N + 1):
+        if n % 2 == 1:
+            xt.append(_cumulative_values(u0sq * xt[-1], h))
+        else:
+            integrand = np.zeros_like(u0sq)
+            np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0.0)
+            integrand[0] = 0.0
+            vals, _ = _guarded_cumulative_values(integrand, h, DEFAULT_CUTOFF_SLACK)
+            xt.append(-vals)
+    return xt
+
+
 def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> ParticularSolution:
     """Construct the non-vanishing particular solution with x^{l+1} asymptotics.
 
@@ -234,23 +279,7 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
             u0pv = w / (2.0 * sqrt_x) + A / sqrt_x
         u0pv[0] = 0.0  # placeholder: u0' is unbounded at the origin for l < 0
     else:
-        two_l_p1 = 2.0 * l + 1.0
-        s_pow = x ** (2.0 * l + 1.0)  # s^{2l+1}; s_pow[0] = 0 for l > -1/2
-        w, (A, B), iterations = _picard_fixed_point(
-            lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h), np.ones(mesh.m), tol, max_iter
-        )
-        u0v = x ** (l + 1.0) * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xl = x**l
-            b_over = np.zeros_like(B)
-            np.divide(B, x ** (l + 1.0), out=b_over, where=x > 0.0)
-            u0pv = (l + 1.0) * xl * (1.0 + A / two_l_p1) + l * b_over / two_l_p1
-        if l < 0:
-            u0pv[0] = 0.0  # placeholder: unbounded at the origin
-        elif l > 0:
-            u0pv[0] = 0.0
-        else:
-            u0pv[0] = 1.0  # (l+1) x^l -> 1 for l = 0
+        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, tol, max_iter)
 
     if not np.isfinite(u0v).all() or not np.isfinite(u0pv).all():
         raise ConvergenceError("Picard iteration for u0 produced non-finite samples")
@@ -291,28 +320,12 @@ class PhiFamily:
 
 
 def build_phi_family(u0: ParticularSolution, N: int) -> PhiFamily:
-    """Xt^(n) for n <= 2N by alternating cumulative integrals, and phi_k.
-
-    Odd n integrates u0^2 Xt^(n-1) plainly; even n integrates
-    Xt^(n-1)/u0^2 through the guarded path (the division amplifies noise
-    near the origin).
-    """
+    """Xt^(n) for n <= 2N by alternating cumulative integrals, and phi_k."""
     if N < 0:
         raise DomainError("N must be nonnegative")
     mesh = u0.mesh
-    h = mesh.h
     u0v = u0.u0.values
-    u0sq = u0v * u0v
-    xt = [np.ones(mesh.m)]
-    for n in range(1, 2 * N + 1):
-        if n % 2 == 1:
-            xt.append(_cumulative_values(u0sq * xt[-1], h))
-        else:
-            integrand = np.zeros(mesh.m)
-            np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0.0)
-            integrand[0] = 0.0
-            vals, _ = _guarded_cumulative_values(integrand, h, DEFAULT_CUTOFF_SLACK)
-            xt.append(-vals)
+    xt = _xtilde_chain(u0v, mesh.h, N)
     phi = [
         GridFunction(mesh, ((-1.0) ** k) * float(math.factorial(2 * k)) * u0v * xt[2 * k])
         for k in range(N + 1)

@@ -13,7 +13,7 @@ from pbessel.coefficients import (
     gamma_recurrent,
     select_truncation,
 )
-from pbessel.errors import OrderCapError
+from pbessel.errors import DomainError, OrderCapError
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
 from pbessel.spps import build_phi_family, build_u0
@@ -73,13 +73,13 @@ class TestRecurrentVsDirect:
         betas, _ = beta_recurrent(u0, p, 8)
         fam = build_phi_family(u0, 8)
         for n in range(9):
-            bd = beta_direct(fam, 1.5, n, np.pi)
+            bd = beta_direct(fam, n, np.pi)
             assert abs(betas[n][-1] - bd) <= 1e-6 * abs(bd)
 
     def test_beta0_is_u0_minus_power(self, xsq_15):
         p, u0 = xsq_15
         fam = build_phi_family(u0, 0)
-        bd = beta_direct(fam, 1.5, 0, np.pi)
+        bd = beta_direct(fam, 0, np.pi)
         assert bd == pytest.approx(u0.u0.at_end - np.pi**2.5, rel=1e-14)
 
     def test_gamma0_forms_agree(self, xsq_15):
@@ -146,9 +146,39 @@ class TestRecurrentVsDirect:
         p, u0 = xsq_15
         fam = build_phi_family(u0, 2)
         with pytest.raises(OrderCapError):
-            beta_direct(fam, 1.5, 13, np.pi)
+            beta_direct(fam, 13, np.pi)
         with pytest.raises(OrderCapError):
             gamma_direct(fam, p, 13, np.pi)
+
+
+class TestDirectArguments:
+    @pytest.fixture(scope="class")
+    def small(self):
+        p = make_potential("x^2", UniformMesh(np.pi, 501), 1.5)
+        return p, build_phi_family(build_u0(p), 2)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_x(self, small, x):
+        p, fam = small
+        with pytest.raises(DomainError):
+            direct_coefficients_extended(p, 1, x=x)
+        with pytest.raises(DomainError):
+            gamma_direct(fam, p, 1, x)
+        with pytest.raises(DomainError):
+            beta_direct(fam, 1, x)
+
+    def test_origin_values_vanish(self, small):
+        p, fam = small
+        assert beta_direct(fam, 2, 0.0) == 0.0
+        assert gamma_direct(fam, p, 2, 0.0) == 0.0
+        b, g = direct_coefficients_extended(p, 2, x=0.0)
+        assert not b.any() and not g.any()
+
+    @pytest.mark.parametrize("N", [-1, -2])
+    def test_extended_negative_order(self, small, N):
+        p, _ = small
+        with pytest.raises(DomainError, match="N must be nonnegative"):
+            direct_coefficients_extended(p, N)
 
 
 class TestDecayBehavior:

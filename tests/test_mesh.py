@@ -15,6 +15,7 @@ from pbessel import (
     next_valid_size,
 )
 from pbessel.errors import DomainError
+from pbessel.mesh import _cumulative_values
 
 EPS = np.finfo(float).eps
 
@@ -70,6 +71,11 @@ class TestMeshConstruction:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 1e308])
+    def test_index_of_unrepresentable_position(self, x):
+        with pytest.raises(DomainError):
+            UniformMesh(np.pi, 101).index_of(x)
+
 
 class TestCumulativeIntegral:
     def test_zero_integrand(self):
@@ -120,6 +126,21 @@ class TestCumulativeIntegral:
         e1 = oracles.quadrature_max_error_exact(1251)
         e2 = oracles.quadrature_max_error_exact(2501)
         assert float(e1 / e2) >= 32.0
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == EPS, reason="longdouble is float64 on this platform"
+    )
+    def test_longdouble_samples_get_longdouble_weights(self):
+        # x^5 is integrated exactly by the panel quintics, so only rounding
+        # is left: a few longdouble ulps with the weights rounded in
+        # longdouble, ~3.7e-18 with the weights rounded in float64
+        ld = np.longdouble
+        m = 501
+        x = np.arange(m, dtype=ld) / ld(m - 1)
+        F = _cumulative_values(x**5, ld(1) / ld(m - 1))
+        exact = x**6 / 6
+        assert F.dtype == ld
+        assert np.max(np.abs(F - exact)) <= 8 * np.finfo(ld).eps * np.max(exact)
 
     def test_fine_mesh_error_at_rounding_floor(self):
         # documents the defect analysis: at m = 1251 the float64 result is
