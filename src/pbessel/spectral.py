@@ -8,8 +8,13 @@ where BC is u_N(omega, b), u_N'(omega, b) or u_N' + H u_N according to
 the boundary condition.  The omega^{l+1} regularizer keeps Phi O(1)
 across wide scan windows (the solution amplitude itself decays like
 omega^{-l-1}).  Roots are located by a sign-change scan and refined by
-bisection (derivative-free; Phi is cheap to evaluate in bulk) with one
-final secant step.  Tangential (double) roots are not resolved.
+ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+2020): derivative-free and bracket-preserving like bisection, never
+slower than bisection by more than one step, and superlinear where Phi
+is smooth.  Each refinement round evaluates Phi once, in bulk, at one
+point per unfinished bracket; one final secant step polishes every root
+and one more bulk evaluation scores them all.  Tangential (double) roots
+are not resolved.
 """
 
 from __future__ import annotations
@@ -34,8 +39,13 @@ __all__ = [
 
 _BOUNDARY_KINDS = ("dirichlet", "neumann", "robin")
 
-#: target relative width of the bisection bracket
+#: target relative width of the refined bracket
 _REFINE_RTOL = 1e-13
+#: ITP constants: truncation kappa1 = _ITP_K1 / (initial width), exponent
+#: kappa2, and n0 slack steps over the bisection count
+_ITP_K1 = 0.2
+_ITP_K2 = 2.0
+_ITP_N0 = 1
 #: brackets whose roots land closer than this are merged
 _DEDUP_WIDTH = 1e-9
 
@@ -61,7 +71,7 @@ class SpectralProblem:
     potential: Potential
     boundary: BoundaryCondition
     omega_window: tuple[float, float]
-    scan_points: int = 0  # 0: auto (>= 20 samples per unit omega, >= 64)
+    scan_points: int = 0  # 0: auto (max(20, 4b/pi) samples per unit omega, >= 64)
 
     def __post_init__(self):
         lo, hi = self.omega_window
@@ -72,10 +82,18 @@ class SpectralProblem:
 
     @property
     def effective_scan_points(self) -> int:
+        """Scan grid size: ``scan_points`` if set, else max(20, 4b/pi) per unit omega.
+
+        Eigenvalues are asymptotically pi/b apart, so the automatic grid
+        puts at least four samples between neighbours on any interval
+        length b (the fixed 20 per unit omega covers b <= 5 pi), and never
+        fewer than 64 samples in all.
+        """
         if self.scan_points:
             return max(self.scan_points, 2)
         lo, hi = self.omega_window
-        return max(64, int(math.ceil(20.0 * (hi - lo))) + 1)
+        per_unit = max(20.0, 4.0 * self.potential.mesh.b / math.pi)
+        return max(64, int(math.ceil(per_unit * (hi - lo))) + 1)
 
 
 @dataclass(frozen=True)
@@ -105,20 +123,48 @@ def characteristic(sol: NsbfSolution, prob: SpectralProblem, omega):
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _bisect_brackets(phi, a, b, fa, fb):
-    """Vectorized bisection of sign-change brackets to relative width."""
+def _itp_brackets(phi, a, b, fa, fb):
+    """Vectorized ITP refinement of sign-change brackets 0 < a < b to relative width.
+
+    A bracket is done once b - a <= _REFINE_RTOL * max(b, 1); eps is half
+    that target width.  Each round calls ``phi`` once, on one point per
+    unfinished bracket: the regula falsi point, moved toward the midpoint
+    by delta = max(kappa1 w^kappa2, eps/2) and then projected into the
+    minmax ball around the midpoint.  A bracket therefore finishes within
+    ceil(log2(w0 / 2 eps)) + n0 rounds.  The eps/2 floor on delta keeps a
+    regula falsi point that sits at Phi's rounding noise from stalling
+    one-sided until the projection falls back to bisection.  An exact zero
+    collapses its bracket onto that point.
+    """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    for _ in range(200):
-        width = b - a
-        if np.all(width <= _REFINE_RTOL * np.maximum(np.abs(b), 1.0)):
+    # a <= |b| throughout, so 2 eps never exceeds the stopping width
+    eps = 0.5 * _REFINE_RTOL * np.maximum(a, 1.0)
+    kappa1 = _ITP_K1 / (b - a)
+    n_max = np.ceil(np.log2((b - a) / (2.0 * eps))) + _ITP_N0
+    # the minmax ball is sized from eps less one ulp, which absorbs the
+    # rounding of mid and x: a step function meets the bound every round
+    eps_ball = eps - np.spacing(b)
+    for j in range(200):
+        act = np.flatnonzero(b - a > _REFINE_RTOL * np.maximum(np.abs(b), 1.0))
+        if not act.size:
             break
-        mid = 0.5 * (a + b)
-        fm = phi(mid)
-        left = np.sign(fm) == np.sign(fa)
-        a = np.where(left, mid, a)
-        fa = np.where(left, fm, fa)
-        b = np.where(left, b, mid)
-        fb = np.where(left, fb, fm)
+        aj, bj, faj, fbj = a[act], b[act], fa[act], fb[act]
+        w = bj - aj
+        mid = 0.5 * (aj + bj)
+        x_f = (bj * faj - aj * fbj) / (faj - fbj)
+        sigma = np.sign(mid - x_f)
+        delta = np.maximum(kappa1[act] * w**_ITP_K2, 0.5 * eps[act])
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        radius = np.maximum(eps_ball[act] * 2.0 ** (n_max[act] - j) - 0.5 * w, 0.0)
+        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        fx = phi(x)
+        zero = fx == 0.0
+        left = (np.sign(fx) == np.sign(faj)) | zero
+        right = ~left | zero
+        a[act] = np.where(left, x, aj)
+        fa[act] = np.where(left, fx, faj)
+        b[act] = np.where(right, x, bj)
+        fb[act] = np.where(right, fx, fbj)
     return a, b, fa, fb
 
 
@@ -126,7 +172,8 @@ def find_eigenvalues(sol: NsbfSolution, prob: SpectralProblem) -> list[Eigenpair
     """All eigenvalues in the scan window, sorted and deduplicated.
 
     Samples Phi on a uniform omega grid, refines every sign change by
-    bisection to relative width 1e-13 and polishes with one secant step.
+    vectorized ITP to relative width 1e-13, polishes each root with one
+    secant step and evaluates every root's residual |Phi| in one call.
     An empty window or a window with no sign changes returns an empty
     list (no error).
     """
@@ -150,18 +197,13 @@ def find_eigenvalues(sol: NsbfSolution, prob: SpectralProblem) -> list[Eigenpair
 
     sign_change = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
     if sign_change.size:
-        a, b, fa, fb = _bisect_brackets(
+        a, b, fa, fb = _itp_brackets(
             phi, grid[sign_change], grid[sign_change + 1], values[sign_change], values[sign_change + 1]
         )
-        for aj, bj, faj, fbj in zip(a, b, fa, fb):
-            width = bj - aj
-            if fbj != faj:
-                om = bj - fbj * (bj - aj) / (fbj - faj)  # secant polish
-                if not (aj <= om <= bj):
-                    om = 0.5 * (aj + bj)
-            else:
-                om = 0.5 * (aj + bj)
-            roots.append((float(om), abs(float(phi(om))), float(width)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            om = b - fb * (b - a) / (fb - fa)  # secant polish
+        om = np.where((a <= om) & (om <= b), om, 0.5 * (a + b))  # also when fa = fb
+        roots.extend(zip(om.tolist(), np.abs(phi(om)).tolist(), (b - a).tolist()))
 
     roots.sort(key=lambda r: r[0])
     merged: list[tuple[float, float, float]] = []

@@ -180,6 +180,18 @@ class TestDirectArguments:
         with pytest.raises(DomainError, match="N must be nonnegative"):
             direct_coefficients_extended(p, N)
 
+    @pytest.mark.parametrize("m_potential, m_family", [(251, 501), (501, 251)])
+    def test_gamma_mesh_mismatch(self, m_potential, m_family):
+        # Q must be read on the phi family's own mesh: a shorter potential
+        # mesh used to raise a bare IndexError, a longer one read Q at another x
+        p = make_potential("x^2", UniformMesh(np.pi, m_potential), 1.5)
+        pf = make_potential("x^2", UniformMesh(np.pi, m_family), 1.5)
+        fam = build_phi_family(build_u0(pf), 1)
+        with pytest.raises(DomainError, match="mesh"):
+            gamma_direct(fam, p, 1, np.pi)
+        with pytest.raises(DomainError, match="mesh"):
+            gamma_direct(fam, p, 1, 1.0)
+
 
 class TestDecayBehavior:
     def test_decay_exponent_non_integer_l(self, xsq_15_tables):

@@ -1,17 +1,22 @@
 """Eigenvalue search and decay fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import pbessel.spectral as spectral
 from pbessel import DomainError, UniformMesh
 from pbessel.errors import InsufficientDataError
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_eigenvalue_near
 from pbessel.solution import build_solution
 from pbessel.spectral import (
+    _REFINE_RTOL,
     BoundaryCondition,
     SpectralProblem,
+    _itp_brackets,
     characteristic,
     decay_fit,
     find_eigenvalues,
@@ -168,6 +173,118 @@ class TestFindEigenvalues:
         for i in idx:
             ref = shoot_eigenvalue_near(q, 1.5, np.pi, pairs[i].omega)
             assert abs(pairs[i].omega - ref) < 1e-8
+
+
+class CountingPhi:
+    """Wraps a bulk function of omega and counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(np.asarray(x, dtype=float))
+
+
+def itp_round_bound(a, b):
+    """ceil(log2(w0 / 2 eps)) + 1: the ITP minmax round count, eps half the target width."""
+    eps = 0.5 * _REFINE_RTOL * max(a, 1.0)
+    return math.ceil(math.log2((b - a) / (2.0 * eps))) + 1
+
+
+def refine(f, a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    phi = CountingPhi(f)
+    out = _itp_brackets(phi, a, b, f(a), f(b))
+    return out, phi.calls
+
+
+class TestItpRefinement:
+    ROOTS = np.array([0.37, 2.3, 7.123456789, 25.5, 50.0])
+    LOWER = ROOTS - np.array([0.03, 0.011, 0.049, 0.02, 0.0123])
+    WIDTH = 0.05
+
+    def test_noisy_step_keeps_minmax_bound(self):
+        # regula falsi is useless on a step; the projection must still give
+        # bisection speed plus one round, and never lose the sign change
+        roots = self.ROOTS
+        step = lambda x: (-1.0) ** np.searchsorted(roots, x) * (1.0 + 0.5 * np.sin(1e9 * x))
+        for r, lo in zip(roots, self.LOWER):
+            (a, b, fa, fb), calls = refine(step, [lo], [lo + self.WIDTH])
+            assert calls <= itp_round_bound(lo, lo + self.WIDTH)
+            assert a[0] <= r <= b[0] and fa[0] * fb[0] < 0
+            assert b[0] - a[0] <= _REFINE_RTOL * max(b[0], 1.0)
+        # all brackets at once: one call per round covers every open bracket
+        (a, b, _, _), calls = refine(step, self.LOWER, self.LOWER + self.WIDTH)
+        assert calls <= max(itp_round_bound(lo, lo + self.WIDTH) for lo in self.LOWER)
+        assert np.all((a <= roots) & (roots <= b))
+
+    def test_linear_is_superlinear(self):
+        # regula falsi hits the root, the truncation step moves each probe
+        # off it by a margin shrinking quadratically: 8-9 rounds where
+        # bisection needs 34-39
+        for r, lo in zip(self.ROOTS, self.LOWER):
+            f = lambda x, r=r: 3.0 * (x - r)
+            (a, b, _, _), calls = refine(f, [lo], [lo + self.WIDTH])
+            assert calls <= 9
+            assert a[0] <= r <= b[0]
+            assert b[0] - a[0] <= _REFINE_RTOL * max(b[0], 1.0)
+
+    def test_exact_zero_collapses_bracket(self):
+        (a, b, fa, fb), calls = refine(lambda x: x - 1.5, [1.0], [2.0])
+        assert calls == 1
+        assert a[0] == b[0] == 1.5 and fa[0] == fb[0] == 0.0
+
+    def test_table1_matches_plain_bisection(self, sol_example1):
+        prob = SpectralProblem(sol_example1.potential, DIRICHLET, (2.0, 51.2))
+        pairs = find_eigenvalues(sol_example1, prob)
+        got = np.array([pairs[i].omega for i in (0, 4, 14, 29, 49)])
+        phi = lambda om: characteristic(sol_example1, prob, om)
+        a, b = got - 1e-3, got + 1e-3
+        fa = phi(a)
+        assert np.all(np.sign(fa) != np.sign(phi(b)))
+        for _ in range(60):  # down to adjacent floats
+            mid = 0.5 * (a + b)
+            left = np.sign(phi(mid)) == np.sign(fa)
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        ref = 0.5 * (a + b)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_table1_characteristic_calls(self, sol_example1, monkeypatch):
+        calls = []
+        inner = spectral.characteristic
+
+        def counting(sol, prob, omega):
+            calls.append(np.size(omega))
+            return inner(sol, prob, omega)
+
+        monkeypatch.setattr(spectral, "characteristic", counting)
+        prob = SpectralProblem(sol_example1.potential, DIRICHLET, (2.0, 51.2))
+        pairs = find_eigenvalues(sol_example1, prob)
+        assert len(pairs) == 50
+        assert len(calls) <= 15  # scan + ITP rounds + one residual call
+        assert calls[0] == prob.effective_scan_points and calls[-1] == 50
+
+
+class TestScanDensity:
+    def test_grid_unchanged_up_to_five_pi(self):
+        for b in (np.pi, 5 * np.pi):
+            p = make_potential("zero", UniformMesh(b, 501), 0.0)
+            for window in ((2.0, 51.2), (0.5, 3.0), (0.1, 0.9)):
+                prob = SpectralProblem(p, DIRICHLET, window)
+                lo, hi = window
+                assert prob.effective_scan_points == max(64, math.ceil(20.0 * (hi - lo)) + 1)
+
+    def test_long_interval_finds_every_eigenvalue(self):
+        # spacing pi/b = 0.026 is below the fixed 1/20 step: that grid found 31 of 95
+        b = 120.0
+        sol = build_solution(make_potential("zero", UniformMesh(b, 20001), 0.0), N=8)
+        pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.5, 3.0)))
+        k = np.arange(math.ceil(0.5 * b / np.pi), math.floor(3.0 * b / np.pi) + 1)
+        assert k.size == 95
+        assert len(pairs) == 95
+        np.testing.assert_allclose([p.omega for p in pairs], k * np.pi / b, rtol=1e-12, atol=0)
 
 
 class TestDecayFit:
