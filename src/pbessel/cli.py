@@ -51,7 +51,7 @@ from .errors import (
 )
 from .mesh import UniformMesh, next_valid_size
 from .potentials import make_potential, potential_callable
-from .solution import build_solution, error_indicator, eval_u, eval_u_prime
+from .solution import _series, build_solution, error_indicator
 from .spectral import BoundaryCondition, SpectralProblem, decay_fit, find_eigenvalues
 
 EXIT_OK = 0
@@ -228,11 +228,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     mesh, p, sol = _pipeline(cfg)
     out = Path(cfg.directory)
     prov = _provenance(cfg, "solve", mesh, sol)
-    rows = []
-    for om in cfg.omegas:
-        for x in cfg.xs:
-            eb, eg = error_indicator(sol, x) if x > 0 else (0.0, 0.0)
-            rows.append((om, x, eval_u(sol, om, x), eval_u_prime(sol, om, x), eb, eg))
+    u, du = _series(sol, cfg.omegas, cfg.xs)  # (len(xs), len(omegas)), one sweep
+    eps = [error_indicator(sol, x) if x > 0 else (0.0, 0.0) for x in cfg.xs]
+    rows = [(om, x, u[j, i], du[j, i], *eps[j])
+            for i, om in enumerate(cfg.omegas) for j, x in enumerate(cfg.xs)]
     _write_csv(out / "solution.csv", prov, "omega,x,u,u_prime,eps_beta,eps_gamma", rows)
     return EXIT_OK
 

@@ -14,14 +14,15 @@ needs no special-casing and large-l evaluations cannot overflow.  The
 truncation error of both series is uniform in omega on the real axis,
 which is what makes large eigenvalue scans accurate.
 
-Evaluation reads only the family it needs (u: beta; u': gamma and Q),
-as a column view of the read-only table or, off the mesh, a six-column
-strip.  It is pure and thread-safe; omega may be a vector (one Bessel
-sweep covers a whole scan line).
+Evaluation reads only the families it needs (u: beta; u': gamma and Q),
+as six-column strips of the read-only tables, exact on mesh points.  It is
+pure and thread-safe.  One Bessel sweep gives u, u' or both, at a vector of
+omega and, in the private kernel, of x too (z is their outer product).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,74 +85,81 @@ def build_solution(
     )
 
 
-def _quintic_weights(mesh: UniformMesh, x: float) -> tuple[int, np.ndarray]:
-    """Start index and Lagrange weights of 6-point interpolation at x."""
-    h = mesh.h
-    j0 = int(round(x / h)) - 3
-    j0 = min(max(j0, 0), mesh.m - 6)
-    t = x / h - j0  # position in units of h relative to window start
-    nodes = np.arange(6, dtype=float)
-    w = np.empty(6)
-    for j in range(6):
-        others = nodes[nodes != j]
-        w[j] = np.prod((t - others) / (j - others))
-    return j0, w
+#: the six interpolation nodes, and for node j the other five and j minus them
+_NODES = np.arange(6)
+_OTHERS = np.broadcast_to(_NODES, (6, 6))[~np.eye(6, dtype=bool)].reshape(6, 5)
+_NODE_DIFF = _NODES[:, None] - _OTHERS
 
 
-def _coeff_values_at(sol: NsbfSolution, x: float, *families: np.ndarray) -> tuple:
-    """Each of ``families`` (last axis on the mesh) at x; quintic off-mesh."""
-    mesh = sol.mesh
-    i = int(round(x / mesh.h))
-    if 0 <= i < mesh.m and abs(mesh.x[i] - x) <= 1e-12 * mesh.b:
-        return tuple(f[..., i] for f in families)
-    j0, w = _quintic_weights(mesh, x)
-    return tuple(f[..., j0 : j0 + 6] @ w for f in families)
+def _quintic_weights(mesh: UniformMesh, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices and Lagrange weights (len(x), 6) of 6-point interpolation at x.
+
+    Within 1e-12 b of a node t is an integer, where the weights are exactly one-hot.
+    """
+    s = x / mesh.h
+    i = np.rint(s).astype(int)
+    j0 = np.minimum(np.maximum(i - 3, 0), mesh.m - 6)
+    on = np.abs(mesh.x[i] - x) <= 1e-12 * mesh.b
+    t = np.where(on, i, s) - j0  # position in units of h relative to window start
+    return j0, np.multiply.reduce((t[:, None, None] - _OTHERS) / _NODE_DIFF, axis=-1)
 
 
-def _validate_eval_args(sol: NsbfSolution, omega, x: float) -> np.ndarray:
+def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) -> tuple:
+    """Each of ``families`` (last axis on the mesh) at every x, from a 6-point strip."""
+    j0, w = _quintic_weights(sol.mesh, x)
+    window = j0[:, None] + _NODES
+    return tuple((f[..., window] * w).sum(axis=-1) for f in families)
+
+
+def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tuple:
+    """(u, u') at every (x, omega) pair from one Bessel sweep.
+
+    ``omega`` and ``x`` are scalars or 1-D arrays.  Each requested result
+    has shape (len(x), len(omega)); the other is None.  Every entry equals
+    the one a call on its own (omega, x) pair gives, bit for bit.
+    """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(om).all() or (om < 0).any():
         raise DomainError("omega must be finite and >= 0")
-    if not np.isfinite(x) or x < 0 or x > sol.b * (1 + 1e-12):
+    if not np.isfinite(xs).all() or (xs < 0).any() or (xs > sol.b * (1 + 1e-12)).any():
         raise DomainError(f"x must lie in [0, {sol.b}], got {x}")
-    return om
+    l, n = sol.l, sol.N_used + 1
+    t = sol.tables
+    families = ([t.beta[:n]] if u else []) + ([t.gamma[:n], sol.potential.Q.values] if du else [])
+    coeffs = _coeff_values_at(sol, xs, *families)
+    z = np.multiply.outer(xs, om)
+    # (len(x), len(omega), N+1): summed along its contiguous last axis, so the
+    # order of the additions does not depend on the shape of the call
+    jeven = spherical_j_sequence(2 * sol.N_used, z.ravel())[0::2].T.reshape(*z.shape, n)
+    signs = (-1.0) ** np.arange(n)
+
+    def series(c):
+        return np.multiply(jeven, (signs[:, None] * c).T[:, None, :], order="C").sum(axis=-1)
+
+    # libm pow per x, as for one x; u' is unbounded at x = 0 for l < 0
+    xl1 = np.array([[v ** (l + 1.0)] for v in xs.tolist()])
+    xl = np.array([[math.inf if v == 0.0 and l < 0 else v**l] for v in xs.tolist()])
+    s = bl_scaled(l, z.ravel()).reshape(z.shape)
+    out_u = xl1 * s + series(coeffs[0]) if u else None
+    out_du = None
+    if du:
+        gamma, Q = coeffs[-2:]
+        d = bl_prime_scaled(l, z.ravel()).reshape(z.shape)
+        out_du = xl * d + 0.5 * Q[:, None] * xl1 * s + series(gamma)
+    return out_u, out_du
 
 
 def eval_u(sol: NsbfSolution, omega, x: float):
     """Regular solution u_N(omega, x); omega scalar or 1-D array."""
-    om = _validate_eval_args(sol, omega, x)
-    (beta,) = _coeff_values_at(sol, x, sol.tables.beta[: sol.N_used + 1])
-    z = om * x
-    lead = x ** (sol.l + 1.0) * np.atleast_1d(bl_scaled(sol.l, z))
-    jmat = spherical_j_sequence(2 * sol.N_used, z)  # (2N+1, len(z)); z is 1-D here
-    signs = (-1.0) ** np.arange(sol.N_used + 1)
-    series = (signs * beta) @ jmat[0::2]
-    out = lead + series
-    return float(out[0]) if np.ndim(omega) == 0 else out
+    u, _ = _series(sol, omega, x, du=False)
+    return float(u[0, 0]) if np.ndim(omega) == 0 else u[0]
 
 
 def eval_u_prime(sol: NsbfSolution, omega, x: float):
     """x-derivative of the regular solution; omega scalar or 1-D array."""
-    om = _validate_eval_args(sol, omega, x)
-    gamma, Q = _coeff_values_at(
-        sol, x, sol.tables.gamma[: sol.N_used + 1], sol.potential.Q.values
-    )
-    z = om * x
-    l = sol.l
-    if x == 0.0:
-        # u' is (l+1) x^l at the origin: 1 for l = 0, 0 for l > 0,
-        # unbounded for -1/2 <= l < 0
-        xl = 1.0 if l == 0.0 else (0.0 if l > 0.0 else np.inf)
-    else:
-        xl = x**l
-    lead = xl * np.atleast_1d(bl_prime_scaled(l, z)) + 0.5 * Q * x ** (
-        l + 1.0
-    ) * np.atleast_1d(bl_scaled(l, z))
-    jmat = spherical_j_sequence(2 * sol.N_used, z)
-    signs = (-1.0) ** np.arange(sol.N_used + 1)
-    series = (signs * gamma) @ jmat[0::2]
-    out = lead + series
-    return float(out[0]) if np.ndim(omega) == 0 else out
+    _, du = _series(sol, omega, x, u=False)
+    return float(du[0, 0]) if np.ndim(omega) == 0 else du[0]
 
 
 def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
@@ -165,5 +173,5 @@ def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
     if not (0 < x <= sol.b * (1 + 1e-12)):
         raise DomainError(f"error indicator needs x in (0, {sol.b}]")
     n = sol.N_used + 1
-    beta, gamma = _coeff_values_at(sol, x, sol.tables.beta[:n], sol.tables.gamma[:n])
+    beta, gamma = _coeff_values_at(sol, np.array([x]), sol.tables.beta[:n], sol.tables.gamma[:n])
     return float(abs(beta.sum() / x)), float(abs(gamma.sum() / x))

@@ -2,7 +2,7 @@
 
 Covers spherical Bessel functions j_0..j_n of a common argument
 (forward recurrence where it is stable, Miller backward recurrence with
-renormalization otherwise), the half-integer-order functions
+power-of-two renormalization otherwise), the half-integer-order functions
 b_l(z) = sqrt(z) J_{l+1/2}(z) and their derivative, the gamma-ratio
 constants of the recurrent coefficient scheme, and exact-rational
 Legendre polynomial coefficients.
@@ -45,8 +45,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 # ---------------------------------------------------------------------------
 
 _SMALL_Z = 1e-2          # below this, the two-term ascending series is exact to eps
-_RENORM_LIMIT = 1e250    # rescale trigger inside the backward recurrence
-_RENORM_FACTOR = 1e-250
+_RESCALE_AT = 2.0**700   # rescale trigger inside the backward recurrence
+_RESCALE_BY = 2.0**-700  # exact, so rescaling never changes the rounding
 
 
 def _miller_offset(n_max: int) -> int:
@@ -79,29 +79,32 @@ def _jseq_series(n_max: int, z: np.ndarray) -> np.ndarray:
 
 def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
     m_start = n_max + _miller_offset(n_max)
-    out = np.zeros((n_max + 1, z.size))
-    f_up = np.zeros(z.size)                 # f_{n+1}
-    f_cur = np.full(z.size, 1e-250)         # f_n, starting at n = m_start
+    # |f_{n-1}| <= (2n+1)/z |f_n| + |f_{n+1}|: a step grows the two live rows
+    # by at most g_max (z > _SMALL_Z here).  Checked every k steps, g_max^k <
+    # 2^323, nothing passes 2^1024 (float64 max) from 2^700 between checks; k
+    # depends on n_max alone, so each column rescales as it would on its own.
+    g_max = (2 * m_start + 1) / _SMALL_Z + 1.0
+    k = max(1, int(323.0 / math.log2(g_max)))
+    coef = list(np.divide.outer(2.0 * np.arange(m_start + 1) + 1.0, z))  # (2n+1)/z
+    f = np.empty((m_start + 2, z.size))
+    f[m_start:] = [[1e-250], [0.0]]  # f_{m_start}, f_{m_start+1}
+    rows = list(f)
     for n in range(m_start, 0, -1):
-        f_down = (2 * n + 1) / z * f_cur - f_up
-        f_up, f_cur = f_cur, f_down
-        row = n - 1
-        if row <= n_max:
-            out[row] = f_cur
-        big = np.abs(f_cur) > _RENORM_LIMIT
-        if big.any():
-            f_cur[big] *= _RENORM_FACTOR
-            f_up[big] *= _RENORM_FACTOR
-            if row <= n_max:
-                out[row:, big] *= _RENORM_FACTOR
+        row = rows[n - 1]
+        np.multiply(coef[n], rows[n], out=row)
+        np.subtract(row, rows[n + 1], out=row)
+        if n % k == 0:
+            live = np.abs(f[n - 1 : n + 1]).max(axis=0)
+            if live.max() > _RESCALE_AT:
+                f[n - 1 : max(n, n_max) + 1] *= np.where(live > _RESCALE_AT, _RESCALE_BY, 1.0)
     # Normalize against whichever of j_0, j_1 is larger in magnitude; j_0
     # vanishes at z = k*pi, so a fixed j_0 normalization would be unstable
-    # there.  f_cur/f_up now hold the unnormalized f_0/f_1.
+    # there.
     j0 = np.sin(z) / z
     j1 = np.sin(z) / z**2 - np.cos(z) / z
     use_j1 = np.abs(j1) > np.abs(j0)
-    scale = np.where(use_j1, j1, j0) / np.where(use_j1, f_up, f_cur)
-    return out * scale
+    scale = np.where(use_j1, j1, j0) / np.where(use_j1, f[1], f[0])
+    return f[: n_max + 1] * scale
 
 
 def spherical_j_sequence(n_max: int, z) -> np.ndarray:
@@ -122,8 +125,9 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
     Notes
     -----
     For |z| >= n_max the upward recurrence is stable and used directly;
-    for 0 < |z| < n_max a Miller-type backward recurrence with periodic
-    renormalization is used; z = 0 gives (1, 0, 0, ...).
+    for 0 < |z| < n_max a Miller-type backward recurrence is used, checked
+    every k steps (k fixed by n_max) and rescaled by 2^-700, so a vector
+    call equals its scalar calls bit for bit; z = 0 gives (1, 0, 0, ...).
     """
     if n_max < 0:
         raise DomainError(f"order must be nonnegative, got {n_max}")
@@ -177,30 +181,33 @@ def _series_region(l: float, z: np.ndarray) -> np.ndarray:
 
 def _bl_scaled_series(l: float, z: np.ndarray) -> np.ndarray:
     # S_l(z) = Gamma(l+3/2) sum_k (-1)^k (z/2)^{2k} / (k! Gamma(k+l+3/2)); S_l(0)=1.
+    # each entry stops at its own first negligible term, as alone
     out = np.ones_like(z)
     term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     z2 = z * z
     k = 0
-    while True:
+    while live.any() and k <= 200:
         k += 1
         term = term * (-z2) / (4.0 * k * (k + l + 0.5))
-        out += term
-        if np.max(np.abs(term)) <= 1e-18 * max(np.max(np.abs(out)), 1e-30) or k > 200:
-            return out
+        out += term * live
+        live &= np.abs(term) > 1e-18 * np.maximum(np.abs(out), 1e-30)
+    return out
 
 
 def _bl_prime_scaled_series(l: float, z: np.ndarray) -> np.ndarray:
     # D_l(z) = Gamma(l+3/2) sum_k (-1)^k (2k+l+1) (z/2)^{2k} / (k! Gamma(k+l+3/2)); D_l(0)=l+1.
     out = np.full_like(z, l + 1.0)
     term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     z2 = z * z
     k = 0
-    while True:
+    while live.any() and k <= 200:
         k += 1
         term = term * (-z2) / (4.0 * k * (k + l + 0.5))
-        out += term * (2 * k + l + 1.0)
-        if np.max(np.abs(term)) * (2 * k + l + 1.0) <= 1e-18 or k > 200:
-            return out
+        out += term * (2 * k + l + 1.0) * live
+        live &= np.abs(term) * (2 * k + l + 1.0) > 1e-18
+    return out
 
 
 def _log_fused(log_mag: np.ndarray, signed: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InsufficientDataError
-from .solution import NsbfSolution, eval_u, eval_u_prime
+from .solution import NsbfSolution, _series, eval_u, eval_u_prime
 from .spps import Potential
 
 __all__ = [
@@ -118,7 +118,8 @@ def characteristic(sol: NsbfSolution, prob: SpectralProblem, omega):
     elif kind == "neumann":
         bc = eval_u_prime(sol, om, b)
     else:
-        bc = eval_u_prime(sol, om, b) + prob.boundary.H * eval_u(sol, om, b)
+        u, du = _series(sol, om, b)
+        bc = du[0] + prob.boundary.H * u[0]
     out = om ** (sol.l + 1.0) * bc
     return float(out[0]) if np.ndim(omega) == 0 else out
 

@@ -151,6 +151,19 @@ class TestCli:
         assert data[1, 2] == pytest.approx(u0.u0.values[i_end], rel=1e-10)
         assert data[0, 3] == pytest.approx(u0.u0_prime.values[i_mid], rel=1e-10)
 
+    def test_solve_grid_equals_per_point_evaluation(self, tmp_path):
+        from pbessel import UniformMesh
+        from pbessel.potentials import make_potential
+        from pbessel.solution import build_solution, eval_u, eval_u_prime
+
+        omegas, xs = (0.0, 0.7, 2.0, 9.5), (0.0, 0.3, 1.5707963267948966, 2.71, 3.141592653589793)
+        cfg = EX1 + f"\n[solve]\nomegas = {', '.join(map(repr, omegas))}\nxs = {', '.join(map(repr, xs))}\n"
+        assert run_cli(tmp_path, "solve", cfg) == 0
+        data = load_csv(tmp_path / "out" / "solution.csv")
+        sol = build_solution(make_potential("x^2", UniformMesh(np.pi, 2001), 1.5), N=30)
+        ref = [(om, x, eval_u(sol, om, x), eval_u_prime(sol, om, x)) for om in omegas for x in xs]
+        assert np.array_equal(data[:, :4], np.array(ref))
+
     def test_solve_requires_lists(self, tmp_path):
         assert run_cli(tmp_path, "solve", EX1) == 2
 

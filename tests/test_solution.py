@@ -6,7 +6,14 @@ import pytest
 from pbessel import DomainError, UniformMesh
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
-from pbessel.solution import build_solution, error_indicator, eval_u, eval_u_prime
+from pbessel.solution import (
+    _quintic_weights,
+    _series,
+    build_solution,
+    error_indicator,
+    eval_u,
+    eval_u_prime,
+)
 
 MESH = UniformMesh(np.pi, 20001)
 
@@ -70,6 +77,48 @@ class TestUnperturbedClosedForm:
         x = 1.2345678  # generic off-mesh point
         omega = 2.0
         assert eval_u(sol_free, omega, x) == pytest.approx(np.sin(omega * x) / omega, abs=1e-11)
+
+
+def quintic_weights_loop(mesh, x):
+    """The per-node Lagrange loop the vectorized weights must reproduce."""
+    h = mesh.h
+    j0 = min(max(int(round(x / h)) - 3, 0), mesh.m - 6)
+    t = x / h - j0
+    nodes = np.arange(6, dtype=float)
+    w = np.empty(6)
+    for j in range(6):
+        others = nodes[nodes != j]
+        w[j] = np.prod((t - others) / (j - others))
+    return j0, w
+
+
+class TestLookup:
+    def test_quintic_weights_bit_identical_to_loop(self):
+        rng = np.random.default_rng(11)
+        h = MESH.h
+        # both clamped ends (j0 = 0 and j0 = m - 6) plus the interior
+        x = np.concatenate([rng.uniform(0, 2.4 * h, 50), MESH.b - rng.uniform(0, 2.4 * h, 50),
+                            rng.uniform(0, MESH.b, 900)])
+        j0, w = _quintic_weights(MESH, x)
+        assert j0.min() == 0 and j0.max() == MESH.m - 6
+        for k, xv in enumerate(x):
+            j_ref, w_ref = quintic_weights_loop(MESH, float(xv))
+            assert j0[k] == j_ref
+            assert np.array_equal(w[k], w_ref)
+
+    def test_series_on_x_vector_equals_per_x_calls(self, sol_xsq):
+        rng = np.random.default_rng(4)
+        omega = np.sort(rng.uniform(0.0, 40.0, 17))
+        on_mesh = MESH.x[[0, 1, 2, 777, 10000, MESH.m - 2, MESH.m - 1]]
+        x = np.concatenate([on_mesh, rng.uniform(0.0, MESH.b, 9), [MESH.h / 3, MESH.b - MESH.h / 3]])
+        u, du = _series(sol_xsq, omega, x)
+        assert u.shape == du.shape == (x.size, omega.size)
+        for k, xv in enumerate(x):
+            assert np.array_equal(u[k], eval_u(sol_xsq, omega, float(xv)))
+            assert np.array_equal(du[k], eval_u_prime(sol_xsq, omega, float(xv)))
+        assert eval_u(sol_xsq, float(omega[5]), float(x[9])) == u[9, 5]
+        assert _series(sol_xsq, omega, x, du=False)[1] is None
+        assert _series(sol_xsq, omega, x, u=False)[0] is None
 
 
 class TestAgainstShooting:

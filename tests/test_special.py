@@ -95,6 +95,27 @@ class TestSphericalSequence:
             bound = math.exp(min(log_bound, 700.0))
             assert abs(jn) <= bound * (1 + 1e-10) + 1e-300
 
+    @pytest.mark.parametrize("n_max", [10, 200, 400])
+    def test_against_scipy_down_to_small_z(self, n_max):
+        # log-spaced from just above _SMALL_Z, where the Miller sweep rescales most
+        from scipy.special import spherical_jn
+
+        z = np.geomspace(0.0101, 0.999 * n_max, 300)
+        seq = spherical_j_sequence(n_max, z)
+        ref = spherical_jn(np.arange(n_max + 1)[:, None], z[None, :])
+        assert np.isfinite(seq).all()
+        col_err = np.max(np.abs(seq - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(col_err) <= 5e-14
+
+    @pytest.mark.parametrize("n_max", [10, 200, 400])
+    def test_vector_call_is_columnwise_exact(self, n_max):
+        # rescaling by powers of two on a per-column schedule: bit for bit
+        rng = np.random.default_rng(n_max)
+        z = np.concatenate([np.geomspace(0.0101, 0.999 * n_max, 40), rng.uniform(0, 1.5 * n_max, 20)])
+        mat = spherical_j_sequence(n_max, z)
+        cols = np.column_stack([spherical_j_sequence(n_max, float(v)) for v in z])
+        assert np.array_equal(mat, cols)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             spherical_j_sequence(5, np.nan)

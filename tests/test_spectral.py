@@ -11,7 +11,7 @@ from pbessel import DomainError, UniformMesh
 from pbessel.errors import InsufficientDataError
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_eigenvalue_near
-from pbessel.solution import build_solution
+from pbessel.solution import build_solution, eval_u, eval_u_prime
 from pbessel.spectral import (
     _REFINE_RTOL,
     BoundaryCondition,
@@ -79,6 +79,30 @@ class TestCharacteristic:
         lo = characteristic(sol_example1, prob, 2.4)
         hi = characteristic(sol_example1, prob, 2.5)
         assert np.sign(lo) != np.sign(hi)
+
+    def test_robin_equals_separate_evaluations(self, sol_example1):
+        H = 0.7
+        prob = SpectralProblem(sol_example1.potential, BoundaryCondition("robin", H), (2.0, 51.2))
+        om = np.linspace(2.0, 51.2, 97)
+        b = sol_example1.b
+        ref = om ** (sol_example1.l + 1.0) * (eval_u_prime(sol_example1, om, b) + H * eval_u(sol_example1, om, b))
+        assert np.array_equal(characteristic(sol_example1, prob, om), ref)
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, BoundaryCondition("neumann"), BoundaryCondition("robin", 0.7)])
+    def test_one_sweep_per_call(self, sol_example1, monkeypatch, bc):
+        import pbessel.solution
+
+        sweeps = []
+        inner = pbessel.solution.spherical_j_sequence
+
+        def counting(n_max, z):
+            sweeps.append(np.size(z))
+            return inner(n_max, z)
+
+        monkeypatch.setattr(pbessel.solution, "spherical_j_sequence", counting)
+        prob = SpectralProblem(sol_example1.potential, bc, (2.0, 51.2))
+        characteristic(sol_example1, prob, np.linspace(2.0, 51.2, 33))
+        assert sweeps == [33]
 
     def test_domain(self, sol_free_l0):
         prob = SpectralProblem(sol_free_l0.potential, DIRICHLET, (0.1, 5.0))
