@@ -3,12 +3,18 @@
 Everything here is computed from defining series or textbook formulas in
 mpmath, independent of the library code paths under test.  Expensive
 values are frozen as module constants; the generating functions stay
-next to them so any constant can be recomputed on demand.
+next to them so any constant can be recomputed on demand.  The one
+exception, ``extended_direct_reference``, is the library's own
+extended-precision direct route, cached so the several tests that compare
+against it build each reference once per session.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -51,10 +57,10 @@ def gamma_B_n(n: int, l) -> mp.mpf:
         * mp.gamma(l + 2)
         * mp.gamma(l + mp.mpf(3) / 2)
         * mp.gamma(n_ - mp.mpf(1) / 2)
+        * mp.rgamma(l - n_ + 2)  # 1/Gamma: exactly 0 at the integer-l poles
         / (
             2
             * mp.sqrt(mp.pi)
-            * mp.gamma(l - n_ + 2)
             * mp.gamma(n_ + 1)
             * mp.gamma(n_ + l + mp.mpf(3) / 2)
         )
@@ -170,3 +176,23 @@ J2_ZEROS = (
     30.569204495516397037,
     33.716519509222699922,
 )
+
+
+@lru_cache(maxsize=None)
+def extended_direct_reference(l: float) -> tuple[np.ndarray, np.ndarray]:
+    """beta_n(pi), gamma_n(pi), n = 0..8, for q = x^2: the reference of criterion 03.
+
+    The longdouble direct formulas on m = 80001 and 160001, Richardson-
+    extrapolated over that mesh doubling (their discretization error
+    converges ~2nd order at the top of the range).  The arrays are
+    read-only, since every caller shares them.
+    """
+    from pbessel import UniformMesh, direct_coefficients_extended, make_potential
+
+    refs = {}
+    for m in (80001, 160001):
+        refs[m] = direct_coefficients_extended(make_potential("x^2", UniformMesh(np.pi, m), l), 8)
+    bd = refs[160001][0] + (refs[160001][0] - refs[80001][0]) / 3.0
+    gd = refs[160001][1] + (refs[160001][1] - refs[80001][1]) / 3.0
+    bd.flags.writeable = gd.flags.writeable = False
+    return bd, gd

@@ -11,11 +11,7 @@ import pytest
 from scipy.special import jv
 
 from pbessel import UniformMesh
-from pbessel.coefficients import (
-    beta_recurrent,
-    direct_coefficients_extended,
-    gamma_recurrent,
-)
+from pbessel.coefficients import beta_recurrent, gamma_recurrent
 from pbessel.mesh import GridFunction, cumulative_integral
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_eigenvalue_near, shoot_solution
@@ -128,12 +124,7 @@ def _criterion3_cells(l):
     u0 = build_u0(p)
     betas, aux = beta_recurrent(u0, p, 8)
     gammas = gamma_recurrent(u0, p, betas, aux, 8)
-    refs = {}
-    for m_ref in (80001, 160001):
-        p_ref = make_potential("x^2", UniformMesh(B, m_ref), l)
-        refs[m_ref] = direct_coefficients_extended(p_ref, 8)
-    bd = refs[160001][0] + (refs[160001][0] - refs[80001][0]) / 3.0
-    gd = refs[160001][1] + (refs[160001][1] - refs[80001][1]) / 3.0
+    bd, gd = oracles.extended_direct_reference(l)
     rel_b = [abs(betas[n][-1] - bd[n]) / abs(bd[n]) for n in range(9)]
     rel_g = [abs(gammas[n][-1] - gd[n]) / abs(gd[n]) for n in range(9)]
     return rel_b, rel_g

@@ -18,6 +18,8 @@ from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
 from pbessel.spps import build_phi_family, build_u0
 
+import oracles
+
 MESH = UniformMesh(np.pi, 20001)
 
 
@@ -96,19 +98,6 @@ class TestRecurrentVsDirect:
         gammas = gamma_recurrent(u0, p, *beta_recurrent(u0, p, 0), 0)
         assert gammas[0][-1] == pytest.approx(expected, rel=1e-13)
 
-    @staticmethod
-    def _direct_reference(l, n_max=8):
-        # extended-precision direct formulas, Richardson-extrapolated over a
-        # mesh doubling (their discretization error converges ~2nd order at
-        # the top of the range)
-        refs = {}
-        for m in (80001, 160001):
-            mesh = UniformMesh(np.pi, m)
-            refs[m] = direct_coefficients_extended(make_potential("x^2", mesh, l), n_max)
-        bd = refs[160001][0] + (refs[160001][0] - refs[80001][0]) / 3.0
-        gd = refs[160001][1] + (refs[160001][1] - refs[80001][1]) / 3.0
-        return bd, gd
-
     @pytest.mark.parametrize("l", [1.5, 1.0])
     def test_extended_direct_cross_check(self, l):
         # both families, n = 0..8, against the extended-precision direct
@@ -122,7 +111,7 @@ class TestRecurrentVsDirect:
         u0 = build_u0(p)
         betas, aux = beta_recurrent(u0, p, 8)
         gammas = gamma_recurrent(u0, p, betas, aux, 8)
-        bd, gd = self._direct_reference(l)
+        bd, gd = oracles.extended_direct_reference(l)
         for n in range(9):
             if not (l == 1.0 and n == 8):
                 assert abs(betas[n][-1] - bd[n]) <= 1e-6 * abs(bd[n])
@@ -139,7 +128,7 @@ class TestRecurrentVsDirect:
         p = make_potential("x^2", mesh, 1.0)
         u0 = build_u0(p)
         betas, _ = beta_recurrent(u0, p, 8)
-        bd, _ = self._direct_reference(1.0)
+        bd, _ = oracles.extended_direct_reference(1.0)
         assert abs(betas[8][-1] - bd[8]) <= 1e-6 * abs(bd[8])
 
     def test_direct_order_cap(self, xsq_15):

@@ -82,23 +82,51 @@ def run_cli(tmp_path, command, cfg_text, *extra):
     return main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out"), *extra])
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's pbessel."""
+    import pbessel
+
+    src = str(Path(pbessel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 class TestImport:
     def test_import_leaves_shooting_oracle_unloaded(self):
-        import pbessel
-
-        src = str(Path(pbessel.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import sys, pbessel\n"
             "print('scipy.integrate' in sys.modules, 'pbessel.shooting' in sys.modules)\n"
+            "print('scipy.special' in sys.modules)\n"
             "from pbessel import shoot_solution\n"
             "print(shoot_solution is pbessel.shooting.shoot_solution)\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        assert run_fresh(code) == ["False", "False", "False", "True"]
+
+    def test_scipy_special_loads_on_first_large_argument(self, tmp_path):
+        # coeffs, decay-sweep and small-argument evaluation never need J_nu
+        # of non-integer order, so scipy.special stays unloaded until eigen
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(EX1 + "\n[sweep]\nl_values = 0.5, 1.5\n")
+        code = (
+            "import sys, numpy as np\n"
+            "from pbessel import build_solution, eval_u, make_potential, UniformMesh\n"
+            "from pbessel.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "loaded = lambda: 'scipy.special' in sys.modules\n"
+            "print(main(['coeffs', '--config', cfg, '--out', out + '/c']), loaded())\n"
+            "print(main(['decay-sweep', '--config', cfg, '--out', out + '/d']), loaded())\n"
+            "sol = build_solution(make_potential('x^2', UniformMesh(np.pi, 2001), 1.5), N=30)\n"
+            "eval_u(sol, 0.6, np.linspace(0.0, np.pi, 7))\n"
+            "print(loaded())\n"
+            "print(main(['eigen', '--config', cfg, '--out', out + '/e']), loaded())\n"
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "False", "True"]
+        assert run_fresh(code, str(cfg_file), str(tmp_path)) == [
+            "0", "False", "0", "False", "False", "0", "True"
+        ]
 
 
 class TestCli:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, gammasgn
 
 from pbessel import (
     DomainError,
@@ -239,6 +239,42 @@ class TestGammaRatios:
             expected = float(oracles.gamma_B_n(n, l))
             got = gamma_ratio_Bn(n, l)
             assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    GRID_L = (-0.5, -0.3, 0.0, 0.2, 0.5, 1.0, 1.5, 2.5, 7.3)
+
+    @staticmethod
+    def _scipy_Bn(n, l):
+        # B_n as a log-gamma sum with scipy's gammaln / gammasgn, and the
+        # rounding level of that sum, eps * sum |terms|
+        terms = [
+            math.log(4.0 * n - 1.0), -math.log(2.0), -0.5 * math.log(math.pi),
+            gammaln(l + 2.0), gammaln(l + 1.5), gammaln(n - 0.5),
+            -gammaln(l - n + 2.0), -gammaln(n + 1.0), -gammaln(n + l + 1.5),
+        ]
+        value = float(gammasgn(l - n + 2.0)) * math.exp(sum(terms))
+        return value, np.finfo(float).eps * sum(abs(t) for t in terms)
+
+    def test_Bn_matches_scipy_gamma(self):
+        for l in self.GRID_L:
+            for n in range(1, 261):
+                got = gamma_ratio_Bn(n, l)
+                if l - n + 2.0 <= 0.0 and float(l).is_integer():
+                    assert got == 0.0, (n, l)
+                    continue
+                expected, rounding = self._scipy_Bn(n, l)
+                assert np.sign(got) == gammasgn(l - n + 2.0), (n, l)
+                # past n ~ 50 the terms reach ~1e3 and the log-gamma sum's own
+                # rounding, not B_n's, sets the gap
+                assert abs(got - expected) <= max(1e-13, 4.0 * rounding) * abs(expected), (n, l)
+
+    def test_Bn_against_mpmath_30_digits(self):
+        with oracles.mp.workdps(30):
+            for l in self.GRID_L:
+                for n in range(1, 261):
+                    expected = float(oracles.gamma_B_n(n, l))
+                    got = gamma_ratio_Bn(n, l)
+                    assert abs(got - expected) <= 1e-13 * abs(expected), (n, l)
+                    assert (got == 0.0) == (expected == 0.0), (n, l)
 
     def test_Bn_large_n_finite(self):
         v = gamma_ratio_Bn(400, 2.5)
