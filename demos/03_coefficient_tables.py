@@ -3,30 +3,29 @@
 
 The recurrent integration scheme produces hundreds of coefficients
 stably; the direct Fourier-Legendre formulas lose a digit per order in
-fixed precision and serve as an independent cross-check for small n.
+float64, so the independent cross-check for small n runs them in
+extended precision (numpy.longdouble).
 """
 import numpy as np
 
 from pbessel import UniformMesh, build_u0, make_potential
 from pbessel.coefficients import (
-    beta_direct,
     beta_recurrent,
     build_coefficient_tables,
-    gamma_recurrent,
+    direct_coefficients_extended,
 )
 from pbessel.spectral import decay_fit
-from pbessel.spps import build_phi_family
 
 mesh = UniformMesh(np.pi, 20001)
 
 # --- dual routes agree ------------------------------------------------------
 p = make_potential("x^2", mesh, 1.5)
 u0 = build_u0(p)
-betas, aux = beta_recurrent(u0, p, 6)
-fam = build_phi_family(u0, 6)
-print("recurrent vs direct beta_n(pi):")
+betas, _ = beta_recurrent(u0, p, 6)
+direct, _ = direct_coefficients_extended(p, 6)  # at x = b = pi
+print("recurrent vs direct (extended precision) beta_n(pi):")
 for n in range(7):
-    br, bd = betas[n][-1], beta_direct(fam, n, np.pi)
+    br, bd = betas[n][-1], direct[n]
     print(f"  n = {n}: {br:+.12e}  vs  {bd:+.12e}")
 
 # --- decay rate depends on l ------------------------------------------------

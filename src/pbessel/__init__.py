@@ -34,22 +34,17 @@ from .mesh import (
 )
 from .special import (
     LegendreCoeffRow,
-    b_l,
-    b_l_prime,
-    c_kl,
     gamma_ratio_Bn,
     gamma_ratio_Cn,
     legendre_even_coeffs,
     spherical_j_sequence,
 )
-from .spps import ParticularSolution, PhiFamily, Potential, build_phi_family, build_u0
+from .spps import ParticularSolution, Potential, build_u0
 from .coefficients import (
     CoefficientTables,
-    beta_direct,
     beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
-    gamma_direct,
     gamma_recurrent,
     select_truncation,
 )

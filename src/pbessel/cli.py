@@ -184,10 +184,11 @@ def _oracle_rows(cfg: RunConfig, sol, pairs):
         raise ConfigError("--oracle needs an analytic potential (builtin or const:), not csv:")
     q, _ = resolved
     omegas = [p.omega for p in pairs]
-    gaps = np.diff([0.0] + omegas) if omegas else []
+    halfwidth = 0.2
+    if len(omegas) > 1:
+        halfwidth = max(min(0.2, 0.4 * float(np.min(np.diff(omegas)))), 1e-3)
     rows = []
-    for k, pair in enumerate(pairs):
-        halfwidth = 0.2 if len(omegas) < 2 else max(min(0.2, 0.4 * float(np.min(gaps[1:]))), 1e-3)
+    for pair in pairs:
         ref = shoot_eigenvalue_near(
             q, cfg.l, cfg.b, pair.omega, kind=cfg.boundary, robin_h=cfg.H, halfwidth=halfwidth
         )

@@ -24,9 +24,10 @@ the two recurrences.  The direct Fourier-Legendre formulas
     gamma_n(x) = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k'
                  - c_{k,l}((2k+l+1) x^{2k+l} + (Q/2) x^{2k+l+1})),
 
-lose roughly a digit per order in fixed precision and serve as an
-independent cross-validation route for small n, not as the production
-path.
+lose roughly a digit per order in float64, so they are kept only in
+extended precision (:func:`direct_coefficients_extended`), as the
+independent reference the recurrent tables are checked against for
+small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
@@ -42,15 +43,13 @@ import numpy as np
 from .errors import DomainError, NumericalBreakdownError, OrderCapError
 from .mesh import DEFAULT_CUTOFF_SLACK, UniformMesh, _cumulative_values, _guarded_cumulative_values
 from .special import gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
-from .spps import ParticularSolution, PhiFamily, Potential, _u0_power_case, _xtilde_chain
+from .spps import ParticularSolution, Potential, _u0_power_case, _xtilde_chain
 
 __all__ = [
     "RecurrenceAux",
     "CoefficientTables",
     "beta_recurrent",
     "gamma_recurrent",
-    "beta_direct",
-    "gamma_direct",
     "direct_coefficients_extended",
     "select_truncation",
     "build_coefficient_tables",
@@ -59,8 +58,8 @@ __all__ = [
 
 #: Direct Legendre-sum formulas are only served up to this order; beyond it
 #: their fixed-precision cancellation outgrows the value itself.  In float64
-#: the digits run out well before it: ~1e-10 relative at n <= 5, 1e-7...2e-4
-#: at n = 8 (see :func:`beta_direct`).
+#: the digits run out well before it (~1e-10 relative at n <= 5, 1e-7...2e-4
+#: at n = 8), which is why only the extended-precision route is kept.
 DIRECT_ORDER_CAP = 12
 
 _TINY = 1e-290  # below this, positive powers are treated as underflowed
@@ -252,46 +251,6 @@ def _direct_sums(xi, l: float, u0i, u0pi, xt: list, Qi, N: int) -> tuple[np.ndar
     return betas, gammas
 
 
-def _direct_at(phi: PhiFamily, n: int, x: float, Q: np.ndarray | None = None):
-    if n > DIRECT_ORDER_CAP:
-        raise OrderCapError(
-            f"direct formulas limited to n <= {DIRECT_ORDER_CAP}; use the recurrent tables"
-        )
-    if n > phi.order:
-        raise DomainError(f"phi family holds orders 0..{phi.order}, need {n}")
-    u0 = phi.u0
-    i = u0.mesh.index_of(x)
-    xt = [g.values[i] for g in phi.xtilde[: 2 * n + 1]]
-    Qi = 0.0 if Q is None else Q[i]  # only the gamma sums involve Q
-    return _direct_sums(u0.mesh.x[i], u0.l, u0.u0.values[i], u0.u0_prime.values[i], xt, Qi, n)
-
-
-def beta_direct(phi: PhiFamily, n: int, x: float) -> float:
-    """beta_n(x) from the direct Fourier-Legendre formula (n <= 12).
-
-    Cross-validation path: exact-rational Legendre coefficients put all
-    the cancellation into the phi_k differences.  In double precision that
-    costs about a digit per order: measured against
-    :func:`direct_coefficients_extended` on the same mesh (m = 20001,
-    x = pi; x^2 at l = 1, 3/2 and 1/x at l = 1) the result agrees to
-    ~1e-10 relative (at most 5e-10) for n <= 5 and drifts to 1e-7...2e-4
-    by n = 8.  l is read from ``phi.u0``.
-    """
-    betas, _ = _direct_at(phi, n, x)
-    return float(betas[n])
-
-
-def gamma_direct(phi: PhiFamily, p: Potential, n: int, x: float) -> float:
-    """gamma_n(x) from the direct Fourier-Legendre formula (n <= 12).
-
-    ``p`` supplies Q and must live on the mesh of ``phi``.
-    """
-    if p.mesh != phi.u0.mesh:
-        raise DomainError(f"potential mesh {p.mesh} differs from the phi family mesh {phi.u0.mesh}")
-    _, gammas = _direct_at(phi, n, x, p.Q.values)
-    return float(gammas[n])
-
-
 def direct_coefficients_extended(
     p: Potential, N: int, x: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +262,8 @@ def direct_coefficients_extended(
     precision they stay meaningful over the whole served range and give
     an independent reference for the recurrent path.  The mesh points,
     the x q samples and the step are taken in ``numpy.longdouble``, and
-    the same Picard, quadrature and Xt kernels as the float64 path then
-    run in that dtype.
+    the same Picard and quadrature kernels as the float64 pipeline then
+    run in that dtype, followed by the Xt chain of :mod:`pbessel.spps`.
 
     Requires l > -1/2; the degenerate log-kernel case has no extended
     path.  ``x`` defaults to the right endpoint b.

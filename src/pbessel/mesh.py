@@ -148,9 +148,6 @@ class GridFunction:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def __call__(self, i: int) -> float:
-        return float(self.values[i])
-
     @property
     def at_end(self) -> float:
         """Sample at x = b."""

@@ -124,6 +124,8 @@ def _read_csv_samples(path: Path, mesh: UniformMesh) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read potential CSV {path}: {exc}") from exc
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise ConfigError(f"malformed potential CSV {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ConfigError(f"potential CSV {path} must have two columns (x, q)")
     if data.shape[0] != mesh.m:

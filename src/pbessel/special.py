@@ -2,19 +2,19 @@
 
 Covers spherical Bessel functions j_0..j_n of a common argument
 (forward recurrence where it is stable, Miller backward recurrence with
-power-of-two renormalization otherwise), the half-integer-order functions
-b_l(z) = sqrt(z) J_{l+1/2}(z) and their derivative, the gamma-ratio
+power-of-two renormalization otherwise), the scaled forms S_l and D_l of
+b_l(z) = sqrt(z) J_{l+1/2}(z) and its derivative, the gamma-ratio
 constants of the recurrent coefficient scheme, and exact-rational
 Legendre polynomial coefficients.
 
-The gamma ratios go through ``math.lgamma`` differences, and B_n through
-its exact rational ratio in n; the gamma function is never evaluated on
-its own above moderate arguments, which removes the overflow ceiling that
-a naive ratio hits near order 170.
+B_n goes through its exact rational ratio in n, and the normalization of
+S_l and D_l through ``math.lgamma`` in log space; the gamma function is
+never evaluated on its own above moderate arguments, which removes the
+overflow ceiling that a naive ratio hits near order 170.
 
 Importing this module loads numpy and the standard library only.  The
-large-argument branch of b_l and its derivative needs J_nu of non-integer
-order; ``scipy.special.jv`` is imported there, on first use.
+large-argument branch of S_l and D_l needs J_nu of non-integer order;
+``scipy.special.jv`` is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -30,19 +30,14 @@ from .errors import DomainError, OrderCapError
 
 __all__ = [
     "spherical_j_sequence",
-    "b_l",
-    "b_l_prime",
     "bl_scaled",
     "bl_prime_scaled",
-    "c_kl",
     "gamma_ratio_Bn",
     "gamma_ratio_Cn",
     "LegendreCoeffRow",
     "legendre_even_coeffs",
     "LEGENDRE_ORDER_CAP",
 ]
-
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 # ---------------------------------------------------------------------------
 # spherical Bessel sequences
@@ -167,7 +162,7 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# b_l(z) = sqrt(z) J_{l+1/2}(z) and companions
+# scaled forms of b_l(z) = sqrt(z) J_{l+1/2}(z) and b_l'(z)
 # ---------------------------------------------------------------------------
 
 
@@ -180,7 +175,7 @@ def _check_l(l: float) -> float:
 
 def _jv(nu: float, z):
     # importing scipy.special takes longer than importing numpy; only the
-    # large-argument branch of b_l needs it, so it loads on first use here
+    # large-argument branch of S_l and D_l needs it, so it loads on first use here
     from scipy.special import jv
 
     return jv(nu, z)
@@ -281,58 +276,9 @@ def bl_prime_scaled(l: float, z) -> np.ndarray | float:
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def b_l(l: float, z: float) -> float:
-    """b_l(z) = sqrt(z) J_{l+1/2}(z); the regular unperturbed solution in z = omega*x.
-
-    Near the origin the ascending power series is used to avoid
-    cancellation; b_l(0) = 0 for every l >= -1/2.
-    """
-    l = _check_l(l)
-    if not np.isfinite(z) or z < 0.0:
-        raise DomainError(f"b_l requires finite z >= 0, got z={z}")
-    if z == 0.0:
-        return 0.0
-    if _series_region(l, np.atleast_1d(float(z)))[0]:
-        # b_l = z^{l+1} S_l(z) / (2^{l+1/2} Gamma(l+3/2)), computed in logs
-        s = _bl_scaled_series(l, np.atleast_1d(float(z)))[0]
-        log_pre = (l + 1.0) * math.log(z) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5)
-        return float(_log_fused(np.atleast_1d(log_pre), np.atleast_1d(s))[0])
-    return math.sqrt(z) * float(_jv(l + 0.5, z))
-
-
-def b_l_prime(l: float, z: float) -> float:
-    """d/dz of b_l(z).  At z = 0: 0 for l > 0, sqrt(2/pi) for l = 0, +inf for l < 0."""
-    l = _check_l(l)
-    if not np.isfinite(z) or z < 0.0:
-        raise DomainError(f"b_l_prime requires finite z >= 0, got z={z}")
-    if z == 0.0:
-        if l > 0.0:
-            return 0.0
-        if l == 0.0:
-            return math.sqrt(2.0 / math.pi)
-        return math.inf
-    if _series_region(l, np.atleast_1d(float(z)))[0]:
-        d = _bl_prime_scaled_series(l, np.atleast_1d(float(z)))[0]
-        log_pre = l * math.log(z) - (l + 0.5) * math.log(2.0) - math.lgamma(l + 1.5)
-        return float(_log_fused(np.atleast_1d(log_pre), np.atleast_1d(d))[0])
-    return math.sqrt(z) * float(_jv(l - 0.5, z)) - l * float(_jv(l + 0.5, z)) / math.sqrt(z)
-
-
 # ---------------------------------------------------------------------------
 # gamma ratios
 # ---------------------------------------------------------------------------
-
-
-def c_kl(k: int, l: float) -> float:
-    """c_{k,l} = Gamma(l+3/2) Gamma(k+1/2) / (sqrt(pi) Gamma(k+l+3/2)).
-
-    Computed through log-gamma differences; exact value 1 at k = 0.
-    """
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
-    l = _check_l(l)
-    k = int(k)
-    return math.exp(math.lgamma(l + 1.5) + math.lgamma(k + 0.5) - _LOG_SQRT_PI - math.lgamma(k + l + 1.5))
 
 
 @lru_cache(maxsize=32)

@@ -4,13 +4,18 @@ The seed of the whole method is the non-vanishing solution u0 of
 
     -u0'' + (l(l+1)/x^2 + q(x)) u0 = 0,   u0(x) ~ x^{l+1} as x -> 0,
 
-from which two families of recursive integrals are constructed:
+from which the recursive integrals of the direct coefficient formulas
+are constructed:
 
     Xt^(0) = 1,
     Xt^(n) = integral_0^x u0^2 Xt^(n-1)        (n odd),
     Xt^(n) = -integral_0^x Xt^(n-1) / u0^2     (n even),
 
     phi_n  = (-1)^n (2n)! u0 Xt^(2n).
+
+Only the extended-precision direct reference
+(:func:`pbessel.coefficients.direct_coefficients_extended`) reads the Xt
+chain; the recurrent tables need u0 alone.
 
 u0 itself is produced by Picard iteration of the Volterra equation
 
@@ -24,7 +29,6 @@ from numerical differentiation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +43,7 @@ from .mesh import (
     _guarded_cumulative_values,
 )
 
-__all__ = ["Potential", "ParticularSolution", "PhiFamily", "build_u0", "build_phi_family"]
+__all__ = ["Potential", "ParticularSolution", "build_u0"]
 
 
 @dataclass(frozen=True)
@@ -298,40 +302,4 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
         l=l,
         iterations=iterations,
         residual=residual,
-    )
-
-
-@dataclass(frozen=True)
-class PhiFamily:
-    """Recursive integrals Xt^(0)..Xt^(2N) and phi_0..phi_N.
-
-    phi_k' is available analytically from the recursion structure:
-    phi_k' = (-1)^k (2k)! (u0' Xt^(2k) - Xt^(2k-1)/u0); see
-    :func:`pbessel.coefficients.gamma_direct`.
-    """
-
-    xtilde: list[GridFunction]
-    phi: list[GridFunction]
-    u0: ParticularSolution
-
-    @property
-    def order(self) -> int:
-        return len(self.phi) - 1
-
-
-def build_phi_family(u0: ParticularSolution, N: int) -> PhiFamily:
-    """Xt^(n) for n <= 2N by alternating cumulative integrals, and phi_k."""
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    mesh = u0.mesh
-    u0v = u0.u0.values
-    xt = _xtilde_chain(u0v, mesh.h, N)
-    phi = [
-        GridFunction(mesh, ((-1.0) ** k) * float(math.factorial(2 * k)) * u0v * xt[2 * k])
-        for k in range(N + 1)
-    ]
-    return PhiFamily(
-        xtilde=[GridFunction(mesh, v) for v in xt],
-        phi=phi,
-        u0=u0,
     )

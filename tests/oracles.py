@@ -42,13 +42,6 @@ def bessel_J(nu, z) -> mp.mpf:
     return mp.besselj(mp.mpf(str(nu)), mp.mpf(str(z)))
 
 
-def gamma_c_kl(k: int, l) -> mp.mpf:
-    l = mp.mpf(str(l))
-    return mp.gamma(l + mp.mpf(3) / 2) * mp.gamma(k + mp.mpf(1) / 2) / (
-        mp.sqrt(mp.pi) * mp.gamma(k + l + mp.mpf(3) / 2)
-    )
-
-
 def gamma_B_n(n: int, l) -> mp.mpf:
     n_ = mp.mpf(n)
     l = mp.mpf(str(l))
@@ -109,9 +102,6 @@ J7_AT_0_003 = 1.078920793324356556754e-24
 # bessel_J(2, 2), and b_{3/2}(2) = sqrt(2) J_2(2)
 BESSEL_J2_AT_2 = 0.3528340286156377191506
 B_THREEHALF_AT_2 = 0.4989826685349715768268
-
-# gamma_c_kl(10, 1.5)
-C_10_THREEHALF = 0.002669652303059895833333
 
 # gamma_B_n(5, 1.5); exactly rational for half-integer l
 B5_THREEHALF = 0.0002899169921875

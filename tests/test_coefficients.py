@@ -5,18 +5,16 @@ import pytest
 
 from pbessel import UniformMesh
 from pbessel.coefficients import (
-    beta_direct,
     beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
-    gamma_direct,
     gamma_recurrent,
     select_truncation,
 )
 from pbessel.errors import DomainError, OrderCapError
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
-from pbessel.spps import build_phi_family, build_u0
+from pbessel.spps import build_u0
 
 import oracles
 
@@ -69,32 +67,19 @@ class TestTableLayout:
 
 
 class TestRecurrentVsDirect:
-    def test_beta_direct_float64(self, xsq_15):
-        # float64 direct route: l = 3/2, beta_n(pi) recurrent vs direct, n = 0..8, 1e-6
-        p, u0 = xsq_15
-        betas, _ = beta_recurrent(u0, p, 8)
-        fam = build_phi_family(u0, 8)
-        for n in range(9):
-            bd = beta_direct(fam, n, np.pi)
-            assert abs(betas[n][-1] - bd) <= 1e-6 * abs(bd)
-
     def test_beta0_is_u0_minus_power(self, xsq_15):
         p, u0 = xsq_15
-        fam = build_phi_family(u0, 0)
-        bd = beta_direct(fam, 0, np.pi)
-        assert bd == pytest.approx(u0.u0.at_end - np.pi**2.5, rel=1e-14)
+        betas, _ = beta_recurrent(u0, p, 0)
+        assert betas[0][-1] == pytest.approx(u0.u0.at_end - np.pi**2.5, rel=1e-14)
 
     def test_gamma0_forms_agree(self, xsq_15):
-        # gamma_0 = u0' - (l+1) x^l - Q x^{l+1}/2 from direct formula at n = 0
+        # gamma_0 = u0' - (l+1) x^l - Q x^{l+1}/2, row 0 of the recurrent table
         p, u0 = xsq_15
-        fam = build_phi_family(u0, 0)
-        gd = gamma_direct(fam, p, 0, np.pi)
         expected = (
             u0.u0_prime.at_end
             - 2.5 * np.pi**1.5
             - p.Q.at_end * np.pi**2.5 / 2.0
         )
-        assert gd == pytest.approx(expected, rel=1e-13)
         gammas = gamma_recurrent(u0, p, *beta_recurrent(u0, p, 0), 0)
         assert gammas[0][-1] == pytest.approx(expected, rel=1e-13)
 
@@ -132,54 +117,29 @@ class TestRecurrentVsDirect:
         assert abs(betas[8][-1] - bd[8]) <= 1e-6 * abs(bd[8])
 
     def test_direct_order_cap(self, xsq_15):
-        p, u0 = xsq_15
-        fam = build_phi_family(u0, 2)
+        p, _ = xsq_15
         with pytest.raises(OrderCapError):
-            beta_direct(fam, 13, np.pi)
-        with pytest.raises(OrderCapError):
-            gamma_direct(fam, p, 13, np.pi)
+            direct_coefficients_extended(p, 13)
 
 
 class TestDirectArguments:
     @pytest.fixture(scope="class")
     def small(self):
-        p = make_potential("x^2", UniformMesh(np.pi, 501), 1.5)
-        return p, build_phi_family(build_u0(p), 2)
+        return make_potential("x^2", UniformMesh(np.pi, 501), 1.5)
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_nonfinite_x(self, small, x):
-        p, fam = small
         with pytest.raises(DomainError):
-            direct_coefficients_extended(p, 1, x=x)
-        with pytest.raises(DomainError):
-            gamma_direct(fam, p, 1, x)
-        with pytest.raises(DomainError):
-            beta_direct(fam, 1, x)
+            direct_coefficients_extended(small, 1, x=x)
 
     def test_origin_values_vanish(self, small):
-        p, fam = small
-        assert beta_direct(fam, 2, 0.0) == 0.0
-        assert gamma_direct(fam, p, 2, 0.0) == 0.0
-        b, g = direct_coefficients_extended(p, 2, x=0.0)
+        b, g = direct_coefficients_extended(small, 2, x=0.0)
         assert not b.any() and not g.any()
 
     @pytest.mark.parametrize("N", [-1, -2])
     def test_extended_negative_order(self, small, N):
-        p, _ = small
         with pytest.raises(DomainError, match="N must be nonnegative"):
-            direct_coefficients_extended(p, N)
-
-    @pytest.mark.parametrize("m_potential, m_family", [(251, 501), (501, 251)])
-    def test_gamma_mesh_mismatch(self, m_potential, m_family):
-        # Q must be read on the phi family's own mesh: a shorter potential
-        # mesh used to raise a bare IndexError, a longer one read Q at another x
-        p = make_potential("x^2", UniformMesh(np.pi, m_potential), 1.5)
-        pf = make_potential("x^2", UniformMesh(np.pi, m_family), 1.5)
-        fam = build_phi_family(build_u0(pf), 1)
-        with pytest.raises(DomainError, match="mesh"):
-            gamma_direct(fam, p, 1, np.pi)
-        with pytest.raises(DomainError, match="mesh"):
-            gamma_direct(fam, p, 1, 1.0)
+            direct_coefficients_extended(small, N)
 
 
 class TestDecayBehavior:

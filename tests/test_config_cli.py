@@ -129,6 +129,29 @@ class TestImport:
         ]
 
 
+    def test_all_lists_resolve(self):
+        # a stale __all__ entry breaks star-imports, with no error at import time
+        import importlib
+        import pkgutil
+
+        import pbessel
+
+        checked = []
+        for info in pkgutil.iter_modules(pbessel.__path__):
+            if info.name.startswith("_"):
+                continue  # __main__ runs the CLI when imported
+            name = f"pbessel.{info.name}"
+            mod = importlib.import_module(name)
+            if not hasattr(mod, "__all__"):
+                continue
+            assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], name
+            namespace = {}
+            exec(f"from {name} import *", namespace)
+            assert set(mod.__all__) <= set(namespace), name
+            checked.append(info.name)
+        assert {"coefficients", "mesh", "special", "spps"} <= set(checked)
+
+
 class TestCli:
     def test_coeffs_zero_potential(self, tmp_path):
         cfg = EX1.replace("potential = x^2", "potential = zero")
@@ -228,6 +251,18 @@ class TestCli:
 
     def test_exit_code_unknown_potential(self, tmp_path):
         assert run_cli(tmp_path, "coeffs", EX1.replace("x^2", "mystery")) == 2
+
+    @pytest.mark.parametrize("bad_row", ["0.1,abc", "0.1,1.0,2.0"], ids=["non-numeric", "ragged"])
+    def test_exit_code_malformed_csv(self, tmp_path, bad_row):
+        x = np.linspace(0.0, np.pi, 501)
+        rows = [f"{v:.17g},1.0" for v in x]
+        rows[7] = bad_row
+        path = tmp_path / "q.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = EX1.replace("potential = x^2", f"potential = csv:{path}").replace(
+            "mesh_points = 2001", "mesh_points = 501"
+        )
+        assert run_cli(tmp_path, "coeffs", cfg) == 2
 
     def test_exit_code_convergence(self, tmp_path):
         # strongly negative potential: u0 crosses zero -> refusal (exit 4)

@@ -85,6 +85,17 @@ class TestPotentials:
         with pytest.raises(ConfigError):
             make_potential(f"csv:{path}", mesh, 1.0)
 
+    @pytest.mark.parametrize("bad_row", ["0.1,abc", "0.1,1.0,2.0"], ids=["non-numeric", "ragged"])
+    def test_csv_malformed(self, tmp_path, bad_row):
+        # np.loadtxt raises ValueError on both; make_potential must turn it into ConfigError
+        mesh = UniformMesh(np.pi, 501)
+        rows = [f"{x:.17g},1.0" for x in mesh.x]
+        rows[7] = bad_row
+        path = tmp_path / "q.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match="malformed"):
+            make_potential(f"csv:{path}", mesh, 1.0)
+
     def test_sqrt_domain(self):
         mesh = UniformMesh(4.0, 11)  # b > pi: sqrt(pi^2 - x^2) undefined
         with pytest.raises(Exception):

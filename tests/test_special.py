@@ -1,18 +1,15 @@
-"""Special function layer: Bessel sequences, b_l, gamma ratios, Legendre rows."""
+"""Special function layer: Bessel sequences, scaled b_l, gamma ratios, Legendre rows."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln, gammasgn, jv
 
 from pbessel import (
     DomainError,
     OrderCapError,
-    b_l,
-    b_l_prime,
-    c_kl,
     gamma_ratio_Bn,
     gamma_ratio_Cn,
     legendre_even_coeffs,
@@ -123,60 +120,74 @@ class TestSphericalSequence:
             spherical_j_sequence(-1, 1.0)
 
 
+def _scale(l):
+    return 2.0 ** (l + 0.5) * math.gamma(l + 1.5)
+
+
+def b_from_scaled(l, z):
+    # b_l(z) = sqrt(z) J_{l+1/2}(z) = z^{l+1} S_l(z) / (2^{l+1/2} Gamma(l+3/2))
+    return z ** (l + 1) * bl_scaled(l, z) / _scale(l)
+
+
+def db_from_scaled(l, z):
+    # b_l'(z) = z^l D_l(z) / (2^{l+1/2} Gamma(l+3/2))
+    return z**l * bl_prime_scaled(l, z) / _scale(l)
+
+
 class TestBl:
+    # S_l and D_l, turned into b_l and b_l' by the scale factor, against the
+    # closed forms of b_l (for l = 0 these read S_0 = sin z / z, D_0 = cos z)
     def test_l0_closed_form(self):
         for z in (0.5, 1.0, 2.0):
-            assert abs(b_l(0.0, z) - math.sqrt(2 / math.pi) * math.sin(z)) < 1e-14
+            assert abs(b_from_scaled(0.0, z) - math.sqrt(2 / math.pi) * math.sin(z)) < 1e-14
 
     def test_l1_closed_form(self):
         z = 1.0
         expected = math.sqrt(2 / math.pi) * (math.sin(z) / z - math.cos(z))
-        assert abs(b_l(1.0, z) - expected) < 1e-14
+        assert abs(b_from_scaled(1.0, z) - expected) < 1e-14
 
     def test_three_half_oracle(self):
-        assert abs(b_l(1.5, 2.0) - oracles.B_THREEHALF_AT_2) < 1e-14
+        assert abs(b_from_scaled(1.5, 2.0) - oracles.B_THREEHALF_AT_2) < 1e-14
 
     def test_origin(self):
-        assert b_l(0.7, 0.0) == 0.0
-        assert b_l_prime(0.7, 0.0) == 0.0
-        assert abs(b_l_prime(0.0, 0.0) - math.sqrt(2 / math.pi)) < 1e-15
-        assert b_l_prime(-0.5, 0.0) == math.inf
+        assert b_from_scaled(0.7, 0.0) == 0.0
+        assert db_from_scaled(0.7, 0.0) == 0.0
+        assert abs(db_from_scaled(0.0, 0.0) - math.sqrt(2 / math.pi)) < 1e-15
 
     def test_prime_l0(self):
         # b_0 = sqrt(2/pi) sin z -> derivative sqrt(2/pi) cos z
         for z in (0.3, 1.7, 8.0):
-            assert abs(b_l_prime(0.0, z) - math.sqrt(2 / math.pi) * math.cos(z)) < 1e-13
+            assert abs(db_from_scaled(0.0, z) - math.sqrt(2 / math.pi) * math.cos(z)) < 1e-13
 
     def test_prime_finite_difference(self):
         l, z, h = 2.3, 3.1, 1e-6
-        fd = (b_l(l, z + h) - b_l(l, z - h)) / (2 * h)
-        assert abs(b_l_prime(l, z) - fd) < 1e-8
+        fd = (b_from_scaled(l, z + h) - b_from_scaled(l, z - h)) / (2 * h)
+        assert abs(db_from_scaled(l, z) - fd) < 1e-8
 
     def test_integer_l_reduction_to_spherical(self):
         # b_l(z) = sqrt(2/pi) z j_l(z) for integer l
         for l in (0, 1, 2, 5):
             for z in (0.4, 3.2, 17.0):
                 jl = spherical_j_sequence(l, z)[l]
-                assert abs(b_l(float(l), z) - math.sqrt(2 / math.pi) * z * jl) < 1e-13 * max(
-                    1, abs(z * jl)
-                )
+                got = b_from_scaled(float(l), z)
+                assert abs(got - math.sqrt(2 / math.pi) * z * jl) < 1e-13 * max(1, abs(z * jl))
 
     def test_series_jv_branch_consistency(self):
         # values straddling the internal branch switch must agree
         l = 0.8
-        left = b_l(l, 1.9999)
-        right = b_l(l, 2.0001)
+        left = b_from_scaled(l, 1.9999)
+        right = b_from_scaled(l, 2.0001)
         assert abs(left - right) < 1e-4  # continuity (coarse)
         mid = 0.5 * (left + right)
-        assert abs(b_l(l, 2.0) - mid) < 1e-7
+        assert abs(b_from_scaled(l, 2.0) - mid) < 1e-7
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            b_l(-0.6, 1.0)
+            bl_scaled(-0.6, 1.0)
         with pytest.raises(DomainError):
-            b_l(1.0, -0.1)
+            bl_scaled(1.0, -0.1)
         with pytest.raises(DomainError):
-            b_l_prime(1.0, np.nan)
+            bl_prime_scaled(1.0, np.nan)
 
     def test_scaled_variants_origin_limits(self):
         assert bl_scaled(1.5, 0.0) == 1.0
@@ -186,10 +197,13 @@ class TestBl:
         for l in (0.0, 0.5, 1.5, 4.0):
             pre = math.exp((l + 0.5) * math.log(2.0) + gammaln(l + 1.5))
             for z in (0.7, 2.5, 30.0):
-                assert abs(bl_scaled(l, z) - pre * z ** (-l - 1) * b_l(l, z)) < 1e-12 * (
+                # b_l = sqrt(z) J_{l+1/2}, b_l' = sqrt(z) J_{l-1/2} - l J_{l+1/2} / sqrt(z)
+                raw = math.sqrt(z) * jv(l + 0.5, z)
+                raw_prime = math.sqrt(z) * jv(l - 0.5, z) - l * jv(l + 0.5, z) / math.sqrt(z)
+                assert abs(bl_scaled(l, z) - pre * z ** (-l - 1) * raw) < 1e-12 * (
                     abs(bl_scaled(l, z)) + 1e-6
                 )
-                assert abs(bl_prime_scaled(l, z) - pre * z ** (-l) * b_l_prime(l, z)) < 1e-11 * (
+                assert abs(bl_prime_scaled(l, z) - pre * z ** (-l) * raw_prime) < 1e-11 * (
                     abs(bl_prime_scaled(l, z)) + 1e-6
                 )
 
@@ -201,23 +215,6 @@ class TestBl:
 
 
 class TestGammaRatios:
-    def test_ckl_k0_is_one(self):
-        for l in (-0.5, 0.0, 1.5, 7.3):
-            assert abs(c_kl(0, l) - 1.0) < 1e-15
-
-    def test_ckl_k1_l0(self):
-        assert abs(c_kl(1, 0.0) - 1.0 / 3.0) < 1e-15
-
-    def test_ckl_oracle(self):
-        assert abs(c_kl(10, 1.5) - oracles.C_10_THREEHALF) < 1e-16
-
-    def test_ckl_recurrence(self):
-        # c_{k+1,l}/c_{k,l} = (k+1/2)/(k+l+3/2)
-        for l in (0.0, 0.5, 2.5):
-            for k in range(0, 40, 7):
-                ratio = c_kl(k + 1, l) / c_kl(k, l)
-                assert abs(ratio - (k + 0.5) / (k + l + 1.5)) < 1e-13
-
     def test_Bn_integer_l_cutoff(self):
         assert gamma_ratio_Bn(2, 0.0) == 0.0
         assert gamma_ratio_Bn(3, 1.0) == 0.0
@@ -283,8 +280,6 @@ class TestGammaRatios:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_ratio_Bn(0, 1.0)
-        with pytest.raises(DomainError):
-            c_kl(-1, 1.0)
 
 
 class TestLegendre:

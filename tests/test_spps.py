@@ -1,12 +1,14 @@
 """Particular solution u0 and the recursive integral families."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pbessel import ConvergenceError, NonVanishingError, UniformMesh
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
-from pbessel.spps import Potential, _picard_sweep, build_phi_family, build_u0
+from pbessel.spps import Potential, _picard_sweep, _xtilde_chain, build_u0
 
 import oracles
 
@@ -139,33 +141,41 @@ class TestBuildU0:
             build_u0(p, max_iter=1)
 
 
+def phi_family(u0, N):
+    """Xt^(0..2N) from the kernel and phi_k = (-1)^k (2k)! u0 Xt^(2k), k = 0..N."""
+    u0v = u0.u0.values
+    xt = _xtilde_chain(u0v, u0.mesh.h, N)
+    phi = [(-1.0) ** k * float(math.factorial(2 * k)) * u0v * xt[2 * k] for k in range(N + 1)]
+    return xt, phi
+
+
 class TestPhiFamily:
     def test_base_cases(self, u0_xsq):
-        fam = build_phi_family(u0_xsq, 2)
-        assert np.all(fam.xtilde[0].values == 1.0)
-        assert np.array_equal(fam.phi[0].values, u0_xsq.u0.values)
+        xt, phi = phi_family(u0_xsq, 2)
+        assert np.all(xt[0] == 1.0)
+        assert np.array_equal(phi[0], u0_xsq.u0.values)
 
     def test_unperturbed_closed_forms(self):
         # q = 0, l = 0: u0 = x, Xt1 = x^3/3, Xt2 = -x^2/6, phi1 = x^3/3
         mesh = UniformMesh(np.pi, 5001)
         sol = build_u0(make_potential("zero", mesh, 0.0))
-        fam = build_phi_family(sol, 1)
+        xt, phi = phi_family(sol, 1)
         x = mesh.x
-        assert np.max(np.abs(fam.xtilde[1].values - x**3 / 3)) < 1e-9
-        assert np.max(np.abs(fam.xtilde[2].values + x**2 / 6)) < 1e-9
-        assert np.max(np.abs(fam.phi[1].values - x**3 / 3)) < 1e-9
+        assert np.max(np.abs(xt[1] - x**3 / 3)) < 1e-9
+        assert np.max(np.abs(xt[2] + x**2 / 6)) < 1e-9
+        assert np.max(np.abs(phi[1] - x**3 / 3)) < 1e-9
 
     def test_phi1_against_quadrature_oracle(self, u0_xsq):
         # frozen from the arbitrary-precision series + quadrature oracle
-        fam = build_phi_family(u0_xsq, 1)
-        got = fam.phi[1].at_end
+        _, phi = phi_family(u0_xsq, 1)
+        got = phi[1][-1]
         assert abs(got - oracles.PHI1_XSQ_PI) < 1e-8 * abs(oracles.PHI1_XSQ_PI)
 
     def test_growth_orders(self, u0_xsq):
         # |Xt^(2n)(x)| <= C x^{2n}: log-log slope over the first decade >= 2n - 0.2
-        fam = build_phi_family(u0_xsq, 3)
+        xt, _ = phi_family(u0_xsq, 3)
         for n in (1, 2, 3):
-            vals = np.abs(fam.xtilde[2 * n].values)
+            vals = np.abs(xt[2 * n])
             i = np.arange(40, 400, 20)  # first decade-ish of usable points
             good = vals[i] > 0
             slope = np.polyfit(np.log(MESH.x[i][good]), np.log(vals[i][good]), 1)[0]
@@ -173,9 +183,9 @@ class TestPhiFamily:
 
     def test_phi_growth_spot_check(self, u0_xsq):
         # |phi_k(x)| <= C_k x^{2k+l+1} near the origin (10th mesh point)
-        fam = build_phi_family(u0_xsq, 2)
+        _, phi = phi_family(u0_xsq, 2)
         l = 1.5
         x10 = MESH.x[10]
         for k in (1, 2):
-            bound = 10.0 * abs(fam.phi[k].at_end) / MESH.b ** (2 * k + l + 1)
-            assert abs(fam.phi[k].values[10]) <= bound * x10 ** (2 * k + l + 1) * 10
+            bound = 10.0 * abs(phi[k][-1]) / MESH.b ** (2 * k + l + 1)
+            assert abs(phi[k][10]) <= bound * x10 ** (2 * k + l + 1) * 10
