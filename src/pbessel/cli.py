@@ -113,7 +113,12 @@ def _write(path: Path, lines: list[str]) -> None:
 
 
 def _write_csv(path: Path, provenance: list[str], header: str, rows) -> None:
-    _write(path, provenance + [header] + [",".join(_fmt(v) for v in row) for row in rows])
+    # one %-format over the flattened rows; "%.17g" renders exactly as _fmt
+    ncol = header.count(",") + 1
+    vals = np.asarray(rows, dtype=float).reshape(-1, ncol)
+    line = ",".join(["%.17g"] * ncol) + "\n"
+    body = (line * vals.shape[0] % tuple(vals.ravel().tolist()))[:-1]
+    _write(path, provenance + [header] + ([body] if body else []))
 
 
 def _fit_or_none(values: np.ndarray, n_lo: int, n_hi: int):
@@ -136,10 +141,11 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     idx = np.arange(0, mesh.m, stride)
     if idx[-1] != mesh.m - 1:
         idx = np.append(idx, mesh.m - 1)
-    rows = []
-    for n in range(t.N + 1):
-        for i in idx:
-            rows.append((n, mesh.x[i], t.beta[n, i], t.gamma[n, i]))
+    rows = np.empty((t.N + 1, idx.size, 4))
+    rows[:, :, 0] = np.arange(t.N + 1)[:, None]
+    rows[:, :, 1] = mesh.x[idx]
+    rows[:, :, 2] = t.beta[:, idx]
+    rows[:, :, 3] = t.gamma[:, idx]
     _write_csv(out / "coefficients.csv", prov, "n,x,beta_n,gamma_n", rows)
 
     _write_csv(

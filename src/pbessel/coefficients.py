@@ -31,6 +31,10 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
+Both recurrences run in place on a few scratch rows and write row n
+straight into the table; every product and sum keeps the grouping of the
+formulas as written, so the tables are bit for bit those of a plain
+transcription.
 """
 
 from __future__ import annotations
@@ -75,10 +79,20 @@ class RecurrenceAux:
     mu: list[np.ndarray] = field(default_factory=list)
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(num)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(num, den, out=out, where=den > _TINY)
+def _underflowed(den: np.ndarray) -> np.ndarray:
+    """Indices where ``den`` is not above ``_TINY`` (NaN included): quotients there are 0."""
+    return np.flatnonzero(~(den > _TINY))
+
+
+def _safe_div(num: np.ndarray, den: np.ndarray, zero: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """num / den into ``out``, set to 0 at ``zero`` = ``_underflowed(den)``.
+
+    Callers enter ``np.errstate(divide="ignore", invalid="ignore",
+    over="ignore")`` once around their loop: the plain divide runs over
+    every sample, including the few that are then zeroed.
+    """
+    np.divide(num, den, out=out)
+    out[zero] = 0.0
     return out
 
 
@@ -121,49 +135,70 @@ def beta_recurrent(
     mesh = u0.mesh
     x, h, l = mesh.x, mesh.h, u0.l
     u0v = u0.u0.values
-    u0pv = u0.u0_prime.values
     u0sq = u0v * u0v
-    qv = p.q.values
+    u0q = u0v * p.q.values
     xl1 = x ** (l + 1.0)
-    xu0p = x * u0pv
+    xu0p = x * u0.u0_prime.values
+    zero_u0sq = _underflowed(u0sq)
 
     betas = np.empty((N + 1, mesh.m))
     betas[0] = _beta0(u0)
     aux = RecurrenceAux()
-    for n in range(1, N + 1):
-        t2nm2 = x ** (2 * n - 2) if n > 1 else np.ones_like(x)
-        t2nm1 = t2nm2 * x
-        t2n = t2nm1 * x
+    buf, tmp = np.empty(mesh.m), np.empty(mesh.m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(1, N + 1):
+            prev, row = betas[n - 1], betas[n]
+            t2nm2 = x ** (2 * n - 2) if n > 1 else 1.0
+            t2nm1 = t2nm2 * x
+            t2n = t2nm1 * x
 
-        eta_int = (xu0p + (2 * n - 1) * u0v) * t2nm2 * betas[n - 1]
-        eta_int[0] = 0.0
-        eta = _cumulative_values(eta_int, h)
+            # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
+            np.multiply(u0v, 2 * n - 1, out=buf)
+            buf += xu0p
+            buf *= t2nm2
+            buf *= prev
+            buf[0] = 0.0
+            eta = _cumulative_values(buf, h)
 
-        kappa_int = u0v * qv * t2n * xl1
-        kappa_int[0] = 0.0
-        kappa = _cumulative_values(kappa_int, h)
+            # kappa_n: u0 q x^{2n} x^{l+1}
+            np.multiply(u0q, t2n, out=buf)
+            buf *= xl1
+            buf[0] = 0.0
+            kappa = _cumulative_values(buf, h)
 
-        theta_int = _safe_div(eta - t2nm1 * betas[n - 1] * u0v, u0sq)
-        theta_int[0] = 0.0
-        theta, _ = _guarded_cumulative_values(theta_int, h, slack)
+            # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
+            np.multiply(t2nm1, prev, out=buf)
+            buf *= u0v
+            np.subtract(eta, buf, out=buf)
+            _safe_div(buf, u0sq, zero_u0sq, buf)
+            buf[0] = 0.0
+            theta, _ = _guarded_cumulative_values(buf, h, slack)
 
-        mu_int = _safe_div(kappa, u0sq)
-        mu_int[0] = 0.0
-        mu, _ = _guarded_cumulative_values(mu_int, h, slack)
+            # mu_n: kappa_n / u0^2
+            _safe_div(kappa, u0sq, zero_u0sq, buf)
+            buf[0] = 0.0
+            mu, _ = _guarded_cumulative_values(buf, h, slack)
 
-        sign = -1.0 if n % 2 else 1.0
-        b_n = gamma_ratio_Bn(n, l)
-        bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
-        betas[n] = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * _safe_div(bracket, t2n))
-        betas[n, 0] = 0.0
-        if not np.isfinite(betas[n]).all():
-            raise NumericalBreakdownError(
-                f"non-finite beta coefficient at order n={n}", order=n
-            )
-        aux.eta.append(eta)
-        aux.kappa.append(kappa)
-        aux.theta.append(theta)
-        aux.mu.append(mu)
+            sign = -1.0 if n % 2 else 1.0
+            b_n = gamma_ratio_Bn(n, l)
+            # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
+            #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
+            np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
+            np.multiply(mu, sign * (4 * n - 3) * b_n, out=tmp)
+            buf += tmp
+            _safe_div(buf, t2n, _underflowed(t2n), buf)
+            buf *= u0v
+            np.add(prev, buf, out=row)
+            row *= (4 * n + 1) / (4 * n - 3)
+            row[0] = 0.0
+            if not np.isfinite(row).all():
+                raise NumericalBreakdownError(
+                    f"non-finite beta coefficient at order n={n}", order=n
+                )
+            aux.eta.append(eta)
+            aux.kappa.append(kappa)
+            aux.theta.append(theta)
+            aux.mu.append(mu)
     return betas, aux
 
 
@@ -183,33 +218,50 @@ def gamma_recurrent(
     x, l = mesh.x, u0.l
     u0v = u0.u0.values
     u0pv = u0.u0_prime.values
-    xl1 = x ** (l + 1.0)
-    Qxl1 = p.Q.values * xl1
+    two_u0p = 2.0 * u0pv
+    Qxl1 = p.Q.values * x ** (l + 1.0)
+    zero_u0, zero_x = _underflowed(u0v), _underflowed(x)
 
     gammas = np.empty((N + 1, mesh.m))
     gammas[0] = _gamma0(u0, p)
-    for n in range(1, N + 1):
-        t2n = x ** (2 * n)
-        eta, kappa = aux.eta[n - 1], aux.kappa[n - 1]
-        theta, mu = aux.theta[n - 1], aux.mu[n - 1]
-        sign = -1.0 if n % 2 else 1.0
-        b_n = gamma_ratio_Bn(n, l)
-        c_n = gamma_ratio_Cn(n, l)
+    inner, tail, tmp = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(1, N + 1):
+            prev, row = gammas[n - 1], gammas[n]
+            t2n = x ** (2 * n)
+            zero_t2n = _underflowed(t2n)
+            eta, kappa = aux.eta[n - 1], aux.kappa[n - 1]
+            theta, mu = aux.theta[n - 1], aux.mu[n - 1]
+            sign = -1.0 if n % 2 else 1.0
+            b_n = gamma_ratio_Bn(n, l)
+            c_n = gamma_ratio_Cn(n, l)
 
-        inner = (4 * n - 1) * (
-            2.0 * u0pv * _safe_div(theta, t2n)
-            + 2.0 * _safe_div(eta, u0v * t2n)
-            - _safe_div(betas[n - 1], x)
-        )
-        tail = b_n * _safe_div(mu * u0pv + _safe_div(kappa, u0v), t2n) - c_n * Qxl1
-        gammas[n] = (4 * n + 1) / (4 * n - 3) * (gammas[n - 1] + inner) + sign * (
-            4 * n + 1
-        ) * tail
-        gammas[n, 0] = 0.0
-        if not np.isfinite(gammas[n]).all():
-            raise NumericalBreakdownError(
-                f"non-finite gamma coefficient at order n={n}", order=n
-            )
+            # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
+            _safe_div(theta, t2n, zero_t2n, inner)
+            inner *= two_u0p
+            np.multiply(u0v, t2n, out=tmp)
+            _safe_div(eta, tmp, _underflowed(tmp), tmp)
+            tmp *= 2.0
+            inner += tmp
+            inner -= _safe_div(betas[n - 1], x, zero_x, tmp)
+            inner *= 4 * n - 1
+
+            # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
+            np.multiply(mu, u0pv, out=tail)
+            tail += _safe_div(kappa, u0v, zero_u0, tmp)
+            _safe_div(tail, t2n, zero_t2n, tail)
+            tail *= b_n
+            tail -= np.multiply(Qxl1, c_n, out=tmp)
+
+            np.add(prev, inner, out=row)
+            row *= (4 * n + 1) / (4 * n - 3)
+            tail *= sign * (4 * n + 1)
+            row += tail
+            row[0] = 0.0
+            if not np.isfinite(row).all():
+                raise NumericalBreakdownError(
+                    f"non-finite gamma coefficient at order n={n}", order=n
+                )
     return gammas
 
 

@@ -73,7 +73,7 @@ def test_criterion_01_table1_reproduction():
         worst = max(worst, err)
         assert err <= 1e-9, f"omega_{n}: |{pairs[n - 1].omega} - {exact}| = {err:.2e}"
     assert elapsed <= 60.0
-    print(f"CRITERION 1 (Table 1 reproduction): PASS  worst |d omega| = {worst:.2e}, {elapsed:.1f} s")
+    print(f"CRITERION 1 (Table 1 reproduction): PASS  worst |d omega| = {worst:.2e}")
 
 
 def test_criterion_02_unperturbed_exactness():

@@ -5,6 +5,9 @@ import pytest
 
 from pbessel import UniformMesh
 from pbessel.coefficients import (
+    _TINY,
+    _beta0,
+    _gamma0,
     beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
@@ -12,8 +15,10 @@ from pbessel.coefficients import (
     select_truncation,
 )
 from pbessel.errors import DomainError, OrderCapError
+from pbessel.mesh import DEFAULT_CUTOFF_SLACK, _cumulative_values, _guarded_cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
+from pbessel.special import gamma_ratio_Bn, gamma_ratio_Cn
 from pbessel.spps import build_u0
 
 import oracles
@@ -64,6 +69,82 @@ class TestTableLayout:
             with pytest.raises(ValueError):
                 table[2] *= 2.0
         assert tables.mesh == mesh
+
+    @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
+    def test_matches_plain_transcription(self, spec, l):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential(spec, mesh, l)
+        u0 = build_u0(p)
+        tables = build_coefficient_tables(u0, p, N=30)
+        betas, gammas = plain_recurrence(u0, p, 30)
+        assert tables.beta.tobytes() == betas.tobytes()
+        assert tables.gamma.tobytes() == gammas.tobytes()
+
+    @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
+    def test_rows_independent_of_table_size(self, spec, l):
+        # row n depends only on rows < n: a row written while an earlier one
+        # is still being read would break the prefix, bit for bit
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential(spec, mesh, l)
+        u0 = build_u0(p)
+        small = build_coefficient_tables(u0, p, N=30)
+        large = build_coefficient_tables(u0, p, N=100)
+        assert small.beta.tobytes() == large.beta[:31].tobytes()
+        assert small.gamma.tobytes() == large.gamma[:31].tobytes()
+
+
+def plain_recurrence(u0, p, N, slack=DEFAULT_CUTOFF_SLACK):
+    """The recurrences transcribed out of place, one temporary per term.
+
+    Kept as the reference for the in-place loops of ``beta_recurrent`` and
+    ``gamma_recurrent``: the same products and sums in the same grouping,
+    so the tables must agree bit for bit.
+    """
+
+    def safe_div(num, den):
+        out = np.zeros_like(num)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(num, den, out=out, where=den > _TINY)
+        return out
+
+    x, h, l = u0.mesh.x, u0.mesh.h, u0.l
+    u0v, u0pv, qv = u0.u0.values, u0.u0_prime.values, p.q.values
+    xl1 = x ** (l + 1.0)
+    betas = np.empty((N + 1, x.size))
+    gammas = np.empty((N + 1, x.size))
+    betas[0] = _beta0(u0)
+    gammas[0] = _gamma0(u0, p)
+    for n in range(1, N + 1):
+        t2nm2 = x ** (2 * n - 2) if n > 1 else np.ones_like(x)
+        t2nm1 = t2nm2 * x
+        t2n = t2nm1 * x
+        eta_int = (x * u0pv + (2 * n - 1) * u0v) * t2nm2 * betas[n - 1]
+        eta_int[0] = 0.0
+        eta = _cumulative_values(eta_int, h)
+        kappa_int = u0v * qv * t2n * xl1
+        kappa_int[0] = 0.0
+        kappa = _cumulative_values(kappa_int, h)
+        theta_int = safe_div(eta - t2nm1 * betas[n - 1] * u0v, u0v * u0v)
+        theta_int[0] = 0.0
+        theta, _ = _guarded_cumulative_values(theta_int, h, slack)
+        mu_int = safe_div(kappa, u0v * u0v)
+        mu_int[0] = 0.0
+        mu, _ = _guarded_cumulative_values(mu_int, h, slack)
+        sign = -1.0 if n % 2 else 1.0
+        b_n, c_n = gamma_ratio_Bn(n, l), gamma_ratio_Cn(n, l)
+        bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
+        betas[n] = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * safe_div(bracket, t2n))
+        betas[n, 0] = 0.0
+        t2n = x ** (2 * n)
+        inner = (4 * n - 1) * (
+            2.0 * u0pv * safe_div(theta, t2n)
+            + 2.0 * safe_div(eta, u0v * t2n)
+            - safe_div(betas[n - 1], x)
+        )
+        tail = b_n * safe_div(mu * u0pv + safe_div(kappa, u0v), t2n) - c_n * (p.Q.values * xl1)
+        gammas[n] = (4 * n + 1) / (4 * n - 3) * (gammas[n - 1] + inner) + sign * (4 * n + 1) * tail
+        gammas[n, 0] = 0.0
+    return betas, gammas
 
 
 class TestRecurrentVsDirect:

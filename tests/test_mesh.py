@@ -15,7 +15,7 @@ from pbessel import (
     next_valid_size,
 )
 from pbessel.errors import DomainError
-from pbessel.mesh import _cumulative_values
+from pbessel.mesh import _CUM_W_DEN, _CUM_W_NUM, _cumulative_values
 
 EPS = np.finfo(float).eps
 
@@ -141,6 +141,37 @@ class TestCumulativeIntegral:
         exact = x**6 / 6
         assert F.dtype == ld
         assert np.max(np.abs(F - exact)) <= 8 * np.finfo(ld).eps * np.max(exact)
+
+    @pytest.mark.parametrize("m", [6, 11, 2001])
+    def test_matches_panel_formula(self, m):
+        # the in-place panel sweep against the plain formula: windows
+        # (P, 6) times the weights, scaled by h, shifted by the preceding
+        # panel ends.  Within one ulp of the size of the summed terms; with
+        # two or more panels both are the same matrix product and agree
+        # bit for bit (a single panel is a vector product, whose summation
+        # order follows the weight layout)
+        W = np.array(_CUM_W_NUM, dtype=float) / _CUM_W_DEN
+        y = np.random.default_rng(m).standard_normal(m)
+        h = np.pi / (m - 1)
+        panels = np.lib.stride_tricks.sliding_window_view(y, 6)[::5]
+        inc = h * (panels @ W.T)
+        starts = np.concatenate(([0.0], np.cumsum(inc[:, 4])[:-1]))
+        expected = np.concatenate(([0.0], (starts[:, None] + inc).ravel()))
+        size = np.abs(starts)[:, None] + h * (np.abs(panels) @ np.abs(W).T)
+        size = np.concatenate(([0.0], size.ravel()))
+        got = _cumulative_values(y, h)
+        assert np.all(np.abs(got - expected) <= np.spacing(size))
+        if m > 6:
+            assert got.tobytes() == expected.tobytes()
+
+    def test_strided_input(self):
+        # the panel and window views follow the input's own stride
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal(4002)
+        y[::2] = _first_pass_at(2001, 700, rng)
+        F = _cumulative_values(y[::2], 0.01)
+        assert F.tobytes() == _cumulative_values(y[::2].copy(), 0.01).tobytes()
+        assert cutoff_start_index(y[::2]) == 700
 
     def test_fine_mesh_error_at_rounding_floor(self):
         # documents the defect analysis: at m = 1251 the float64 result is

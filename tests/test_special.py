@@ -15,7 +15,7 @@ from pbessel import (
     legendre_even_coeffs,
     spherical_j_sequence,
 )
-from pbessel.special import bl_prime_scaled, bl_scaled
+from pbessel.special import _series_region, bl_prime_scaled, bl_scaled
 
 import oracles
 
@@ -173,13 +173,26 @@ class TestBl:
                 assert abs(got - math.sqrt(2 / math.pi) * z * jl) < 1e-13 * max(1, abs(z * jl))
 
     def test_series_jv_branch_consistency(self):
-        # values straddling the internal branch switch must agree
+        # continuity of b_l around z = 2; for l = 0.8 the series branch
+        # reaches z* = sqrt(3(l + 3/2)) ~ 2.63, so all three points take the
+        # series (the switch itself is straddled by the test below)
         l = 0.8
         left = b_from_scaled(l, 1.9999)
         right = b_from_scaled(l, 2.0001)
         assert abs(left - right) < 1e-4  # continuity (coarse)
         mid = 0.5 * (left + right)
         assert abs(b_from_scaled(l, 2.0) - mid) < 1e-7
+
+    @pytest.mark.parametrize("l", [-0.5, 0.0, 0.8, 1.5, 3.0, 7.5])
+    def test_series_jv_switch(self, l):
+        # one ulp either side of z* = max(2, sqrt(3(l + 3/2))) the series
+        # hands over to the jv branch; both branches agree there
+        z_star = max(2.0, math.sqrt(3.0 * (l + 1.5)))
+        below, above = np.nextafter(z_star, 0.0), np.nextafter(z_star, np.inf)
+        assert _series_region(l, np.array([below, above])).tolist() == [True, False]
+        for f in (bl_scaled, bl_prime_scaled):
+            left, right = f(l, below), f(l, above)
+            assert abs(left - right) <= 1e-12 * abs(right)
 
     def test_domain(self):
         with pytest.raises(DomainError):
