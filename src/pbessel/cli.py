@@ -108,8 +108,11 @@ def _provenance(cfg: RunConfig, command: str, mesh: UniformMesh, sol=None) -> li
 
 
 def _write(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:  # e.g. --out names a file, or a path under one
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, provenance: list[str], header: str, rows) -> None:
@@ -129,6 +132,24 @@ def _fit_or_none(values: np.ndarray, n_lo: int, n_hi: int):
         return decay_fit(span, n_lo), None
     except (InsufficientDataError, DomainError) as exc:
         return None, str(exc)
+
+
+def _write_decay(out: Path, prov: list[str], t, tag: str = "") -> dict:
+    """Write the |beta_n(b)| and |gamma_n(b)| log-log files; return both decay fits.
+
+    The fits run over n in [10, min(100, N)]; the result holds that
+    ``fit_range`` and, per family, the exponent and why it is None.
+    """
+    n_lo, n_hi = 10, min(100, t.N)
+    fit = {"fit_range": [n_lo, n_hi]}
+    for family, table in (("beta", t.beta), ("gamma", t.gamma)):
+        values = np.abs(table[:, -1])
+        _write(
+            out / f"{family}_abs_loglog{tag}.dat",
+            prov + [f"{n} {_fmt(values[n])}" for n in range(1, t.N + 1)],
+        )
+        fit[f"{family}_exponent"], fit[f"{family}_fit_note"] = _fit_or_none(values, n_lo, n_hi)
+    return fit
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
@@ -155,30 +176,15 @@ def cmd_coeffs(cfg: RunConfig) -> int:
         [(k, t.beta_residual[k], t.gamma_residual[k]) for k in range(t.N + 1)],
     )
 
-    beta_abs = np.abs(t.beta[:, -1])
-    gamma_abs = np.abs(t.gamma[:, -1])
-    n_lo, n_hi = 10, min(100, t.N)
-    beta_exp, beta_msg = _fit_or_none(beta_abs, n_lo, n_hi)
-    gamma_exp, gamma_msg = _fit_or_none(gamma_abs, n_lo, n_hi)
-    fit = {
-        "N": t.N,
-        "N_opt": t.N_opt,
-        "converged": t.converged,
-        "beta_floor": t.beta_floor,
-        "gamma_floor": t.gamma_floor,
-        "fit_range": [n_lo, n_hi],
-        "beta_exponent": beta_exp,
-        "beta_fit_note": beta_msg,
-        "gamma_exponent": gamma_exp,
-        "gamma_fit_note": gamma_msg,
-    }
+    fit = _write_decay(out, prov, t)
+    fit.update(
+        N=t.N,
+        N_opt=t.N_opt,
+        converged=t.converged,
+        beta_floor=t.beta_floor,
+        gamma_floor=t.gamma_floor,
+    )
     _write(out / "decay_fit.json", [json.dumps(fit, sort_keys=True, indent=2)])
-
-    for name, arr in (("beta_abs_loglog.dat", beta_abs), ("gamma_abs_loglog.dat", gamma_abs)):
-        _write(
-            out / name,
-            prov + [f"{n} {_fmt(arr[n])}" for n in range(1, t.N + 1)],
-        )
     return EXIT_OK
 
 
@@ -250,21 +256,10 @@ def cmd_decay_sweep(cfg: RunConfig) -> int:
     for lv in l_values:
         sub = cfg.with_overrides(l=float(lv))
         mesh, p, sol = _pipeline(sub)
-        t = sol.tables
-        prov = _provenance(sub, "decay-sweep", mesh, sol)
         tag = _fmt(lv)
-        beta_abs = np.abs(t.beta[:, -1])
-        gamma_abs = np.abs(t.gamma[:, -1])
-        for name, arr in (
-            (f"beta_abs_loglog_l{tag}.dat", beta_abs),
-            (f"gamma_abs_loglog_l{tag}.dat", gamma_abs),
-        ):
-            _write(out / name, prov + [f"{n} {_fmt(arr[n])}" for n in range(1, t.N + 1)])
-        n_lo, n_hi = 10, min(100, t.N)
-        b_exp, _ = _fit_or_none(beta_abs, n_lo, n_hi)
-        g_exp, _ = _fit_or_none(gamma_abs, n_lo, n_hi)
-        exponents[tag] = {"beta_exponent": b_exp, "gamma_exponent": g_exp}
-    _write(Path(cfg.directory) / "decay_exponents.json", [json.dumps(exponents, sort_keys=True, indent=2)])
+        fit = _write_decay(out, _provenance(sub, "decay-sweep", mesh, sol), sol.tables, f"_l{tag}")
+        exponents[tag] = {k: fit[k] for k in ("beta_exponent", "gamma_exponent")}
+    _write(out / "decay_exponents.json", [json.dumps(exponents, sort_keys=True, indent=2)])
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdownError, OrderCapError
-from .mesh import DEFAULT_CUTOFF_SLACK, UniformMesh, _cumulative_values, _guarded_cumulative_values
+from .mesh import UniformMesh, _cumulative_values, _guarded_cumulative_values
 from .special import gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
 from .spps import ParticularSolution, Potential, _u0_power_case, _xtilde_chain
 
@@ -114,10 +114,7 @@ def _gamma0(u0: ParticularSolution, p: Potential) -> np.ndarray:
 
 
 def beta_recurrent(
-    u0: ParticularSolution,
-    p: Potential,
-    N: int,
-    slack: float = DEFAULT_CUTOFF_SLACK,
+    u0: ParticularSolution, p: Potential, N: int
 ) -> tuple[np.ndarray, RecurrenceAux]:
     """Coefficients beta_0..beta_N by the recurrent integration scheme.
 
@@ -172,12 +169,12 @@ def beta_recurrent(
             np.subtract(eta, buf, out=buf)
             _safe_div(buf, u0sq, zero_u0sq, buf)
             buf[0] = 0.0
-            theta, _ = _guarded_cumulative_values(buf, h, slack)
+            theta, _ = _guarded_cumulative_values(buf, h)
 
             # mu_n: kappa_n / u0^2
             _safe_div(kappa, u0sq, zero_u0sq, buf)
             buf[0] = 0.0
-            mu, _ = _guarded_cumulative_values(buf, h, slack)
+            mu, _ = _guarded_cumulative_values(buf, h)
 
             sign = -1.0 if n % 2 else 1.0
             b_n = gamma_ratio_Bn(n, l)
@@ -338,42 +335,45 @@ def direct_coefficients_extended(
     # relative u0 perturbation by many orders at the top of the range, so
     # the sweep runs until its update drowns in longdouble rounding noise
     u0v, u0pv, _ = _u0_power_case(xv, sq, p.l, h, 1e-19, 120, floor=1e-13)
-    Qv, _ = _guarded_cumulative_values(qv, h, DEFAULT_CUTOFF_SLACK)
+    Qv, _ = _guarded_cumulative_values(qv, h)
     xt = _xtilde_chain(u0v, h, N)
     return _direct_sums(xv[i], p.l, u0v[i], u0pv[i], [v[i] for v in xt], Qv[i], N)
 
 
-def select_truncation(
-    residuals: np.ndarray,
-    window: int = 10,
-    level_factor: float = 10.0,
-    tail_flat: float = 1.25,
-) -> tuple[int, bool]:
+#: Plateau rule of :func:`select_truncation`: the trailing window of residuals,
+#: the largest max/min ratio that still counts as flat, and how far above the
+#: floor the plateau may start.
+_TAIL_WINDOW = 10
+_TAIL_FLAT = 1.25
+_FLOOR_FACTOR = 10.0
+
+
+def select_truncation(residuals: np.ndarray) -> tuple[int, bool]:
     """Truncation order where the residual sequence reaches its floor.
 
     Three shapes occur in practice.  A sequence that decays onto a flat
-    noise floor (the trailing ``window`` samples span less than
-    ``tail_flat``): the plateau starts at the first K whose residual is
-    within ``level_factor`` of that floor.  A V shape, where the sum
-    starts growing again by accumulating noise-level coefficients: the
-    floor is the interior minimizer.  A sequence still decreasing at the
-    end of the table has no floor; returns (N, False), meaning "not
-    converged: increase N or refine the mesh".
+    noise floor (the trailing ``_TAIL_WINDOW`` = 10 samples span less than
+    a factor ``_TAIL_FLAT`` = 1.25): the plateau starts at the first K
+    whose residual is within ``_FLOOR_FACTOR`` = 10 of that floor.  A V
+    shape, where the sum starts growing again by accumulating noise-level
+    coefficients: the floor is the interior minimizer.  A sequence still
+    decreasing at the end of the table has no floor; returns (N, False),
+    meaning "not converged: increase N or refine the mesh".
     """
     r = np.asarray(residuals, dtype=float)
     N = r.size - 1
     if np.all(r == 0.0):
         return 0, True
-    if N < window:
+    if N < _TAIL_WINDOW:
         return N, False
-    tail = r[N - window :]
+    tail = r[N - _TAIL_WINDOW :]
     tmax, tmin = float(tail.max()), float(tail.min())
-    if tmin > 0.0 and tmax <= tail_flat * tmin:
+    if tmin > 0.0 and tmax <= _TAIL_FLAT * tmin:
         floor = float(np.median(tail))
-        hits = np.flatnonzero(r <= level_factor * floor)
+        hits = np.flatnonzero(r <= _FLOOR_FACTOR * floor)
         return int(hits[0]), True
     k_min = int(np.argmin(r))
-    if k_min < N - window:
+    if k_min < N - _TAIL_WINDOW:
         return k_min, True  # V shape: interior floor, noise growth afterwards
     return N, False
 
@@ -407,13 +407,10 @@ class CoefficientTables:
 
 
 def build_coefficient_tables(
-    u0: ParticularSolution,
-    p: Potential,
-    N: int = 100,
-    slack: float = DEFAULT_CUTOFF_SLACK,
+    u0: ParticularSolution, p: Potential, N: int = 100
 ) -> CoefficientTables:
     """Run both recurrences in one pass and attach residual diagnostics."""
-    betas, aux = beta_recurrent(u0, p, N, slack=slack)
+    betas, aux = beta_recurrent(u0, p, N)
     gammas = gamma_recurrent(u0, p, betas, aux, N)
     betas.flags.writeable = False
     gammas.flags.writeable = False

@@ -34,6 +34,10 @@ Schema (defaults in parentheses)::
     [output]
     directory = out
     oracle = false           # also run the shooting comparison
+
+``_SECTIONS`` is the one key table (section -> keys, in emission order);
+every key is a :class:`RunConfig` field, its default is the field's
+default and its text is parsed by the field's type.
 """
 
 from __future__ import annotations
@@ -48,19 +52,13 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "config_sha256"]
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "problem": {"potential": "x^2", "l": "1.5", "b": repr(math.pi)},
-    "numerics": {"mesh_points": "20001", "N": "100"},
-    "spectral": {
-        "boundary": "dirichlet",
-        "H": "0.0",
-        "omega_min": "0.0",
-        "omega_max": "10.0",
-        "scan_points": "0",
-    },
-    "solve": {"omegas": "", "xs": ""},
-    "sweep": {"l_values": ""},
-    "output": {"directory": "out", "oracle": "false"},
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "problem": ("potential", "l", "b"),
+    "numerics": ("mesh_points", "N"),
+    "spectral": ("boundary", "H", "omega_min", "omega_max", "scan_points"),
+    "solve": ("omegas", "xs"),
+    "sweep": ("l_values",),
+    "output": ("directory", "oracle"),
 }
 
 _BOUNDARIES = ("dirichlet", "neumann", "robin")
@@ -121,6 +119,9 @@ class RunConfig:
         return replace(self, **kw) if kw else self
 
 
+_DEFAULTS = RunConfig()
+
+
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     text = text.strip()
     if not text:
@@ -140,6 +141,22 @@ def _parse_bool(text: str, what: str) -> bool:
     raise ConfigError(f"bad boolean for {what}: {text!r}")
 
 
+def _parse_value(key: str, text: str):
+    """Config text of ``key`` as a value of its :class:`RunConfig` field's type."""
+    kind = type(getattr(_DEFAULTS, key))
+    if kind is bool:
+        return _parse_bool(text, key)
+    if kind is tuple:
+        return _parse_floats(text, key)
+    if kind is str:
+        text = text.strip()
+        return text.lower() if key == "boundary" else text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; unknown sections/keys are errors."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -151,39 +168,15 @@ def parse_config(text: str) -> RunConfig:
 
     values: dict[str, str] = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, val in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = val
-
-    def get(section: str, key: str) -> str:
-        return values.get(key, _SCHEMA[section][key])
-
-    try:
-        cfg = RunConfig(
-            potential=get("problem", "potential").strip(),
-            l=float(get("problem", "l")),
-            b=float(get("problem", "b")),
-            mesh_points=int(get("numerics", "mesh_points")),
-            N=int(get("numerics", "N")),
-            boundary=get("spectral", "boundary").strip().lower(),
-            H=float(get("spectral", "H")),
-            omega_min=float(get("spectral", "omega_min")),
-            omega_max=float(get("spectral", "omega_max")),
-            scan_points=int(get("spectral", "scan_points")),
-            omegas=_parse_floats(get("solve", "omegas"), "omegas"),
-            xs=_parse_floats(get("solve", "xs"), "xs"),
-            l_values=_parse_floats(get("sweep", "l_values"), "l_values"),
-            directory=get("output", "directory").strip(),
-            oracle=_parse_bool(get("output", "oracle"), "oracle"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    return cfg
+    # schema order: the first bad value reported does not depend on the file's order
+    keys = [key for section in _SECTIONS.values() for key in section if key in values]
+    return RunConfig(**{key: _parse_value(key, values[key]) for key in keys})
 
 
 def _fmt(v) -> str:
@@ -199,15 +192,7 @@ def _fmt(v) -> str:
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(emit(cfg)) == cfg byte-stably."""
     out = io.StringIO()
-    layout = {
-        "problem": ("potential", "l", "b"),
-        "numerics": ("mesh_points", "N"),
-        "spectral": ("boundary", "H", "omega_min", "omega_max", "scan_points"),
-        "solve": ("omegas", "xs"),
-        "sweep": ("l_values",),
-        "output": ("directory", "oracle"),
-    }
-    for section, keys in layout.items():
+    for section, keys in _SECTIONS.items():
         out.write(f"[{section}]\n")
         for key in keys:
             out.write(f"{key} = {_fmt(getattr(cfg, key))}\n")

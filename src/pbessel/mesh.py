@@ -71,9 +71,12 @@ def _cum_weights(dtype: np.dtype) -> np.ndarray:
 # Fifth finite difference y0 - 5 y1 + 10 y2 - 10 y3 + 5 y4 - y5.
 _DELTA5 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 
-#: Default slack factor T of the cut-off criterion: a six-tuple passes when
+#: Slack factor T of the cut-off criterion: a six-tuple passes when
 #: |Delta_5| <= T * (second smallest absolute value in the tuple).
 DEFAULT_CUTOFF_SLACK = 100.0
+
+#: :meth:`UniformMesh.index_of` accepts a point within this fraction of b.
+_INDEX_TOL = 1e-9
 
 
 def next_valid_size(m: int) -> int:
@@ -121,14 +124,14 @@ class UniformMesh:
         pts.flags.writeable = False
         return pts
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the mesh point closest to ``x``; raises if none is within tol*b."""
+    def index_of(self, x: float) -> int:
+        """Index of the mesh point closest to ``x``; raises if none is within ``_INDEX_TOL`` * b."""
         r = float(x) / self.h
         if not math.isfinite(r):
             raise DomainError(f"x={x} is not a mesh point")
         i = int(round(r))
         i = min(max(i, 0), self.m - 1)
-        if abs(self.x[i] - x) > tol * self.b:
+        if abs(self.x[i] - x) > _INDEX_TOL * self.b:
             raise DomainError(f"x={x} is not a mesh point (nearest is {self.x[i]})")
         return i
 
@@ -222,31 +225,30 @@ def _cutoff_index(y: np.ndarray, slack: float) -> int:
     return m - 6
 
 
-def cutoff_start_index(f: GridFunction | np.ndarray, slack: float = DEFAULT_CUTOFF_SLACK) -> int:
+def cutoff_start_index(f: GridFunction | np.ndarray) -> int:
     """First index whose 6-tuple passes the fifth-difference screen.
 
     Scanning from index 0, a tuple (y_0..y_5) passes when
-    |y_0 - 5 y_1 + 10 y_2 - 10 y_3 + 5 y_4 - y_5| <= slack * s, where s is
-    the second-smallest of |y_0|..|y_5|.  All-zero tuples pass (0 <= 0).
-    Returns m-6 when no tuple passes.
+    |y_0 - 5 y_1 + 10 y_2 - 10 y_3 + 5 y_4 - y_5| <= T * s, where
+    T = ``DEFAULT_CUTOFF_SLACK`` and s is the second-smallest of
+    |y_0|..|y_5|.  All-zero tuples pass (0 <= 0).  Returns m-6 when no
+    tuple passes.
     """
     y = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
     if y.shape[0] < 6:
         raise InvalidMeshError("cut-off scan needs at least 6 samples")
-    return _cutoff_index(y, slack)
+    return _cutoff_index(y, DEFAULT_CUTOFF_SLACK)
 
 
-def _guarded_cumulative_values(y: np.ndarray, h: float, slack: float) -> tuple[np.ndarray, int]:
-    cut = _cutoff_index(y, slack)
+def _guarded_cumulative_values(y: np.ndarray, h: float) -> tuple[np.ndarray, int]:
+    cut = _cutoff_index(y, DEFAULT_CUTOFF_SLACK)
     if cut > 0:
         y = y.copy()
         y[:cut] = 0.0
     return _cumulative_values(y, h), cut
 
 
-def cumulative_integral_guarded(
-    f: GridFunction, slack: float = DEFAULT_CUTOFF_SLACK
-) -> GridFunction:
+def cumulative_integral_guarded(f: GridFunction) -> GridFunction:
     """Cumulative integral with corrupted leading samples zeroed first.
 
     This is the integration path for integrands containing a 1/u0^2
@@ -254,5 +256,5 @@ def cumulative_integral_guarded(
     rounding noise.  For smooth inputs the cut-off lands at index 0 and
     the result is identical to :func:`cumulative_integral`.
     """
-    vals, _ = _guarded_cumulative_values(f.values, f.mesh.h, slack)
+    vals, _ = _guarded_cumulative_values(f.values, f.mesh.h)
     return GridFunction(f.mesh, vals)

@@ -30,20 +30,20 @@ from numerical differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonVanishingError
-from .mesh import (
-    DEFAULT_CUTOFF_SLACK,
-    GridFunction,
-    UniformMesh,
-    _cumulative_values,
-    _guarded_cumulative_values,
-)
+from .mesh import GridFunction, UniformMesh, _cumulative_values, _guarded_cumulative_values
 
 __all__ = ["Potential", "ParticularSolution", "build_u0"]
+
+#: Picard stopping rule of :func:`build_u0`: the sweep stops once its update,
+#: relative to max(1, max|w|), is below ``_PICARD_TOL`` (or stalls at the
+#: rounding floor); ``_PICARD_MAX_SWEEPS`` sweeps without either raise.
+_PICARD_TOL = 1e-14
+_PICARD_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,6 @@ class Potential:
         lim_{x->0} x*q(x).  Zero for every potential finite at the
         origin; 1 for the Coulomb term 1/x.  Used to pin the origin
         sample of integrands that behave like (x q) * smooth.
-    q_callable : callable, optional
-        Analytic form of q, when known; required by the shooting
-        reference solver, unused by the mesh pipeline.
     origin_singular : bool
         Whether the raw sample at x = 0 was non-finite.
     """
@@ -76,7 +73,6 @@ class Potential:
     l: float
     Q: GridFunction
     xq_limit: float = 0.0
-    q_callable: Optional[Callable] = None
     origin_singular: bool = False
 
     @property
@@ -89,7 +85,6 @@ class Potential:
         values: np.ndarray,
         l: float,
         xq_limit: float = 0.0,
-        q_callable: Optional[Callable] = None,
     ) -> "Potential":
         l = float(l)
         if not np.isfinite(l) or l < -0.5:
@@ -104,13 +99,12 @@ class Potential:
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise DomainError(f"non-finite potential sample at x={mesh.x[bad]}")
         q = GridFunction(mesh, v)
-        Qv, _ = _guarded_cumulative_values(v, mesh.h, DEFAULT_CUTOFF_SLACK)
+        Qv, _ = _guarded_cumulative_values(v, mesh.h)
         return Potential(
             q=q,
             l=l,
             Q=GridFunction(mesh, Qv),
             xq_limit=float(xq_limit),
-            q_callable=q_callable,
             origin_singular=singular,
         )
 
@@ -120,7 +114,7 @@ class Potential:
     ) -> "Potential":
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.asarray(func(mesh.x), dtype=float)
-        return Potential.from_samples(mesh, values, l, xq_limit=xq_limit, q_callable=func)
+        return Potential.from_samples(mesh, values, l, xq_limit=xq_limit)
 
 
 @dataclass(frozen=True)
@@ -238,31 +232,30 @@ def _xtilde_chain(u0v, h, N: int) -> list:
             integrand = np.zeros_like(u0sq)
             np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0.0)
             integrand[0] = 0.0
-            vals, _ = _guarded_cumulative_values(integrand, h, DEFAULT_CUTOFF_SLACK)
+            vals, _ = _guarded_cumulative_values(integrand, h)
             xt.append(-vals)
     return xt
 
 
-def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> ParticularSolution:
+def build_u0(p: Potential) -> ParticularSolution:
     """Construct the non-vanishing particular solution with x^{l+1} asymptotics.
 
     Picard iteration of the Volterra integral equation in the scaled
     variable w = u0/x^{l+1}, until successive sweeps differ by less than
-    ``tol`` in the weighted sup-norm (= plain sup-norm on w), or until the
-    update stalls at the rounding floor above ``tol``; ``residual`` then
-    reports the defect at that floor.
+    ``_PICARD_TOL`` = 1e-14 in the weighted sup-norm (= plain sup-norm on
+    w), or until the update stalls at the rounding floor above it;
+    ``residual`` then reports the defect at that floor.
 
     Raises
     ------
     ConvergenceError
-        If ``max_iter`` sweeps neither reach ``tol`` nor the rounding floor.
+        If ``_PICARD_MAX_SWEEPS`` = 100 sweeps neither reach
+        ``_PICARD_TOL`` nor the rounding floor.
     NonVanishingError
         If the converged u0 has a non-positive sample on (0, b].  The
         spectral-shift workaround for sign-changing potentials is out of
         scope; the caller must supply a potential with positive u0.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     mesh = p.mesh
     x, h, l = mesh.x, mesh.h, p.l
     sq = x * p.q.values
@@ -275,7 +268,10 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
         sq_log = sq * log_x
         sq_log[0] = 0.0
         w, (A,), iterations = _picard_fixed_point(
-            lambda w: _picard_sweep_log(w, sq, log_x, sq_log, h), np.ones(mesh.m), tol, max_iter
+            lambda w: _picard_sweep_log(w, sq, log_x, sq_log, h),
+            np.ones(mesh.m),
+            _PICARD_TOL,
+            _PICARD_MAX_SWEEPS,
         )
         sqrt_x = np.sqrt(x)
         u0v = sqrt_x * w
@@ -283,7 +279,7 @@ def build_u0(p: Potential, tol: float = 1e-14, max_iter: int = 100) -> Particula
             u0pv = w / (2.0 * sqrt_x) + A / sqrt_x
         u0pv[0] = 0.0  # placeholder: u0' is unbounded at the origin for l < 0
     else:
-        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, tol, max_iter)
+        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, _PICARD_TOL, _PICARD_MAX_SWEEPS)
 
     if not np.isfinite(u0v).all() or not np.isfinite(u0pv).all():
         raise ConvergenceError("Picard iteration for u0 produced non-finite samples")

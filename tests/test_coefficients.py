@@ -15,7 +15,7 @@ from pbessel.coefficients import (
     select_truncation,
 )
 from pbessel.errors import DomainError, OrderCapError
-from pbessel.mesh import DEFAULT_CUTOFF_SLACK, _cumulative_values, _guarded_cumulative_values
+from pbessel.mesh import _cumulative_values, _guarded_cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
 from pbessel.special import gamma_ratio_Bn, gamma_ratio_Cn
@@ -93,7 +93,7 @@ class TestTableLayout:
         assert small.gamma.tobytes() == large.gamma[:31].tobytes()
 
 
-def plain_recurrence(u0, p, N, slack=DEFAULT_CUTOFF_SLACK):
+def plain_recurrence(u0, p, N):
     """The recurrences transcribed out of place, one temporary per term.
 
     Kept as the reference for the in-place loops of ``beta_recurrent`` and
@@ -126,10 +126,10 @@ def plain_recurrence(u0, p, N, slack=DEFAULT_CUTOFF_SLACK):
         kappa = _cumulative_values(kappa_int, h)
         theta_int = safe_div(eta - t2nm1 * betas[n - 1] * u0v, u0v * u0v)
         theta_int[0] = 0.0
-        theta, _ = _guarded_cumulative_values(theta_int, h, slack)
+        theta, _ = _guarded_cumulative_values(theta_int, h)
         mu_int = safe_div(kappa, u0v * u0v)
         mu_int[0] = 0.0
-        mu, _ = _guarded_cumulative_values(mu_int, h, slack)
+        mu, _ = _guarded_cumulative_values(mu_int, h)
         sign = -1.0 if n % 2 else 1.0
         b_n, c_n = gamma_ratio_Bn(n, l), gamma_ratio_Cn(n, l)
         bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI commands, output determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from pbessel.cli import main
-from pbessel.config import RunConfig, config_sha256, emit_config, parse_config
+from pbessel.config import _SECTIONS, RunConfig, config_sha256, emit_config, parse_config
 from pbessel.errors import ConfigError
 
 EX1 = """
@@ -28,6 +29,21 @@ boundary = dirichlet
 omega_min = 2.0
 omega_max = 4.0
 """
+
+
+# emit_config(RunConfig()): list values leave "key = " with its trailing blank
+CANONICAL_DEFAULT = "".join(
+    line + "\n"
+    for line in (
+        "[problem]", "potential = x^2", "l = 1.5", "b = 3.1415926535897931", "",
+        "[numerics]", "mesh_points = 20001", "N = 100", "",
+        "[spectral]", "boundary = dirichlet", "H = 0", "omega_min = 0", "omega_max = 10",
+        "scan_points = 0", "",
+        "[solve]", "omegas = ", "xs = ", "",
+        "[sweep]", "l_values = ", "",
+        "[output]", "directory = out", "oracle = false", "",
+    )
+)
 
 
 class TestConfig:
@@ -65,6 +81,80 @@ class TestConfig:
         cfg = RunConfig().with_overrides(mesh_points=101, N=5)
         assert cfg.mesh_points == 101
         assert cfg.N == 5
+
+    def test_canonical_default(self):
+        # every output file's provenance carries this hash: it must not drift
+        assert config_sha256(RunConfig()) == (
+            "c0efd5dbd67e72c210ce9fe03c3af3bc5e63c52b4b2497b2c2e382b4ff080ffb"
+        )
+        assert emit_config(RunConfig()) == CANONICAL_DEFAULT
+
+    def test_every_key_parses_to_its_field(self):
+        keys = [key for section in _SECTIONS.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        text = """
+[problem]
+potential =  const:2.5
+l = 0.25
+b = 2.0
+
+[numerics]
+mesh_points = 501
+N = 17
+
+[spectral]
+boundary = Robin
+H = -0.5
+omega_min = 1.5
+omega_max = 7.0
+scan_points = 300
+
+[solve]
+omegas = 0, 2.5
+xs = 0.5, 2
+
+[sweep]
+l_values = -0.5, 3
+
+[output]
+directory = results
+oracle = yes
+"""
+        assert parse_config(text) == RunConfig(
+            potential="const:2.5",
+            l=0.25,
+            b=2.0,
+            mesh_points=501,
+            N=17,
+            boundary="robin",
+            H=-0.5,
+            omega_min=1.5,
+            omega_max=7.0,
+            scan_points=300,
+            omegas=(0.0, 2.5),
+            xs=(0.5, 2.0),
+            l_values=(-0.5, 3.0),
+            directory="results",
+            oracle=True,
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[problem]\nl = abc\n", "bad config value: could not convert string to float: 'abc'"),
+            ("[numerics]\nN = 1.5\n", "bad config value: invalid literal for int() with base 10: '1.5'"),
+            ("[output]\noracle = maybe\n", "bad boolean for oracle: 'maybe'"),
+            ("[solve]\nomegas = 1, x\n", "bad omegas list '1, x'"),
+            # reported in schema order, whatever the order of the file
+            ("[output]\noracle = maybe\n[problem]\nl = x\n",
+             "bad config value: could not convert string to float: 'x'"),
+        ],
+        ids=["float", "int", "bool", "float-list", "schema-order"],
+    )
+    def test_bad_value_messages(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
 
 def load_csv(path):
@@ -227,6 +317,26 @@ class TestCli:
         exps = json.loads((out / "decay_exponents.json").read_text())
         assert set(exps) == {"0.5", "1.5"}
 
+    def test_decay_sweep_matches_coeffs(self, tmp_path):
+        cfg = EX1 + "\n[sweep]\nl_values = 0.5, 1.5\n"
+        (tmp_path / "c").mkdir()
+        (tmp_path / "s").mkdir()
+        assert run_cli(tmp_path / "c", "coeffs", cfg) == 0
+        assert run_cli(tmp_path / "s", "decay-sweep", cfg) == 0
+        coeffs, sweep = tmp_path / "c" / "out", tmp_path / "s" / "out"
+
+        def rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        for family in ("beta", "gamma"):
+            expected = rows(coeffs / f"{family}_abs_loglog.dat")
+            assert len(expected) == 30
+            assert rows(sweep / f"{family}_abs_loglog_l1.5.dat") == expected
+        fit = json.loads((coeffs / "decay_fit.json").read_text())
+        exps = json.loads((sweep / "decay_exponents.json").read_text())
+        assert fit["beta_exponent"] is not None and fit["gamma_exponent"] is not None
+        assert exps["1.5"] == {k: fit[k] for k in ("beta_exponent", "gamma_exponent")}
+
     def test_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         cfg_file = tmp_path / "run.cfg"
@@ -263,6 +373,20 @@ class TestCli:
             "mesh_points = 2001", "mesh_points = 501"
         )
         assert run_cli(tmp_path, "coeffs", cfg) == 2
+
+    @pytest.mark.parametrize("blocked", ["file", "under-file"])
+    def test_exit_code_unwritable_out(self, tmp_path, capsys, blocked):
+        # --out names an existing file, or a directory below one
+        block = tmp_path / "taken"
+        block.write_text("not a directory\n")
+        out = block if blocked == "file" else block / "sub"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(EX1)
+        assert main(["coeffs", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pbessel: configuration error: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert block.read_text() == "not a directory\n"
 
     def test_exit_code_convergence(self, tmp_path):
         # strongly negative potential: u0 crosses zero -> refusal (exit 4)

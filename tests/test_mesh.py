@@ -15,7 +15,7 @@ from pbessel import (
     next_valid_size,
 )
 from pbessel.errors import DomainError
-from pbessel.mesh import _CUM_W_DEN, _CUM_W_NUM, _cumulative_values
+from pbessel.mesh import _CUM_W_DEN, _CUM_W_NUM, _cumulative_values, _cutoff_index
 
 EPS = np.finfo(float).eps
 
@@ -245,7 +245,7 @@ class TestCutoff:
         # alternating +-1 blow-up keeps Delta5 ~ 32 x the sample size with slack 1
         mesh = UniformMesh(1.0, 11)
         y = np.array([1.0, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1])
-        assert cutoff_start_index(GridFunction(mesh, y), slack=1.0) == mesh.m - 6
+        assert _cutoff_index(y, 1.0) == mesh.m - 6
 
 
 def _full_scan_cutoff(y, slack):
@@ -276,7 +276,7 @@ class TestChunkedCutoffScan:
             # every chunk and often nowhere (about half the cases return m-6)
             y = rng.normal(size=m) * 10.0 ** rng.integers(-6, 6, size=m)
             slack = float(rng.choice([100.0, 1e3, 1e4]))
-            assert cutoff_start_index(y, slack) == _full_scan_cutoff(y, slack)
+            assert _cutoff_index(y, slack) == _full_scan_cutoff(y, slack)
 
     @pytest.mark.parametrize("k", [31, 32, 159, 160, 161, 673])
     def test_first_hit_at_chunk_boundary(self, k):

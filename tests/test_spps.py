@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pbessel import ConvergenceError, NonVanishingError, UniformMesh
+from pbessel import ConvergenceError, NonVanishingError, UniformMesh, spps
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
 from pbessel.spps import Potential, _picard_sweep, _xtilde_chain, build_u0
@@ -134,11 +134,12 @@ class TestBuildU0:
         with pytest.raises(NonVanishingError):
             build_u0(p)
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, monkeypatch):
         mesh = UniformMesh(np.pi, 501)
         p = make_potential("x^2", mesh, 1.0)
+        monkeypatch.setattr(spps, "_PICARD_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
-            build_u0(p, max_iter=1)
+            build_u0(p)
 
 
 def phi_family(u0, N):
