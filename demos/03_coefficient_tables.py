@@ -10,9 +10,9 @@ import numpy as np
 
 from pbessel import UniformMesh, build_u0, make_potential
 from pbessel.coefficients import (
-    beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
+    recurrent_tables,
 )
 from pbessel.spectral import decay_fit
 
@@ -21,7 +21,7 @@ mesh = UniformMesh(np.pi, 20001)
 # --- dual routes agree ------------------------------------------------------
 p = make_potential("x^2", mesh, 1.5)
 u0 = build_u0(p)
-betas, _ = beta_recurrent(u0, p, 6)
+betas, _ = recurrent_tables(u0, p, 6)
 direct, _ = direct_coefficients_extended(p, 6)  # at x = b = pi
 print("recurrent vs direct (extended precision) beta_n(pi):")
 for n in range(7):

@@ -42,10 +42,9 @@ from .special import (
 from .spps import ParticularSolution, Potential, build_u0
 from .coefficients import (
     CoefficientTables,
-    beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
-    gamma_recurrent,
+    recurrent_tables,
     select_truncation,
 )
 from .solution import NsbfSolution, build_solution, error_indicator, eval_u, eval_u_prime

@@ -107,11 +107,20 @@ def _provenance(cfg: RunConfig, command: str, mesh: UniformMesh, sol=None) -> li
     return lines
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """Create the output directory before any table is built; unusable is a config error."""
+    out = Path(cfg.directory)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file, or a path under one
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
 def _write(path: Path, lines: list[str]) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:  # e.g. --out names a file, or a path under one
+    except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
@@ -153,8 +162,8 @@ def _write_decay(out: Path, prov: list[str], t, tag: str = "") -> dict:
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     mesh, p, sol = _pipeline(cfg)
-    out = Path(cfg.directory)
     prov = _provenance(cfg, "coeffs", mesh, sol)
     t = sol.tables
 
@@ -209,8 +218,8 @@ def _oracle_rows(cfg: RunConfig, sol, pairs):
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     mesh, p, sol = _pipeline(cfg)
-    out = Path(cfg.directory)
     prov = _provenance(cfg, "eigen", mesh, sol)
     prob = SpectralProblem(
         potential=p,
@@ -238,8 +247,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     if not cfg.omegas or not cfg.xs:
         raise ConfigError("solve needs non-empty omegas and xs lists in [solve]")
+    out = _out_dir(cfg)
     mesh, p, sol = _pipeline(cfg)
-    out = Path(cfg.directory)
     prov = _provenance(cfg, "solve", mesh, sol)
     u, du = _series(sol, cfg.omegas, cfg.xs)  # (len(xs), len(omegas)), one sweep
     eps = [error_indicator(sol, x) if x > 0 else (0.0, 0.0) for x in cfg.xs]
@@ -251,7 +260,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_decay_sweep(cfg: RunConfig) -> int:
     l_values = cfg.l_values or (0.5, 1.0, 1.5, 2.0)
-    out = Path(cfg.directory)
+    out = _out_dir(cfg)
     exponents = {}
     for lv in l_values:
         sub = cfg.with_overrides(l=float(lv))

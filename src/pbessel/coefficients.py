@@ -17,8 +17,10 @@ potential.  The production path is the recurrent integration scheme
               + (-1)^n (4n-3) B_n mu_n)],
 
 with the analogous start gamma_0 = beta_0' - x^{l+1} Q/2 and recurrence
-for gamma_n; the auxiliaries eta, kappa, theta, mu are shared between
-the two recurrences.  The direct Fourier-Legendre formulas
+for gamma_n from the same four integrals.  One pass over n
+(:func:`recurrent_tables`) fills row n of both tables from eta_n,
+kappa_n, theta_n and mu_n, and holds only the current order's integrals.
+The direct Fourier-Legendre formulas
 
     beta_n(x)  = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k - c_{k,l} x^{2k+l+1}),
     gamma_n(x) = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k'
@@ -31,8 +33,8 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
-Both recurrences run in place on a few scratch rows and write row n
-straight into the table; every product and sum keeps the grouping of the
+The pass runs in place on three scratch rows and writes row n straight
+into each table; every product and sum keeps the grouping of the
 formulas as written, so the tables are bit for bit those of a plain
 transcription.
 """
@@ -40,7 +42,7 @@ transcription.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +52,8 @@ from .special import gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
 from .spps import ParticularSolution, Potential, _u0_power_case, _xtilde_chain
 
 __all__ = [
-    "RecurrenceAux",
     "CoefficientTables",
-    "beta_recurrent",
-    "gamma_recurrent",
+    "recurrent_tables",
     "direct_coefficients_extended",
     "select_truncation",
     "build_coefficient_tables",
@@ -67,16 +67,6 @@ __all__ = [
 DIRECT_ORDER_CAP = 12
 
 _TINY = 1e-290  # below this, positive powers are treated as underflowed
-
-
-@dataclass
-class RecurrenceAux:
-    """Auxiliary integral families of the recurrence, index n-1 holds order n."""
-
-    eta: list[np.ndarray] = field(default_factory=list)
-    kappa: list[np.ndarray] = field(default_factory=list)
-    theta: list[np.ndarray] = field(default_factory=list)
-    mu: list[np.ndarray] = field(default_factory=list)
 
 
 def _underflowed(den: np.ndarray) -> np.ndarray:
@@ -113,39 +103,45 @@ def _gamma0(u0: ParticularSolution, p: Potential) -> np.ndarray:
     return g0
 
 
-def beta_recurrent(
+def recurrent_tables(
     u0: ParticularSolution, p: Potential, N: int
-) -> tuple[np.ndarray, RecurrenceAux]:
-    """Coefficients beta_0..beta_N by the recurrent integration scheme.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1, m) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
 
-    Returns the (N+1, m) table, row n holding beta_n on the mesh, and the
-    auxiliary families, which :func:`gamma_recurrent` reuses verbatim.
+    Row n holds beta_n (gamma_n) on the mesh.  Order n integrates eta_n,
+    kappa_n, theta_n and mu_n and writes beta_n and then gamma_n from
+    them; the next order's integrals replace them, so the pass holds one
+    order's integrals at a time, never a table of them.
 
     Raises
     ------
     NumericalBreakdownError
         If a non-finite value appears; the exception names the first bad
-        order.
+        order of beta, or of gamma if every beta row is finite.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     mesh = u0.mesh
     x, h, l = mesh.x, mesh.h, u0.l
-    u0v = u0.u0.values
+    u0v, u0pv = u0.u0.values, u0.u0_prime.values
     u0sq = u0v * u0v
     u0q = u0v * p.q.values
     xl1 = x ** (l + 1.0)
-    xu0p = x * u0.u0_prime.values
-    zero_u0sq = _underflowed(u0sq)
+    xu0p = x * u0pv
+    two_u0p = 2.0 * u0pv
+    Qxl1 = p.Q.values * xl1
+    zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
 
     betas = np.empty((N + 1, mesh.m))
+    gammas = np.empty((N + 1, mesh.m))
     betas[0] = _beta0(u0)
-    aux = RecurrenceAux()
-    buf, tmp = np.empty(mesh.m), np.empty(mesh.m)
+    gammas[0] = _gamma0(u0, p)
+    buf, tmp, tail = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
+    t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
+    bad_gamma = 0  # first order with a non-finite gamma row
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(1, N + 1):
-            prev, row = betas[n - 1], betas[n]
-            t2nm2 = x ** (2 * n - 2) if n > 1 else 1.0
+            bprev, brow = betas[n - 1], betas[n]
             t2nm1 = t2nm2 * x
             t2n = t2nm1 * x
 
@@ -153,7 +149,7 @@ def beta_recurrent(
             np.multiply(u0v, 2 * n - 1, out=buf)
             buf += xu0p
             buf *= t2nm2
-            buf *= prev
+            buf *= bprev
             buf[0] = 0.0
             eta = _cumulative_values(buf, h)
 
@@ -164,7 +160,7 @@ def beta_recurrent(
             kappa = _cumulative_values(buf, h)
 
             # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
-            np.multiply(t2nm1, prev, out=buf)
+            np.multiply(t2nm1, bprev, out=buf)
             buf *= u0v
             np.subtract(eta, buf, out=buf)
             _safe_div(buf, u0sq, zero_u0sq, buf)
@@ -178,6 +174,8 @@ def beta_recurrent(
 
             sign = -1.0 if n % 2 else 1.0
             b_n = gamma_ratio_Bn(n, l)
+            c_n = gamma_ratio_Cn(n, l)
+
             # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
             #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
             np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
@@ -185,81 +183,62 @@ def beta_recurrent(
             buf += tmp
             _safe_div(buf, t2n, _underflowed(t2n), buf)
             buf *= u0v
-            np.add(prev, buf, out=row)
-            row *= (4 * n + 1) / (4 * n - 3)
-            row[0] = 0.0
-            if not np.isfinite(row).all():
+            np.add(bprev, buf, out=brow)
+            brow *= (4 * n + 1) / (4 * n - 3)
+            brow[0] = 0.0
+            if not np.isfinite(brow).all():
                 raise NumericalBreakdownError(
                     f"non-finite beta coefficient at order n={n}", order=n
                 )
-            aux.eta.append(eta)
-            aux.kappa.append(kappa)
-            aux.theta.append(theta)
-            aux.mu.append(mu)
-    return betas, aux
 
-
-def gamma_recurrent(
-    u0: ParticularSolution,
-    p: Potential,
-    betas: np.ndarray,
-    aux: RecurrenceAux,
-    N: int,
-) -> np.ndarray:
-    """(N+1, m) table of gamma_0..gamma_N from the beta recurrence's auxiliaries."""
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if len(betas) < N + 1 or len(aux.eta) < N:
-        raise DomainError("betas/aux must come from beta_recurrent at the same N")
-    mesh = u0.mesh
-    x, l = mesh.x, u0.l
-    u0v = u0.u0.values
-    u0pv = u0.u0_prime.values
-    two_u0p = 2.0 * u0pv
-    Qxl1 = p.Q.values * x ** (l + 1.0)
-    zero_u0, zero_x = _underflowed(u0v), _underflowed(x)
-
-    gammas = np.empty((N + 1, mesh.m))
-    gammas[0] = _gamma0(u0, p)
-    inner, tail, tmp = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(1, N + 1):
-            prev, row = gammas[n - 1], gammas[n]
-            t2n = x ** (2 * n)
-            zero_t2n = _underflowed(t2n)
-            eta, kappa = aux.eta[n - 1], aux.kappa[n - 1]
-            theta, mu = aux.theta[n - 1], aux.mu[n - 1]
-            sign = -1.0 if n % 2 else 1.0
-            b_n = gamma_ratio_Bn(n, l)
-            c_n = gamma_ratio_Cn(n, l)
+            # gamma divides by `x ** (2n)`; beta's t2n = x^{2n-1} * x can differ in the last bit
+            x2n = x ** (2 * n)
+            zero_x2n = _underflowed(x2n)
+            grow = gammas[n]
 
             # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
-            _safe_div(theta, t2n, zero_t2n, inner)
+            inner = _safe_div(theta, x2n, zero_x2n, buf)
             inner *= two_u0p
-            np.multiply(u0v, t2n, out=tmp)
+            np.multiply(u0v, x2n, out=tmp)
             _safe_div(eta, tmp, _underflowed(tmp), tmp)
             tmp *= 2.0
             inner += tmp
-            inner -= _safe_div(betas[n - 1], x, zero_x, tmp)
+            inner -= _safe_div(bprev, x, zero_x, tmp)
             inner *= 4 * n - 1
 
             # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
             np.multiply(mu, u0pv, out=tail)
             tail += _safe_div(kappa, u0v, zero_u0, tmp)
-            _safe_div(tail, t2n, zero_t2n, tail)
+            _safe_div(tail, x2n, zero_x2n, tail)
             tail *= b_n
             tail -= np.multiply(Qxl1, c_n, out=tmp)
 
-            np.add(prev, inner, out=row)
-            row *= (4 * n + 1) / (4 * n - 3)
+            np.add(gammas[n - 1], inner, out=grow)
+            grow *= (4 * n + 1) / (4 * n - 3)
             tail *= sign * (4 * n + 1)
-            row += tail
-            row[0] = 0.0
-            if not np.isfinite(row).all():
-                raise NumericalBreakdownError(
-                    f"non-finite gamma coefficient at order n={n}", order=n
-                )
-    return gammas
+            grow += tail
+            grow[0] = 0.0
+            if not bad_gamma and not np.isfinite(grow).all():
+                bad_gamma = n
+            t2nm2 = x2n
+    if bad_gamma:
+        raise NumericalBreakdownError(
+            f"non-finite gamma coefficient at order n={bad_gamma}", order=bad_gamma
+        )
+    return betas, gammas
+
+
+# Seams for the per-layer spans ``coefficients.beta`` / ``coefficients.gamma``,
+# which ``TARGETS`` in bench/layers.py resolves by name; ROADMAP item 10 moves
+# those spans and removes both.  Nothing in the package calls them.
+def beta_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
+    """The beta table of :func:`recurrent_tables`, kept only as a benchmark seam."""
+    return recurrent_tables(u0, p, N)[0]
+
+
+def gamma_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
+    """The gamma table of :func:`recurrent_tables`, kept only as a benchmark seam."""
+    return recurrent_tables(u0, p, N)[1]
 
 
 def _direct_sums(xi, l: float, u0i, u0pi, xt: list, Qi, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,9 +388,8 @@ class CoefficientTables:
 def build_coefficient_tables(
     u0: ParticularSolution, p: Potential, N: int = 100
 ) -> CoefficientTables:
-    """Run both recurrences in one pass and attach residual diagnostics."""
-    betas, aux = beta_recurrent(u0, p, N)
-    gammas = gamma_recurrent(u0, p, betas, aux, N)
+    """Build both tables with :func:`recurrent_tables` and attach residual diagnostics."""
+    betas, gammas = recurrent_tables(u0, p, N)
     betas.flags.writeable = False
     gammas.flags.writeable = False
     b = u0.mesh.b

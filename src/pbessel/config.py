@@ -108,9 +108,13 @@ class RunConfig:
             if not (0 <= x <= self.b):
                 raise ConfigError(f"solve x = {x} outside [0, b]")
         for om in self.omegas:
+            if not math.isfinite(om):
+                raise ConfigError(f"solve omega = {om} not finite")
             if om < 0:
                 raise ConfigError(f"solve omega = {om} negative")
         for lv in self.l_values:
+            if not math.isfinite(lv):
+                raise ConfigError(f"sweep l = {lv} not finite")
             if lv < -0.5:
                 raise ConfigError(f"sweep l = {lv} below -1/2")
 

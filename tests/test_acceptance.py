@@ -11,7 +11,7 @@ import pytest
 from scipy.special import jv
 
 from pbessel import UniformMesh
-from pbessel.coefficients import beta_recurrent, gamma_recurrent
+from pbessel.coefficients import recurrent_tables
 from pbessel.mesh import GridFunction, cumulative_integral
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_eigenvalue_near, shoot_solution
@@ -122,8 +122,7 @@ def _criterion3_cells(l):
     from pbessel.spps import build_u0
 
     u0 = build_u0(p)
-    betas, aux = beta_recurrent(u0, p, 8)
-    gammas = gamma_recurrent(u0, p, betas, aux, 8)
+    betas, gammas = recurrent_tables(u0, p, 8)
     bd, gd = oracles.extended_direct_reference(l)
     rel_b = [abs(betas[n][-1] - bd[n]) / abs(bd[n]) for n in range(9)]
     rel_g = [abs(gammas[n][-1] - gd[n]) / abs(gd[n]) for n in range(9)]

@@ -1,5 +1,7 @@
 """Coefficient tables: recurrent scheme, direct formulas, truncation selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from pbessel.coefficients import (
     _TINY,
     _beta0,
     _gamma0,
-    beta_recurrent,
     build_coefficient_tables,
     direct_coefficients_extended,
-    gamma_recurrent,
+    recurrent_tables,
     select_truncation,
 )
 from pbessel.errors import DomainError, OrderCapError
@@ -57,8 +58,7 @@ class TestTableLayout:
         p = make_potential("x^2", mesh, 1.5)
         u0 = build_u0(p)
         tables = build_coefficient_tables(u0, p, N=12)
-        betas, aux = beta_recurrent(u0, p, 12)
-        gammas = gamma_recurrent(u0, p, betas, aux, 12)
+        betas, gammas = recurrent_tables(u0, p, 12)
         for table, rows in ((tables.beta, betas), (tables.gamma, gammas)):
             assert table.shape == (13, mesh.m)
             assert table.dtype == np.float64
@@ -80,6 +80,22 @@ class TestTableLayout:
         assert tables.beta.tobytes() == betas.tobytes()
         assert tables.gamma.tobytes() == gammas.tobytes()
 
+    def test_build_keeps_no_per_order_auxiliaries(self):
+        # a build holds its two tables plus a few rows of one order's
+        # integrals; keeping every order's eta, kappa, theta and mu would add
+        # 4 N rows (~208 rows over the tables here)
+        mesh = UniformMesh(np.pi, 4001)
+        p = make_potential("x^2", mesh, 1.5)
+        u0 = build_u0(p)
+        build_coefficient_tables(u0, p, N=50)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            tables = build_coefficient_tables(u0, p, N=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables.beta.nbytes + tables.gamma.nbytes + 32 * 8 * mesh.m
+
     @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
     def test_rows_independent_of_table_size(self, spec, l):
         # row n depends only on rows < n: a row written while an earlier one
@@ -96,9 +112,9 @@ class TestTableLayout:
 def plain_recurrence(u0, p, N):
     """The recurrences transcribed out of place, one temporary per term.
 
-    Kept as the reference for the in-place loops of ``beta_recurrent`` and
-    ``gamma_recurrent``: the same products and sums in the same grouping,
-    so the tables must agree bit for bit.
+    Kept as the reference for the in-place loop of ``recurrent_tables``:
+    the same products and sums in the same grouping, so the tables must
+    agree bit for bit.
     """
 
     def safe_div(num, den):
@@ -150,7 +166,7 @@ def plain_recurrence(u0, p, N):
 class TestRecurrentVsDirect:
     def test_beta0_is_u0_minus_power(self, xsq_15):
         p, u0 = xsq_15
-        betas, _ = beta_recurrent(u0, p, 0)
+        betas, _ = recurrent_tables(u0, p, 0)
         assert betas[0][-1] == pytest.approx(u0.u0.at_end - np.pi**2.5, rel=1e-14)
 
     def test_gamma0_forms_agree(self, xsq_15):
@@ -161,7 +177,7 @@ class TestRecurrentVsDirect:
             - 2.5 * np.pi**1.5
             - p.Q.at_end * np.pi**2.5 / 2.0
         )
-        gammas = gamma_recurrent(u0, p, *beta_recurrent(u0, p, 0), 0)
+        _, gammas = recurrent_tables(u0, p, 0)
         assert gammas[0][-1] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("l", [1.5, 1.0])
@@ -175,8 +191,7 @@ class TestRecurrentVsDirect:
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, l)
         u0 = build_u0(p)
-        betas, aux = beta_recurrent(u0, p, 8)
-        gammas = gamma_recurrent(u0, p, betas, aux, 8)
+        betas, gammas = recurrent_tables(u0, p, 8)
         bd, gd = oracles.extended_direct_reference(l)
         for n in range(9):
             if not (l == 1.0 and n == 8):
@@ -193,7 +208,7 @@ class TestRecurrentVsDirect:
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, 1.0)
         u0 = build_u0(p)
-        betas, _ = beta_recurrent(u0, p, 8)
+        betas, _ = recurrent_tables(u0, p, 8)
         bd, _ = oracles.extended_direct_reference(1.0)
         assert abs(betas[8][-1] - bd[8]) <= 1e-6 * abs(bd[8])
 
@@ -234,10 +249,10 @@ class TestDecayBehavior:
         # l = 1 coefficients at n = 30 at least 100x below l = 1.5 ones
         p15, u015 = make_potential("x^2", MESH, 1.5), None
         u015 = build_u0(p15)
-        b15, _ = beta_recurrent(u015, p15, 30)
+        b15, _ = recurrent_tables(u015, p15, 30)
         p10 = make_potential("x^2", MESH, 1.0)
         u010 = build_u0(p10)
-        b10, _ = beta_recurrent(u010, p10, 30)
+        b10, _ = recurrent_tables(u010, p10, 30)
         assert abs(b10[30][-1]) <= 1e-2 * abs(b15[30][-1])
 
     def test_origin_growth_order(self, xsq_15_tables):
@@ -287,8 +302,8 @@ class TestResidualDiagnostics:
         # the opposite sign (as misprinted in one place of the source
         # material) misses by Q x^{l+1}, which is far outside tolerance
         p, u0 = xsq_15
-        betas, aux = beta_recurrent(u0, p, 0)
-        g0 = gamma_recurrent(u0, p, betas, aux, 0)[0]
+        _, gammas = recurrent_tables(u0, p, 0)
+        g0 = gammas[0]
         x = MESH.x
         lead = 2.5 * x**1.5 + 0.5 * p.Q.values * x**2.5
         recovered = lead + g0
@@ -337,5 +352,14 @@ class TestNumericalBreakdown:
         p2 = make_potential("const:1", mesh, 0.5)
         u02 = build_u0(p2)
         with pytest.raises(NumericalBreakdownError) as exc:
-            beta_recurrent(u02, p2, 120)
+            recurrent_tables(u02, p2, 120)
         assert exc.value.order is not None
+
+    def test_beta_breakdown_reported_before_gamma(self):
+        # here gamma turns non-finite one order before beta; the error names
+        # beta's order, as when the two families were built one after the other
+        from pbessel.errors import NumericalBreakdownError
+
+        p = make_potential("1/x", UniformMesh(30.0, 2001), -0.5)
+        with pytest.raises(NumericalBreakdownError, match="non-finite beta coefficient"):
+            recurrent_tables(build_u0(p), p, 100)

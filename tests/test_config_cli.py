@@ -156,6 +156,21 @@ oracle = yes
             parse_config(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sweep]\nl_values = 0.5, nan\n", "sweep l = nan not finite"),
+            ("[sweep]\nl_values = inf\n", "sweep l = inf not finite"),
+            ("[solve]\nomegas = nan\n", "solve omega = nan not finite"),
+            ("[solve]\nomegas = inf\n", "solve omega = inf not finite"),
+        ],
+        ids=["l-nan", "l-inf", "omega-nan", "omega-inf"],
+    )
+    def test_nonfinite_list_values(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
 
 def load_csv(path):
     """Read a library CSV: drop '#' provenance lines and the header row."""
@@ -387,6 +402,21 @@ class TestCli:
         assert err.startswith("pbessel: configuration error: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert block.read_text() == "not a directory\n"
+
+    def test_unwritable_out_fails_before_build(self, tmp_path, monkeypatch):
+        def no_build(cfg):
+            raise AssertionError("tables built for an unusable --out")
+
+        monkeypatch.setattr("pbessel.cli._pipeline", no_build)
+        block = tmp_path / "taken"
+        block.write_text("not a directory\n")
+        assert main(["coeffs", "--out", str(block)]) == 2
+
+    @pytest.mark.parametrize("l_values", ["0.5, inf", "0.5, nan"])
+    def test_decay_sweep_nonfinite_l_writes_nothing(self, tmp_path, l_values):
+        cfg = EX1 + f"\n[sweep]\nl_values = {l_values}\n"
+        assert run_cli(tmp_path, "decay-sweep", cfg) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_exit_code_convergence(self, tmp_path):
         # strongly negative potential: u0 crosses zero -> refusal (exit 4)
