@@ -86,23 +86,6 @@ def _safe_div(num: np.ndarray, den: np.ndarray, zero: np.ndarray, out: np.ndarra
     return out
 
 
-def _beta0(u0: ParticularSolution) -> np.ndarray:
-    x = u0.mesh.x
-    return u0.u0.values - x ** (u0.l + 1.0)
-
-
-def _gamma0(u0: ParticularSolution, p: Potential) -> np.ndarray:
-    # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic.
-    # (The sign makes the omega = 0 limit of the derivative series equal u0'.)
-    x = u0.mesh.x
-    l = u0.l
-    with np.errstate(divide="ignore"):
-        xl = x**l
-    g0 = u0.u0_prime.values - (l + 1.0) * xl - p.Q.values * x ** (l + 1.0) / 2.0
-    g0[0] = 0.0
-    return g0
-
-
 def recurrent_tables(
     u0: ParticularSolution, p: Potential, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +99,8 @@ def recurrent_tables(
     Raises
     ------
     NumericalBreakdownError
-        If a non-finite value appears; the exception names the first bad
-        order of beta, or of gamma if every beta row is finite.
+        At the first non-finite row, in the order rows are written (beta_n,
+        then gamma_n); the exception names that family and order.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -134,12 +117,14 @@ def recurrent_tables(
 
     betas = np.empty((N + 1, mesh.m))
     gammas = np.empty((N + 1, mesh.m))
-    betas[0] = _beta0(u0)
-    gammas[0] = _gamma0(u0, p)
     buf, tmp, tail = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
     t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
-    bad_gamma = 0  # first order with a non-finite gamma row
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        betas[0] = u0v - xl1
+        # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
+        # (the sign makes the omega = 0 limit of the derivative series equal u0')
+        gammas[0] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
+        gammas[0, 0] = 0.0
         for n in range(1, N + 1):
             bprev, brow = betas[n - 1], betas[n]
             t2nm1 = t2nm2 * x
@@ -218,13 +203,11 @@ def recurrent_tables(
             tail *= sign * (4 * n + 1)
             grow += tail
             grow[0] = 0.0
-            if not bad_gamma and not np.isfinite(grow).all():
-                bad_gamma = n
+            if not np.isfinite(grow).all():
+                raise NumericalBreakdownError(
+                    f"non-finite gamma coefficient at order n={n}", order=n
+                )
             t2nm2 = x2n
-    if bad_gamma:
-        raise NumericalBreakdownError(
-            f"non-finite gamma coefficient at order n={bad_gamma}", order=bad_gamma
-        )
     return betas, gammas
 
 

@@ -52,8 +52,6 @@ def shoot_solution(
     omega: float,
     xs: Sequence[float],
     x0: float = 1e-6,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regular solution u and u' at the points ``xs`` (all >= x0).
 
@@ -86,7 +84,7 @@ def shoot_solution(
 
     y0 = [1.0, _v_prime_start(q, l, omega, x0)]
     sol = solve_ivp(
-        rhs, (x0, b), y0, method="DOP853", t_eval=ts, rtol=rtol, atol=atol, dense_output=False
+        rhs, (x0, b), y0, method="DOP853", t_eval=ts, rtol=_RTOL, atol=_ATOL, dense_output=False
     )
     if not sol.success:
         raise ConvergenceError(f"shooting integration failed: {sol.message}")
@@ -100,9 +98,9 @@ def shoot_solution(
     return u_out, up_out
 
 
-def shoot_endpoint(q: Callable, l: float, omega: float, b: float, **kw) -> tuple[float, float]:
+def shoot_endpoint(q: Callable, l: float, omega: float, b: float) -> tuple[float, float]:
     """(u(omega, b), u'(omega, b)) by shooting."""
-    u, up = shoot_solution(q, l, omega, [b], **kw)
+    u, up = shoot_solution(q, l, omega, [b])
     return float(u[0]), float(up[0])
 
 

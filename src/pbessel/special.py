@@ -186,43 +186,55 @@ def _series_region(l: float, z: np.ndarray) -> np.ndarray:
     return (z <= 2.0) | (z * z <= 3.0 * (l + 1.5))
 
 
-def _bl_scaled_series(l: float, z: np.ndarray) -> np.ndarray:
-    # S_l(z) = Gamma(l+3/2) sum_k (-1)^k (z/2)^{2k} / (k! Gamma(k+l+3/2)); S_l(0)=1.
-    # each entry stops at its own first negligible term, as alone
-    out = np.ones_like(z)
-    term = np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
-    z2 = z * z
-    k = 0
-    while live.any() and k <= 200:
-        k += 1
-        term = term * (-z2) / (4.0 * k * (k + l + 0.5))
-        out += term * live
-        live &= np.abs(term) > 1e-18 * np.maximum(np.abs(out), 1e-30)
-    return out
-
-
-def _bl_prime_scaled_series(l: float, z: np.ndarray) -> np.ndarray:
-    # D_l(z) = Gamma(l+3/2) sum_k (-1)^k (2k+l+1) (z/2)^{2k} / (k! Gamma(k+l+3/2)); D_l(0)=l+1.
-    out = np.full_like(z, l + 1.0)
-    term = np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
-    z2 = z * z
-    k = 0
-    while live.any() and k <= 200:
-        k += 1
-        term = term * (-z2) / (4.0 * k * (k + l + 0.5))
-        out += term * (2 * k + l + 1.0) * live
-        live &= np.abs(term) * (2 * k + l + 1.0) > 1e-18
-    return out
-
-
 def _log_fused(log_mag: np.ndarray, signed: np.ndarray) -> np.ndarray:
     """exp(log_mag) * signed with the magnitude of ``signed`` folded into the log."""
     mag = np.abs(signed)
     with np.errstate(divide="ignore"):
         lg = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
     return np.sign(signed) * np.exp(log_mag + lg)
+
+
+def _leading_scaled(l: float, z, deriv: bool, name: str) -> np.ndarray | float:
+    # S_l(z), or D_l(z) if ``deriv``.  Both sums run over one term sequence
+    # t_k = Gamma(l+3/2) (-1)^k (z/2)^{2k} / (k! Gamma(k+l+3/2)): S_l = sum_k t_k
+    # (S_l(0) = 1), D_l = sum_k (2k+l+1) t_k (D_l(0) = l+1).
+    l = _check_l(l)
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    if (z_arr < 0).any() or not np.isfinite(z_arr).all():
+        raise DomainError(f"{name} requires finite z >= 0")
+    out = np.empty_like(z_arr)
+    ser = _series_region(l, z_arr)
+    if ser.any():
+        zs = z_arr[ser]
+        z2 = zs * zs
+        acc = np.full_like(z2, l + 1.0 if deriv else 1.0)
+        term = np.ones_like(z2)
+        # each entry stops at its own first negligible term, as alone
+        live = np.ones(z2.shape, dtype=bool)
+        k = 0
+        while live.any() and k <= 200:
+            k += 1
+            term = term * (-z2) / (4.0 * k * (k + l + 0.5))
+            if deriv:
+                acc += term * (2 * k + l + 1.0) * live
+                live &= np.abs(term) * (2 * k + l + 1.0) > 1e-18
+            else:
+                acc += term * live
+                live &= np.abs(term) > 1e-18 * np.maximum(np.abs(acc), 1e-30)
+        out[ser] = acc
+    rest = ~ser
+    if rest.any():
+        zr = z_arr[rest]
+        log_z = np.log(zr)
+        base = (l + 0.5) * math.log(2.0) + math.lgamma(l + 1.5)
+        s = None if deriv and not l else _log_fused(base + (-0.5 - l) * log_z, _jv(l + 0.5, zr))
+        if deriv:
+            # b_l'(z) = sqrt(z) J_{l-1/2}(z) - l J_{l+1/2}(z)/sqrt(z)
+            t1 = _log_fused(base + (0.5 - l) * log_z, _jv(l - 0.5, zr))
+            out[rest] = t1 if s is None else t1 - l * s
+        else:
+            out[rest] = s
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def bl_scaled(l: float, z) -> np.ndarray | float:
@@ -232,20 +244,7 @@ def bl_scaled(l: float, z) -> np.ndarray | float:
     which removes the omega^{-l-1} pole analytically; large-l evaluation is
     fused in log space so neither factor overflows on its own.
     """
-    l = _check_l(l)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if (z_arr < 0).any() or not np.isfinite(z_arr).all():
-        raise DomainError("bl_scaled requires finite z >= 0")
-    out = np.empty_like(z_arr)
-    ser = _series_region(l, z_arr)
-    if ser.any():
-        out[ser] = _bl_scaled_series(l, z_arr[ser])
-    rest = ~ser
-    if rest.any():
-        zr = z_arr[rest]
-        log_c = (l + 0.5) * math.log(2.0) + math.lgamma(l + 1.5) - (l + 0.5) * np.log(zr)
-        out[rest] = _log_fused(log_c, _jv(l + 0.5, zr))
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return _leading_scaled(l, z, False, "bl_scaled")
 
 
 def bl_prime_scaled(l: float, z) -> np.ndarray | float:
@@ -254,26 +253,7 @@ def bl_prime_scaled(l: float, z) -> np.ndarray | float:
     The leading derivative term d(omega) omega b_l'(omega x) equals
     x^l D_l(omega x).
     """
-    l = _check_l(l)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if (z_arr < 0).any() or not np.isfinite(z_arr).all():
-        raise DomainError("bl_prime_scaled requires finite z >= 0")
-    out = np.empty_like(z_arr)
-    ser = _series_region(l, z_arr)
-    if ser.any():
-        out[ser] = _bl_prime_scaled_series(l, z_arr[ser])
-    rest = ~ser
-    if rest.any():
-        zr = z_arr[rest]
-        # b_l'(z) = sqrt(z) J_{l-1/2}(z) - l J_{l+1/2}(z)/sqrt(z)
-        base = (l + 0.5) * math.log(2.0) + math.lgamma(l + 1.5)
-        t1 = _log_fused(base + (0.5 - l) * np.log(zr), _jv(l - 0.5, zr))
-        if l != 0.0:
-            t2 = _log_fused(base + (-0.5 - l) * np.log(zr), _jv(l + 0.5, zr))
-            out[rest] = t1 - l * t2
-        else:
-            out[rest] = t1
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return _leading_scaled(l, z, True, "bl_prime_scaled")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonVanishingError
 from .mesh import GridFunction, UniformMesh, _cumulative_values, _guarded_cumulative_values
+from .special import _check_l
 
 __all__ = ["Potential", "ParticularSolution", "build_u0"]
 
@@ -86,9 +87,7 @@ class Potential:
         l: float,
         xq_limit: float = 0.0,
     ) -> "Potential":
-        l = float(l)
-        if not np.isfinite(l) or l < -0.5:
-            raise DomainError(f"l >= -1/2 required, got l={l}")
+        l = _check_l(l)
         v = np.array(values, dtype=float)
         if v.shape != (mesh.m,):
             raise DomainError(f"expected {mesh.m} potential samples, got {v.shape}")
