@@ -47,7 +47,14 @@ from .coefficients import (
     recurrent_tables,
     select_truncation,
 )
-from .solution import NsbfSolution, build_solution, error_indicator, eval_u, eval_u_prime
+from .solution import (
+    NsbfSolution,
+    build_solution,
+    error_indicator,
+    eval_u,
+    eval_u_prime,
+    strip_columns,
+)
 from .spectral import (
     BoundaryCondition,
     Eigenpair,

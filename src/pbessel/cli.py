@@ -51,7 +51,7 @@ from .errors import (
 )
 from .mesh import UniformMesh, next_valid_size
 from .potentials import make_potential, potential_callable
-from .solution import _series, build_solution, error_indicator
+from .solution import _series, build_solution, error_indicator, strip_columns
 from .spectral import BoundaryCondition, SpectralProblem, decay_fit, find_eigenvalues
 
 EXIT_OK = 0
@@ -81,12 +81,25 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _pipeline(cfg: RunConfig):
+def _pipeline(cfg: RunConfig, columns):
+    """Mesh, potential and a solution whose tables keep the mesh columns ``columns(mesh)``."""
     m = next_valid_size(cfg.mesh_points)
     mesh = UniformMesh(cfg.b, m)
     p = make_potential(cfg.potential, mesh, cfg.l)
-    sol = build_solution(p, N=cfg.N)
+    sol = build_solution(p, N=cfg.N, columns=columns(mesh))
     return mesh, p, sol
+
+
+def _at_b(mesh: UniformMesh) -> np.ndarray:
+    """The one column that the residuals and the decay files read: x = b."""
+    return np.array([mesh.m - 1])
+
+
+def _coeff_columns(mesh: UniformMesh) -> np.ndarray:
+    """The ~201 strided columns of ``coefficients.csv``, ending at x = b."""
+    stride = max(1, (mesh.m - 1) // 200)
+    idx = np.arange(0, mesh.m, stride)
+    return idx if idx[-1] == mesh.m - 1 else np.append(idx, mesh.m - 1)
 
 
 def _provenance(cfg: RunConfig, command: str, mesh: UniformMesh, sol=None) -> list[str]:
@@ -163,19 +176,15 @@ def _write_decay(out: Path, prov: list[str], t, tag: str = "") -> dict:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    mesh, p, sol = _pipeline(cfg)
+    mesh, p, sol = _pipeline(cfg, _coeff_columns)
     prov = _provenance(cfg, "coeffs", mesh, sol)
     t = sol.tables
 
-    stride = max(1, (mesh.m - 1) // 200)
-    idx = np.arange(0, mesh.m, stride)
-    if idx[-1] != mesh.m - 1:
-        idx = np.append(idx, mesh.m - 1)
-    rows = np.empty((t.N + 1, idx.size, 4))
+    rows = np.empty((t.N + 1, t.columns.size, 4))
     rows[:, :, 0] = np.arange(t.N + 1)[:, None]
-    rows[:, :, 1] = mesh.x[idx]
-    rows[:, :, 2] = t.beta[:, idx]
-    rows[:, :, 3] = t.gamma[:, idx]
+    rows[:, :, 1] = mesh.x[t.columns]
+    rows[:, :, 2] = t.beta
+    rows[:, :, 3] = t.gamma
     _write_csv(out / "coefficients.csv", prov, "n,x,beta_n,gamma_n", rows)
 
     _write_csv(
@@ -219,7 +228,8 @@ def _oracle_rows(cfg: RunConfig, sol, pairs):
 
 def cmd_eigen(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    mesh, p, sol = _pipeline(cfg)
+    # every characteristic evaluation is at x = b
+    mesh, p, sol = _pipeline(cfg, lambda mesh: strip_columns(mesh, mesh.b))
     prov = _provenance(cfg, "eigen", mesh, sol)
     prob = SpectralProblem(
         potential=p,
@@ -248,7 +258,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not cfg.omegas or not cfg.xs:
         raise ConfigError("solve needs non-empty omegas and xs lists in [solve]")
     out = _out_dir(cfg)
-    mesh, p, sol = _pipeline(cfg)
+    mesh, p, sol = _pipeline(cfg, lambda mesh: strip_columns(mesh, cfg.xs))
     prov = _provenance(cfg, "solve", mesh, sol)
     u, du = _series(sol, cfg.omegas, cfg.xs)  # (len(xs), len(omegas)), one sweep
     eps = [error_indicator(sol, x) if x > 0 else (0.0, 0.0) for x in cfg.xs]
@@ -264,7 +274,7 @@ def cmd_decay_sweep(cfg: RunConfig) -> int:
     exponents = {}
     for lv in l_values:
         sub = cfg.with_overrides(l=float(lv))
-        mesh, p, sol = _pipeline(sub)
+        mesh, p, sol = _pipeline(sub, _at_b)
         tag = _fmt(lv)
         fit = _write_decay(out, _provenance(sub, "decay-sweep", mesh, sol), sol.tables, f"_l{tag}")
         exponents[tag] = {k: fit[k] for k in ("beta_exponent", "gamma_exponent")}

@@ -37,6 +37,13 @@ The pass runs in place on three scratch rows and writes row n straight
 into each table; every product and sum keeps the grouping of the
 formulas as written, so the tables are bit for bit those of a plain
 transcription.
+
+A caller that reads only some mesh columns (x = b for eigenvalues, a few
+6-point strips for point evaluation) passes them as ``columns``.  The
+pass then keeps full rows only for orders n and n-1 and copies each
+order's kept columns out, so the tables take (N+1) x len(columns) floats
+in place of (N+1) x m, with the same values.  Evaluating such tables at
+an x whose strip was not kept raises :class:`~pbessel.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -87,25 +94,68 @@ def _safe_div(num: np.ndarray, den: np.ndarray, zero: np.ndarray, out: np.ndarra
 
 
 def recurrent_tables(
-    u0: ParticularSolution, p: Potential, N: int
+    u0: ParticularSolution, p: Potential, N: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1, m) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
+    """(N+1, len(columns)) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
 
-    Row n holds beta_n (gamma_n) on the mesh.  Order n integrates eta_n,
-    kappa_n, theta_n and mu_n and writes beta_n and then gamma_n from
-    them; the next order's integrals replace them, so the pass holds one
-    order's integrals at a time, never a table of them.
+    Row n holds beta_n (gamma_n) at the mesh indices ``columns``: a sorted,
+    unique integer array that ends at the last index m-1 (x = b, which the
+    residuals read).  ``None``, the default, keeps every column, and the
+    pass then works in the table rows themselves.  With ``columns`` the
+    pass works on two full rows per family, for orders n and n-1, and
+    copies the kept columns of each order into the result, whose values
+    are those of the full build's ``[:, columns]``, bit for bit.
+
+    Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
+    and then gamma_n from them; the next order's integrals replace them,
+    so the pass holds one order's integrals at a time, never a table of
+    them.
 
     Raises
     ------
+    DomainError
+        For a negative N, or ``columns`` that are not sorted, unique mesh
+        indices ending at m-1.
     NumericalBreakdownError
-        At the first non-finite row, in the order rows are written (beta_n,
-        then gamma_n); the exception names that family and order.
+        At the first non-finite full row, in the order rows are written
+        (beta_n, then gamma_n); the exception names that family and order.
+        A column subset raises exactly where the full build does.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
+    m = u0.mesh.m
+    if columns is None:
+        betas, gammas = np.empty((N + 1, m)), np.empty((N + 1, m))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in _orders(u0, p, N, betas, gammas):
+                pass  # the working rows are the table rows
+        return betas, gammas
+    cols = np.asarray(columns)
+    if not (
+        cols.ndim == 1 and cols.size and cols.dtype.kind in "iu"
+        and cols[0] >= 0 and cols[-1] == m - 1 and (np.diff(cols) > 0).all()
+    ):
+        raise DomainError(f"columns must be sorted, unique mesh indices ending at m-1 = {m - 1}")
+    betas, gammas = np.empty((N + 1, cols.size)), np.empty((N + 1, cols.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n, brow, grow in _orders(u0, p, N, np.empty((2, m)), np.empty((2, m))):
+            betas[n] = brow[cols]
+            gammas[n] = grow[cols]
+    return betas, gammas
+
+
+def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, grows: np.ndarray):
+    """The recurrence, one order at a time, in place on the full mesh rows.
+
+    Order n is written into ``brows[n % slots]`` and ``grows[n % slots]``,
+    slots = len(brows): either the (N+1)-row tables themselves or two
+    working rows per family.  Yields (n, beta_n row, gamma_n row) after
+    each order.
+    Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
+    """
     mesh = u0.mesh
     x, h, l = mesh.x, mesh.h, u0.l
+    slots = len(brows)
     u0v, u0pv = u0.u0.values, u0.u0_prime.values
     u0sq = u0v * u0v
     u0q = u0v * p.q.values
@@ -115,100 +165,98 @@ def recurrent_tables(
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
 
-    betas = np.empty((N + 1, mesh.m))
-    gammas = np.empty((N + 1, mesh.m))
     buf, tmp, tail = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
     t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        betas[0] = u0v - xl1
-        # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
-        # (the sign makes the omega = 0 limit of the derivative series equal u0')
-        gammas[0] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
-        gammas[0, 0] = 0.0
-        for n in range(1, N + 1):
-            bprev, brow = betas[n - 1], betas[n]
-            t2nm1 = t2nm2 * x
-            t2n = t2nm1 * x
+    brows[0] = u0v - xl1
+    # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
+    # (the sign makes the omega = 0 limit of the derivative series equal u0')
+    grows[0] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
+    grows[0, 0] = 0.0
+    yield 0, brows[0], grows[0]
+    for n in range(1, N + 1):
+        bprev, brow = brows[(n - 1) % slots], brows[n % slots]
+        gprev, grow = grows[(n - 1) % slots], grows[n % slots]
+        t2nm1 = t2nm2 * x
+        t2n = t2nm1 * x
 
-            # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
-            np.multiply(u0v, 2 * n - 1, out=buf)
-            buf += xu0p
-            buf *= t2nm2
-            buf *= bprev
-            buf[0] = 0.0
-            eta = _cumulative_values(buf, h)
+        # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
+        np.multiply(u0v, 2 * n - 1, out=buf)
+        buf += xu0p
+        buf *= t2nm2
+        buf *= bprev
+        buf[0] = 0.0
+        eta = _cumulative_values(buf, h)
 
-            # kappa_n: u0 q x^{2n} x^{l+1}
-            np.multiply(u0q, t2n, out=buf)
-            buf *= xl1
-            buf[0] = 0.0
-            kappa = _cumulative_values(buf, h)
+        # kappa_n: u0 q x^{2n} x^{l+1}
+        np.multiply(u0q, t2n, out=buf)
+        buf *= xl1
+        buf[0] = 0.0
+        kappa = _cumulative_values(buf, h)
 
-            # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
-            np.multiply(t2nm1, bprev, out=buf)
-            buf *= u0v
-            np.subtract(eta, buf, out=buf)
-            _safe_div(buf, u0sq, zero_u0sq, buf)
-            buf[0] = 0.0
-            theta, _ = _guarded_cumulative_values(buf, h)
+        # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
+        np.multiply(t2nm1, bprev, out=buf)
+        buf *= u0v
+        np.subtract(eta, buf, out=buf)
+        _safe_div(buf, u0sq, zero_u0sq, buf)
+        buf[0] = 0.0
+        theta, _ = _guarded_cumulative_values(buf, h)
 
-            # mu_n: kappa_n / u0^2
-            _safe_div(kappa, u0sq, zero_u0sq, buf)
-            buf[0] = 0.0
-            mu, _ = _guarded_cumulative_values(buf, h)
+        # mu_n: kappa_n / u0^2
+        _safe_div(kappa, u0sq, zero_u0sq, buf)
+        buf[0] = 0.0
+        mu, _ = _guarded_cumulative_values(buf, h)
 
-            sign = -1.0 if n % 2 else 1.0
-            b_n = gamma_ratio_Bn(n, l)
-            c_n = gamma_ratio_Cn(n, l)
+        sign = -1.0 if n % 2 else 1.0
+        b_n = gamma_ratio_Bn(n, l)
+        c_n = gamma_ratio_Cn(n, l)
 
-            # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
-            #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
-            np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
-            np.multiply(mu, sign * (4 * n - 3) * b_n, out=tmp)
-            buf += tmp
-            _safe_div(buf, t2n, _underflowed(t2n), buf)
-            buf *= u0v
-            np.add(bprev, buf, out=brow)
-            brow *= (4 * n + 1) / (4 * n - 3)
-            brow[0] = 0.0
-            if not np.isfinite(brow).all():
-                raise NumericalBreakdownError(
-                    f"non-finite beta coefficient at order n={n}", order=n
-                )
+        # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
+        #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
+        np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
+        np.multiply(mu, sign * (4 * n - 3) * b_n, out=tmp)
+        buf += tmp
+        _safe_div(buf, t2n, _underflowed(t2n), buf)
+        buf *= u0v
+        np.add(bprev, buf, out=brow)
+        brow *= (4 * n + 1) / (4 * n - 3)
+        brow[0] = 0.0
+        if not np.isfinite(brow).all():
+            raise NumericalBreakdownError(
+                f"non-finite beta coefficient at order n={n}", order=n
+            )
 
-            # gamma divides by `x ** (2n)`; beta's t2n = x^{2n-1} * x can differ in the last bit
-            x2n = x ** (2 * n)
-            zero_x2n = _underflowed(x2n)
-            grow = gammas[n]
+        # gamma divides by `x ** (2n)`; beta's t2n = x^{2n-1} * x can differ in the last bit
+        x2n = x ** (2 * n)
+        zero_x2n = _underflowed(x2n)
 
-            # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
-            inner = _safe_div(theta, x2n, zero_x2n, buf)
-            inner *= two_u0p
-            np.multiply(u0v, x2n, out=tmp)
-            _safe_div(eta, tmp, _underflowed(tmp), tmp)
-            tmp *= 2.0
-            inner += tmp
-            inner -= _safe_div(bprev, x, zero_x, tmp)
-            inner *= 4 * n - 1
+        # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
+        inner = _safe_div(theta, x2n, zero_x2n, buf)
+        inner *= two_u0p
+        np.multiply(u0v, x2n, out=tmp)
+        _safe_div(eta, tmp, _underflowed(tmp), tmp)
+        tmp *= 2.0
+        inner += tmp
+        inner -= _safe_div(bprev, x, zero_x, tmp)
+        inner *= 4 * n - 1
 
-            # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
-            np.multiply(mu, u0pv, out=tail)
-            tail += _safe_div(kappa, u0v, zero_u0, tmp)
-            _safe_div(tail, x2n, zero_x2n, tail)
-            tail *= b_n
-            tail -= np.multiply(Qxl1, c_n, out=tmp)
+        # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
+        np.multiply(mu, u0pv, out=tail)
+        tail += _safe_div(kappa, u0v, zero_u0, tmp)
+        _safe_div(tail, x2n, zero_x2n, tail)
+        tail *= b_n
+        tail -= np.multiply(Qxl1, c_n, out=tmp)
 
-            np.add(gammas[n - 1], inner, out=grow)
-            grow *= (4 * n + 1) / (4 * n - 3)
-            tail *= sign * (4 * n + 1)
-            grow += tail
-            grow[0] = 0.0
-            if not np.isfinite(grow).all():
-                raise NumericalBreakdownError(
-                    f"non-finite gamma coefficient at order n={n}", order=n
-                )
-            t2nm2 = x2n
-    return betas, gammas
+        np.add(gprev, inner, out=grow)
+        grow *= (4 * n + 1) / (4 * n - 3)
+        tail *= sign * (4 * n + 1)
+        grow += tail
+        grow[0] = 0.0
+        if not np.isfinite(grow).all():
+            raise NumericalBreakdownError(
+                f"non-finite gamma coefficient at order n={n}", order=n
+            )
+        t2nm2 = x2n
+        yield n, brow, grow
 
 
 # Seams for the per-layer spans ``coefficients.beta`` / ``coefficients.gamma``,
@@ -344,8 +392,13 @@ def select_truncation(residuals: np.ndarray) -> tuple[int, bool]:
 class CoefficientTables:
     """beta_n and gamma_n tables with truncation diagnostics.
 
-    ``beta`` and ``gamma`` are read-only (N+1, m) float64 arrays: row n
-    holds beta_n (gamma_n) on the mesh, column i all orders at x_i.
+    ``beta`` and ``gamma`` are read-only (N+1, k) float64 arrays: row n
+    holds beta_n (gamma_n) at the kept mesh indices ``columns``, table
+    column j all orders at x_{columns[j]}.  ``columns`` is None when every
+    mesh column is kept (k = m, the default), else a read-only sorted
+    index array whose last entry is m-1; the last table column is x = b
+    either way.  Evaluation at an x whose interpolation strip was not kept
+    raises :class:`~pbessel.errors.DomainError`.
 
     ``beta_residual[K]`` is |sum_{n<=K} beta_n(b)| / b, the computable
     discrepancy of the truncated kernel diagonal from zero (its exact
@@ -357,6 +410,7 @@ class CoefficientTables:
     mesh: UniformMesh
     beta: np.ndarray
     gamma: np.ndarray
+    columns: np.ndarray | None
     N: int
     beta_residual: np.ndarray
     gamma_residual: np.ndarray
@@ -369,10 +423,16 @@ class CoefficientTables:
 
 
 def build_coefficient_tables(
-    u0: ParticularSolution, p: Potential, N: int = 100
+    u0: ParticularSolution, p: Potential, N: int = 100, columns=None
 ) -> CoefficientTables:
-    """Build both tables with :func:`recurrent_tables` and attach residual diagnostics."""
-    betas, gammas = recurrent_tables(u0, p, N)
+    """Build both tables with :func:`recurrent_tables` and attach residual diagnostics.
+
+    ``columns`` (default: every mesh column) is passed through; see there.
+    """
+    betas, gammas = recurrent_tables(u0, p, N, columns)
+    if columns is not None:
+        columns = np.array(columns)
+        columns.flags.writeable = False
     betas.flags.writeable = False
     gammas.flags.writeable = False
     b = u0.mesh.b
@@ -384,6 +444,7 @@ def build_coefficient_tables(
         mesh=u0.mesh,
         beta=betas,
         gamma=gammas,
+        columns=columns,
         N=N,
         beta_residual=beta_res,
         gamma_residual=gamma_res,

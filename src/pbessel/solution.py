@@ -15,7 +15,9 @@ truncation error of both series is uniform in omega on the real axis,
 which is what makes large eigenvalue scans accurate.
 
 Evaluation reads only the families it needs (u: beta; u': gamma and Q),
-as six-column strips of the read-only tables, exact on mesh points.  It is
+as six-column strips of the read-only tables, exact on mesh points.
+Tables built on a subset of the mesh columns (:func:`strip_columns` gives
+the strips of a list of x) serve only x whose strip they kept.  It is
 pure and thread-safe.  One Bessel sweep gives u, u' or both, at a vector of
 omega and, in the private kernel, of x too (z is their outer product).
 """
@@ -33,7 +35,14 @@ from .mesh import UniformMesh
 from .special import bl_prime_scaled, bl_scaled, spherical_j_sequence
 from .spps import ParticularSolution, Potential, build_u0
 
-__all__ = ["NsbfSolution", "build_solution", "eval_u", "eval_u_prime", "error_indicator"]
+__all__ = [
+    "NsbfSolution",
+    "build_solution",
+    "strip_columns",
+    "eval_u",
+    "eval_u_prime",
+    "error_indicator",
+]
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,14 @@ class NsbfSolution:
         return self.mesh.b
 
 
-def build_solution(p: Potential, N: int = 100) -> NsbfSolution:
-    """Full pipeline: particular solution, coefficient tables, solution object."""
+def build_solution(p: Potential, N: int = 100, columns=None) -> NsbfSolution:
+    """Full pipeline: particular solution, coefficient tables, solution object.
+
+    ``columns`` (default: all) are the mesh columns the tables keep, e.g.
+    ``strip_columns(p.mesh, xs)`` for a solution evaluated only at ``xs``.
+    """
     u0 = build_u0(p)
-    tables = build_coefficient_tables(u0, p, N=N)
+    tables = build_coefficient_tables(u0, p, N=N, columns=columns)
     return NsbfSolution(potential=p, u0=u0, tables=tables, N_used=tables.N_opt)
 
 
@@ -93,11 +106,45 @@ def _quintic_weights(mesh: UniformMesh, x: np.ndarray) -> tuple[np.ndarray, np.n
     return j0, np.multiply.reduce((t[:, None, None] - _OTHERS) / _NODE_DIFF, axis=-1)
 
 
+def _check_x(b: float, x) -> np.ndarray:
+    """x as a 1-D float array; DomainError unless every entry lies in [0, b]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(xs).all() or (xs < 0).any() or (xs > b * (1 + 1e-12)).any():
+        raise DomainError(f"x must lie in [0, {b}], got {x}")
+    return xs
+
+
+def strip_columns(mesh: UniformMesh, x) -> np.ndarray:
+    """Sorted mesh indices of the 6-point strips that evaluation at ``x`` reads, and m-1.
+
+    Pass them as ``columns`` to :func:`build_solution` for a solution that
+    is evaluated only at ``x`` (and at b, which the residuals read).
+    """
+    j0, _ = _quintic_weights(mesh, _check_x(mesh.b, x))
+    return np.union1d((j0[:, None] + _NODES).ravel(), [mesh.m - 1])
+
+
 def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) -> tuple:
-    """Each of ``families`` (last axis on the mesh) at every x, from a 6-point strip."""
+    """Each of ``families`` at every x, from a 6-point strip.
+
+    A family with a value at every mesh point (Q, or a table of every
+    column) reads the strip's mesh indices; a table of ``tables.columns``
+    reads the table columns that hold them, and raises DomainError for an
+    x whose strip it did not keep.
+    """
     j0, w = _quintic_weights(sol.mesh, x)
-    window = j0[:, None] + _NODES
-    return tuple((f[..., window] * w).sum(axis=-1) for f in families)
+    window = pos = j0[:, None] + _NODES
+    kept = sol.tables.columns
+    if kept is not None:
+        pos = np.minimum(np.searchsorted(kept, window), kept.size - 1)
+        lost = (kept[pos] != window).any(axis=1)
+        if lost.any():
+            raise DomainError(
+                f"the tables do not keep the strip of x = {x[lost][0]}; "
+                "build them with columns=strip_columns(mesh, x)"
+            )
+    m = sol.mesh.m
+    return tuple((f[..., window if f.shape[-1] == m else pos] * w).sum(axis=-1) for f in families)
 
 
 def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tuple:
@@ -108,11 +155,9 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     the one a call on its own (omega, x) pair gives, bit for bit.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(om).all() or (om < 0).any():
         raise DomainError("omega must be finite and >= 0")
-    if not np.isfinite(xs).all() or (xs < 0).any() or (xs > sol.b * (1 + 1e-12)).any():
-        raise DomainError(f"x must lie in [0, {sol.b}], got {x}")
+    xs = _check_x(sol.b, x)
     l, n = sol.l, sol.N_used + 1
     t = sol.tables
     families = ([t.beta[:n]] if u else []) + ([t.gamma[:n], sol.potential.Q.values] if du else [])

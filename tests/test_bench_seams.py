@@ -41,3 +41,20 @@ def test_recurrence_seams_return_one_family_each():
     betas, gammas = recurrent_tables(u0, p, 12)
     assert beta_recurrent(u0, p, 12).tobytes() == betas.tobytes()
     assert gamma_recurrent(u0, p, 12).tobytes() == gammas.tobytes()
+
+
+def test_tables_hook_takes_column_subset(layers):
+    # the CLI builds tables of a few columns; a hook that raised on them
+    # would null the per-layer metrics of the traced cli workload
+    from collections import Counter
+
+    from pbessel import UniformMesh, build_u0, make_potential
+    from pbessel.coefficients import build_coefficient_tables
+
+    mesh = UniformMesh(np.pi, 501)
+    p = make_potential("x^2", mesh, 1.5)
+    t = build_coefficient_tables(build_u0(p), p, 12, columns=np.arange(mesh.m - 6, mesh.m))
+    c = Counter()
+    layers._tables((), {}, t, c)
+    assert c["coefficients.builds"] == 1
+    assert c["coefficients.tables_bytes"] == t.beta.nbytes + t.gamma.nbytes + 2 * 13 * 8

@@ -107,6 +107,62 @@ class TestTableLayout:
         assert small.gamma.tobytes() == large.gamma[:31].tobytes()
 
 
+#: the column-subset cases: (potential, l) at m = 2001, N = 60
+SUBSET_CASES = [("x^2", 1.5), ("x^2", -0.5), ("1/x", 1.0), ("const:1", 2.5)]
+
+
+class TestColumnSubset:
+    @pytest.mark.parametrize("spec,l", SUBSET_CASES)
+    def test_kept_columns_equal_full_build(self, spec, l):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential(spec, mesh, l)
+        u0 = build_u0(p)
+        betas, gammas = recurrent_tables(u0, p, 60)
+        strided = np.append(np.arange(0, mesh.m - 1, 7), mesh.m - 1)
+        for cols in (strided, np.array([mesh.m - 1])):
+            sub_b, sub_g = recurrent_tables(u0, p, 60, cols)
+            assert sub_b.shape == sub_g.shape == (61, cols.size)
+            assert sub_b.tobytes() == betas[:, cols].tobytes()
+            assert sub_g.tobytes() == gammas[:, cols].tobytes()
+
+    def test_tables_record_their_columns(self):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential("x^2", mesh, 1.5)
+        u0 = build_u0(p)
+        full = build_coefficient_tables(u0, p, N=30)
+        cols = [0, 500, 1996, 1997, 1998, 1999, 2000]
+        sub = build_coefficient_tables(u0, p, N=30, columns=cols)
+        assert full.columns is None
+        assert np.array_equal(sub.columns, cols) and not sub.columns.flags.writeable
+        assert not sub.beta.flags.writeable and not sub.gamma.flags.writeable
+        # the residuals read x = b, the last kept column, in both
+        assert sub.beta_residual.tobytes() == full.beta_residual.tobytes()
+        assert sub.gamma_residual.tobytes() == full.gamma_residual.tobytes()
+        assert (sub.N_opt, sub.converged) == (full.N_opt, full.converged)
+
+    @pytest.mark.parametrize(
+        "cols",
+        [[0, 10], [2000, 1999], [5, 5, 2000], [-1, 2000], [], [[2000]], [0.0, 2000.0]],
+        ids=["no-b", "unsorted", "repeated", "negative", "empty", "2-d", "float"],
+    )
+    def test_bad_columns(self, cols):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential("x^2", mesh, 1.5)
+        with pytest.raises(DomainError, match="columns"):
+            recurrent_tables(build_u0(p), p, 5, cols)
+
+    def test_breakdown_on_one_column_names_full_row_order(self):
+        # the finiteness check reads the full working row, so a build that
+        # keeps only x = b breaks down where the full build does
+        from pbessel.errors import NumericalBreakdownError
+
+        mesh = UniformMesh(30.0, 2001)
+        p = make_potential("1/x", mesh, -0.5)
+        with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
+            recurrent_tables(build_u0(p), p, 100, [mesh.m - 1])
+        assert exc.value.order == 78
+
+
 def plain_recurrence(u0, p, N):
     """The recurrences transcribed out of place, one temporary per term.
 

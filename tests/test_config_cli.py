@@ -442,3 +442,59 @@ N = 150
         assert main(["coeffs", "--config", str(cfg_file), "--emit-config"]) == 0
         emitted = capsys.readouterr().out
         assert parse_config(emitted) == parse_config(EX1)
+
+
+#: EX1 with the solve and sweep lists, so every command runs on it
+EX1_ALL = EX1 + """
+[solve]
+omegas = 0, 0.7, 2, 9.5
+xs = 0, 0.3, 1.5707963267948966, 2.71, 3.141592653589793
+
+[sweep]
+l_values = -0.5, 1.5
+"""
+
+
+def build_every_column(p, N, columns):
+    """The CLI's build on every mesh column, handed over as its ``columns`` subset."""
+    from pbessel.solution import build_solution
+
+    sol = build_solution(p, N)
+    t = sol.tables
+    kept = dataclasses.replace(
+        t, beta=t.beta[:, columns], gamma=t.gamma[:, columns], columns=np.asarray(columns)
+    )
+    return dataclasses.replace(sol, tables=kept)
+
+
+class TestKeptColumns:
+    """Each command builds only the table columns it reads, with unchanged output."""
+
+    @pytest.mark.parametrize("command", ["eigen", "coeffs", "solve", "decay-sweep"])
+    def test_outputs_equal_full_build(self, tmp_path, monkeypatch, command):
+        kept, full = tmp_path / "kept", tmp_path / "full"
+        kept.mkdir()
+        full.mkdir()
+        assert run_cli(kept, command, EX1_ALL) == 0
+        monkeypatch.setattr("pbessel.cli.build_solution", build_every_column)
+        assert run_cli(full, command, EX1_ALL) == 0
+        names = sorted(f.name for f in (kept / "out").iterdir())
+        assert names and names == sorted(f.name for f in (full / "out").iterdir())
+        for name in names:
+            assert (kept / "out" / name).read_bytes() == (full / "out" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("N", [30, 200])
+    def test_eigen_keeps_one_strip(self, tmp_path, monkeypatch, N):
+        from pbessel.solution import build_solution
+
+        built = []
+
+        def spy(p, N, columns):
+            sol = build_solution(p, N, columns=columns)
+            built.append(sol.tables)
+            return sol
+
+        monkeypatch.setattr("pbessel.cli.build_solution", spy)
+        assert run_cli(tmp_path, "eigen", EX1, "--N", str(N)) == 0
+        assert len(built) == 1 and built[0].N == N
+        assert built[0].beta.shape[1] <= 6 and built[0].gamma.shape[1] <= 6

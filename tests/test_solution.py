@@ -13,6 +13,7 @@ from pbessel.solution import (
     error_indicator,
     eval_u,
     eval_u_prime,
+    strip_columns,
 )
 
 MESH = UniformMesh(np.pi, 20001)
@@ -119,6 +120,51 @@ class TestLookup:
         assert eval_u(sol_xsq, float(omega[5]), float(x[9])) == u[9, 5]
         assert _series(sol_xsq, omega, x, du=False)[1] is None
         assert _series(sol_xsq, omega, x, u=False)[0] is None
+
+
+class TestColumnSubset:
+    """Tables that keep only some strips evaluate there exactly as full ones."""
+
+    @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("x^2", -0.5), ("1/x", 1.0), ("const:1", 2.5)])
+    def test_kept_x_bitwise_equal_to_full(self, spec, l):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential(spec, mesh, l)
+        full = build_solution(p, N=60)
+        xs = [0.3, 1.0, mesh.x[777], mesh.b - mesh.h / 3, mesh.b]
+        sub = build_solution(p, N=60, columns=strip_columns(mesh, xs))
+        assert sub.N_used == full.N_used
+        omega = np.array([0.0, 0.7, 2.0, 9.5, 31.0])
+        for x in xs:
+            assert eval_u(sub, omega, x).tobytes() == eval_u(full, omega, x).tobytes()
+            assert eval_u_prime(sub, omega, x).tobytes() == eval_u_prime(full, omega, x).tobytes()
+            assert error_indicator(sub, x) == error_indicator(full, x)
+        u_sub, du_sub = _series(sub, omega, xs)
+        u_full, du_full = _series(full, omega, xs)
+        assert u_sub.tobytes() == u_full.tobytes() and du_sub.tobytes() == du_full.tobytes()
+
+    def test_unkept_x_raises(self):
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential("x^2", mesh, 1.5)
+        sol = build_solution(p, N=20, columns=strip_columns(mesh, [1.0, mesh.b]))
+        eval_u(sol, 2.0, 1.0)
+        # 2.0 is far from every kept strip; 1.0 + 3h shares only part of one
+        for x in (2.0, 1.0 + 3 * mesh.h, 0.0):
+            with pytest.raises(DomainError, match="strip"):
+                eval_u(sol, 2.0, x)
+            with pytest.raises(DomainError, match="strip"):
+                eval_u_prime(sol, 2.0, x)
+        with pytest.raises(DomainError, match="strip"):
+            error_indicator(sol, 2.0)
+
+    def test_strip_columns(self):
+        mesh = UniformMesh(np.pi, 2001)
+        assert np.array_equal(strip_columns(mesh, mesh.b), np.arange(mesh.m - 6, mesh.m))
+        assert np.array_equal(strip_columns(mesh, []), [mesh.m - 1])
+        # the strip at 0 is clamped to the first six columns; two x share one strip
+        cols = strip_columns(mesh, [0.0, mesh.x[100], mesh.x[100] + mesh.h / 4])
+        assert np.array_equal(cols, [0, 1, 2, 3, 4, 5, 97, 98, 99, 100, 101, 102, mesh.m - 1])
+        with pytest.raises(DomainError):
+            strip_columns(mesh, [4.0])
 
 
 class TestAgainstShooting:
