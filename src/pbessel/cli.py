@@ -29,6 +29,7 @@ digit floats, and is byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -130,20 +131,29 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write(path: Path, lines: list[str]) -> None:
+def _write(path: Path, lines) -> None:
+    """Write each of ``lines`` (any iterable of str), newline-ended, through one open file."""
     try:
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+#: CSV rows formatted at a time, so writing a file takes memory of one block, not of the file
+_CSV_BLOCK_ROWS = 2048
+
+
 def _write_csv(path: Path, provenance: list[str], header: str, rows) -> None:
-    # one %-format over the flattened rows; "%.17g" renders exactly as _fmt
+    # one %-format per block of rows; "%.17g" renders exactly as _fmt
     ncol = header.count(",") + 1
     vals = np.asarray(rows, dtype=float).reshape(-1, ncol)
-    line = ",".join(["%.17g"] * ncol) + "\n"
-    body = (line * vals.shape[0] % tuple(vals.ravel().tolist()))[:-1]
-    _write(path, provenance + [header] + ([body] if body else []))
+    line = ",".join(["%.17g"] * ncol)
+    blocks = (vals[i : i + _CSV_BLOCK_ROWS] for i in range(0, len(vals), _CSV_BLOCK_ROWS))
+    text = ("\n".join([line] * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    _write(path, itertools.chain(provenance, [header], text))
 
 
 def _fit_or_none(values: np.ndarray, n_lo: int, n_hi: int):

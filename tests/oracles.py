@@ -3,14 +3,17 @@
 Everything here is computed from defining series or textbook formulas in
 mpmath, independent of the library code paths under test.  Expensive
 values are frozen as module constants; the generating functions stay
-next to them so any constant can be recomputed on demand.  The one
-exception, ``extended_direct_reference``, is the library's own
-extended-precision direct route, cached so the several tests that compare
-against it build each reference once per session.
+next to them so any constant can be recomputed on demand.  The exact
+eigenvalues of a constant potential come from scipy's Bessel zeros and
+evaluators, not from the library.  The one exception,
+``extended_direct_reference``, is the library's own extended-precision
+direct route, cached so the several tests that compare against it build
+each reference once per session.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
@@ -186,3 +189,35 @@ def extended_direct_reference(l: float) -> tuple[np.ndarray, np.ndarray]:
     gd = refs[160001][1] + (refs[160001][1] - refs[80001][1]) / 3.0
     bd.flags.writeable = gd.flags.writeable = False
     return bd, gd
+
+
+@lru_cache(maxsize=None)
+def const_c_eigenvalues(c: float, b: float, kind: str, omega_max: float) -> tuple[float, ...]:
+    """Exact eigenvalues omega <= omega_max of q = c >= 0 at l = 3/2 on [0, b].
+
+    With k^2 = omega^2 - c the regular solution is u = sqrt(x) J_2(k x), and
+    for c >= 0 every eigenvalue has real k.  Dirichlet: J_2(k b) = 0, so k b
+    is a zero of J_2.  Neumann: u' = x^{-1/2} ((1/2) J_2(t) + t J_2'(t)) at
+    t = k x, whose roots in t are bracketed on a grid of step ~0.05 (they
+    are ~pi apart) and refined by Brent's method to a few ulp.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import jn_zeros, jv, jvp
+
+    t_max = b * math.sqrt(omega_max**2 - c)
+    if kind == "dirichlet":
+        t = jn_zeros(2, int(t_max / math.pi) + 2)
+    else:
+
+        def f(t):
+            return 0.5 * jv(2, t) + t * jvp(2, t)
+
+        grid = np.linspace(0.1, t_max + 1.0, int(20 * t_max) + 40)
+        fg = f(grid)
+        t = np.array([
+            brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], fg[:-1], fg[1:])
+            if flo * fhi < 0
+        ])
+    omega = np.sqrt((t / b) ** 2 + c)
+    return tuple(omega[omega <= omega_max].tolist())

@@ -225,7 +225,7 @@ class TestImport:
             "print(main(['coeffs', '--config', cfg, '--out', out + '/c']), loaded())\n"
             "print(main(['decay-sweep', '--config', cfg, '--out', out + '/d']), loaded())\n"
             "sol = build_solution(make_potential('x^2', UniformMesh(np.pi, 2001), 1.5), N=30)\n"
-            "eval_u(sol, 0.6, np.linspace(0.0, np.pi, 7))\n"
+            "[eval_u(sol, 0.6, x) for x in np.linspace(0.0, np.pi, 7)]\n"
             "print(loaded())\n"
             "print(main(['eigen', '--config', cfg, '--out', out + '/e']), loaded())\n"
         )
@@ -498,3 +498,57 @@ class TestKeptColumns:
         assert run_cli(tmp_path, "eigen", EX1, "--N", str(N)) == 0
         assert len(built) == 1 and built[0].N == N
         assert built[0].beta.shape[1] <= 6 and built[0].gamma.shape[1] <= 6
+
+
+def one_shot_csv(path, provenance, header, rows):
+    """The whole-file CSV formatter the block writer replaced: the byte reference."""
+    ncol = header.count(",") + 1
+    vals = np.asarray(rows, dtype=float).reshape(-1, ncol)
+    line = ",".join(["%.17g"] * ncol) + "\n"
+    body = (line * vals.shape[0] % tuple(vals.ravel().tolist()))[:-1]
+    path.write_text("\n".join(provenance + [header] + ([body] if body else [])) + "\n")
+
+
+def coefficient_rows(N):
+    """(N+1, 202, 4) rows shaped like ``coefficients.csv``, with values over many decades."""
+    rng = np.random.default_rng(N)
+    shape = (N + 1, 202, 4)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+
+class TestCsvWriter:
+    """The CSV writer formats and writes fixed blocks of rows through one open file."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [coefficient_rows(30), coefficient_rows(30)[:, :1], [(1, 2.5, -0.0, np.inf)], []],
+        ids=["blocks", "part-block", "one-row", "no-rows"],
+    )
+    def test_bytes_equal_one_shot(self, tmp_path, rows):
+        from pbessel.cli import _write_csv
+
+        prov = ["# config_sha256 = abc", "# N = 30"]
+        _write_csv(tmp_path / "block.csv", prov, "n,x,beta_n,gamma_n", rows)
+        one_shot_csv(tmp_path / "one.csv", prov, "n,x,beta_n,gamma_n", rows)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        import tracemalloc
+
+        from pbessel.cli import _write_csv
+
+        peaks = []
+        for N in (100, 200):
+            rows = coefficient_rows(N)
+            tracemalloc.start()
+            _write_csv(tmp_path / f"c{N}.csv", ["# p"], "n,x,beta_n,gamma_n", rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # slack of one 2048-row block of four float64; the one-shot writer grew ~5 MB per 100 orders
+        assert peaks[1] <= peaks[0] + 2048 * 4 * 8
+
+    def test_unwritable_path_is_config_error(self, tmp_path):
+        from pbessel.cli import _write_csv
+
+        with pytest.raises(ConfigError, match="cannot write"):
+            _write_csv(tmp_path / "missing" / "c.csv", ["# p"], "a,b", [(1.0, 2.0)])

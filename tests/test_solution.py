@@ -1,5 +1,8 @@
 """Truncated solution evaluation: omega = 0 identities, oracles, uniformity."""
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,26 @@ def sol_xsq():
 def sol_free():
     # q = 0, l = 0: u = sin(omega x)/omega exactly
     return build_solution(make_potential("zero", UniformMesh(np.pi, 2001), 0.0), N=10)
+
+
+def small_solution():
+    return build_solution(make_potential("x^2", UniformMesh(np.pi, 2001), 1.5), N=30)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Sizes of the Bessel sweeps evaluation runs, one entry per sweep."""
+    import pbessel.solution
+
+    sizes = []
+    inner = pbessel.solution.spherical_j_sequence
+
+    def counting(n_max, z):
+        sizes.append(np.size(z))
+        return inner(n_max, z)
+
+    monkeypatch.setattr(pbessel.solution, "spherical_j_sequence", counting)
+    return sizes
 
 
 class TestOmegaZero:
@@ -267,6 +290,23 @@ class TestDomain:
         with pytest.raises(DomainError):
             eval_u_prime(sol_free, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "x", [np.array([1.0, 2.0]), np.array([[1.0]]), np.array([])], ids=["two-x", "2-d", "empty"]
+    )
+    def test_x_not_scalar(self, monkeypatch, x):
+        # eval_u(sol, 2.0, [1.0, 2.0]) once returned u at x = 1 alone
+        sol = small_solution()
+
+        def no_work(*args):
+            raise AssertionError("work done before the x check")
+
+        monkeypatch.setattr("pbessel.solution._coeff_values_at", no_work)
+        monkeypatch.setattr("pbessel.solution.spherical_j_sequence", no_work)
+        for call in (lambda: eval_u(sol, 2.0, x), lambda: eval_u_prime(sol, 2.0, x),
+                     lambda: error_indicator(sol, x)):
+            with pytest.raises(DomainError, match="scalar"):
+                call()
+
     def test_n_used_bounds(self, sol_free):
         from pbessel.solution import NsbfSolution
 
@@ -277,3 +317,76 @@ class TestDomain:
                 tables=sol_free.tables,
                 N_used=99,
             )
+
+
+class TestSharedSweep:
+    """u and u' at one (omega, x) share one Bessel sweep, with the bits of two."""
+
+    OMEGA = np.array([0.0, 0.7, 2.0, 9.5, 31.0, 55.5])
+    X = 1.2345
+
+    @pytest.mark.parametrize("u_first", [True, False], ids=["u-first", "du-first"])
+    def test_one_sweep_for_both(self, sweeps, u_first):
+        sol = small_solution()
+        first, second = [eval_u, eval_u_prime] if u_first else [eval_u_prime, eval_u]
+        got = {first: first(sol, self.OMEGA, self.X)}
+        # threads share the held arrays, so nothing may write to them
+        (held,) = sol._last_sweep.values()
+        assert not any(a.flags.writeable for a in held[1:])
+        got[second] = second(sol, self.OMEGA, self.X)
+        assert sweeps == [self.OMEGA.size]
+        assert not sol._last_sweep  # the pair used the entry up
+        u, du = _series(sol, self.OMEGA, self.X)
+        assert got[eval_u].tobytes() == u[0].tobytes()
+        assert got[eval_u_prime].tobytes() == du[0].tobytes()
+        assert got[eval_u].tobytes() == eval_u(small_solution(), self.OMEGA, self.X).tobytes()
+        fresh_du = eval_u_prime(small_solution(), self.OMEGA, self.X)
+        assert got[eval_u_prime].tobytes() == fresh_du.tobytes()
+        assert eval_u(sol, 9.5, self.X) == u[0, 3]
+
+    @pytest.mark.parametrize("change", ["omega", "x", "N_used"])
+    def test_new_point_new_sweep(self, sweeps, change):
+        sol = small_solution()
+        eval_u(sol, self.OMEGA, self.X)
+        omega, x, other = self.OMEGA, self.X, sol
+        if change == "omega":
+            omega = self.OMEGA + 0.25
+        elif change == "x":
+            x = np.nextafter(self.X, 2.0)
+        else:
+            other = dataclasses.replace(sol, N_used=20)
+        got = eval_u_prime(other, omega, x)
+        assert len(sweeps) == 2
+        fresh = small_solution()
+        if change == "N_used":
+            fresh = dataclasses.replace(fresh, N_used=20)
+        assert got.tobytes() == eval_u_prime(fresh, omega, x).tobytes()
+
+    def test_x_vector_stores_no_entry(self, sweeps):
+        sol = small_solution()
+        _series(sol, self.OMEGA, [self.X, 2.5])
+        assert not sol._last_sweep
+        eval_u(sol, self.OMEGA, self.X)
+        assert len(sweeps) == 2
+
+    def test_threads_get_serial_results(self):
+        xs = np.linspace(0.1, np.pi, 24)
+        ref = small_solution()
+        serial = [(eval_u(ref, self.OMEGA, x), eval_u_prime(ref, self.OMEGA, x)) for x in xs]
+        sol = small_solution()
+        got = [None] * xs.size
+        start = threading.Barrier(2)
+
+        def run(first):
+            start.wait()
+            for k in range(first, xs.size, 2):
+                got[k] = (eval_u(sol, self.OMEGA, xs[k]), eval_u_prime(sol, self.OMEGA, xs[k]))
+
+        threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in range(xs.size):
+            assert got[k][0].tobytes() == serial[k][0].tobytes()
+            assert got[k][1].tobytes() == serial[k][1].tobytes()

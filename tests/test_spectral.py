@@ -1,5 +1,6 @@
 """Eigenvalue search and decay fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,8 @@ class TestCharacteristic:
     def test_one_sweep_per_call(self, sol_example1, monkeypatch, bc):
         import pbessel.solution
 
+        # a fresh copy: the shared fixture may hold another case's sweep at these omegas
+        sol = dataclasses.replace(sol_example1)
         sweeps = []
         inner = pbessel.solution.spherical_j_sequence
 
@@ -100,8 +103,8 @@ class TestCharacteristic:
             return inner(n_max, z)
 
         monkeypatch.setattr(pbessel.solution, "spherical_j_sequence", counting)
-        prob = SpectralProblem(sol_example1.potential, bc, (2.0, 51.2))
-        characteristic(sol_example1, prob, np.linspace(2.0, 51.2, 33))
+        prob = SpectralProblem(sol.potential, bc, (2.0, 51.2))
+        characteristic(sol, prob, np.linspace(2.0, 51.2, 33))
         assert sweeps == [33]
 
     def test_domain(self, sol_free_l0):
@@ -197,6 +200,33 @@ class TestFindEigenvalues:
         for i in idx:
             ref = shoot_eigenvalue_near(q, 1.5, np.pi, pairs[i].omega)
             assert abs(pairs[i].omega - ref) < 1e-8
+
+
+class TestExactConstantPotential:
+    """q = 1 at l = 3/2: exact eigenvalues from the zeros of J_2, below shooting's floor."""
+
+    @pytest.fixture(scope="class")
+    def sol_const1(self):
+        return build_solution(make_potential("const:1", MESH, 1.5), N=100)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_window_against_exact(self, sol_const1, kind):
+        window = (2.0, 51.2)
+        exact = np.array([w for w in oracles.const_c_eigenvalues(1.0, np.pi, kind, window[1])
+                          if w >= window[0]])
+        assert exact.size == 49
+        # the lowest eigenvalue (Dirichlet 1.916) lies below the window, so
+        # Eigenpair.index does not count from it: match the roots by value
+        prob = SpectralProblem(sol_const1.potential, BoundaryCondition(kind), window)
+        pairs = find_eigenvalues(sol_const1, prob)
+        got = np.array([p.omega for p in pairs])
+        nearest = np.abs(got[:, None] - exact[None, :]).argmin(axis=1)
+        assert np.array_equal(nearest, np.arange(exact.size))  # one root per exact root
+        err = np.abs(got - exact)
+        # measured worst 1.96e-11 (Dirichlet) and 1.99e-11 (Neumann), set by table noise
+        # (ROADMAP item 14); at the first root 5.3e-15 and 6.2e-15
+        assert err.max() <= 5e-11
+        assert err[0] <= 1e-13
 
 
 class CountingPhi:
