@@ -22,7 +22,9 @@ sweep gives u, u' or both, at a vector of omega and, in the private kernel,
 of x too (z is their outer product).
 
 A solution hands the Bessel data of a one-x evaluation on to its next
-one: the rows j_{2n}(z), n <= N_used, and S_l(z), keyed by the bytes of z.
+one: the rows j_{2n}(z), n <= N_used, S_l(z) and D_l(z), keyed by the bytes
+of z; S_l and D_l come from one call, which shares their J_{l-1/2},
+J_{l+1/2} pair.
 So :func:`eval_u` and :func:`eval_u_prime` at the same (omega, x) share one
 sweep, with the same bits as two.  The next one-x call takes the entry
 whether or not it matches, so after such a pair nothing is held (an entry
@@ -42,7 +44,8 @@ import numpy as np
 from .coefficients import CoefficientTables, build_coefficient_tables
 from .errors import DomainError
 from .mesh import UniformMesh
-from .special import bl_prime_scaled, bl_scaled, spherical_j_sequence
+# bl_scaled and bl_prime_scaled stay importable here: bench/layers.py traces them by name
+from .special import _leading_scaled, bl_prime_scaled, bl_scaled, spherical_j_sequence  # noqa: F401
 from .spps import ParticularSolution, Potential, build_u0
 
 __all__ = [
@@ -62,7 +65,8 @@ class NsbfSolution:
     ``N_used`` is the truncation actually applied when evaluating; it
     never exceeds ``tables.N``, and :func:`build_solution` sets it to the
     plateau-selected ``tables.N_opt``.  ``_last_sweep`` holds the Bessel
-    data a one-x evaluation leaves for the next (see the module docstring);
+    data a one-x evaluation leaves for the next, j_{2n}, S_l and D_l (see the
+    module docstring);
     it is private, takes no part in init, repr or comparison, and a copy
     made by ``dataclasses.replace`` starts with it empty.
     """
@@ -161,8 +165,8 @@ def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) ->
     return tuple((f[..., window if f.shape[-1] == m else pos] * w).sum(axis=-1) for f in families)
 
 
-def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j_{2n}(z), n <= N_used, along a new last axis, and S_l(z), at z = outer(x, omega).
+def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j_{2n}(z), n <= N_used, along a new last axis, S_l(z) and D_l(z), at z = outer(x, omega).
 
     A one-x call takes the entry the last one-x call left: it reuses it if
     the bytes of z match, drops it either way (before any new sweep, so two
@@ -176,11 +180,11 @@ def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (len(x), len(omega), N+1), a view of the even rows of the sweep
     rows = spherical_j_sequence(2 * sol.N_used, z.ravel())[0::2]
     jeven = rows.T.reshape(*z.shape, sol.N_used + 1)
-    s = bl_scaled(sol.l, z.ravel()).reshape(z.shape)
+    s, d = (a.reshape(z.shape) for a in _leading_scaled(sol.l, z.ravel(), "_sweep"))
     if key is not None:
-        jeven.flags.writeable = s.flags.writeable = False
-        sol._last_sweep["z"] = (key, jeven, s)
-    return jeven, s
+        jeven.flags.writeable = s.flags.writeable = d.flags.writeable = False
+        sol._last_sweep["z"] = (key, jeven, s, d)
+    return jeven, s, d
 
 
 def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tuple:
@@ -199,7 +203,7 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     families = ([t.beta[:n]] if u else []) + ([t.gamma[:n], sol.potential.Q.values] if du else [])
     coeffs = _coeff_values_at(sol, xs, *families)
     z = np.multiply.outer(xs, om)
-    jeven, s = _sweep(sol, z)
+    jeven, s, d = _sweep(sol, z)
     signs = (-1.0) ** np.arange(n)
 
     # summed along the contiguous last axis of the product, so the order of
@@ -214,7 +218,6 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     out_du = None
     if du:
         gamma, Q = coeffs[-2:]
-        d = bl_prime_scaled(l, z.ravel()).reshape(z.shape)
         out_du = xl * d + 0.5 * Q[:, None] * xl1 * s + series(gamma)
     return out_u, out_du
 

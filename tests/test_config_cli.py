@@ -211,28 +211,34 @@ class TestImport:
         )
         assert run_fresh(code) == ["False", "False", "False", "True"]
 
-    def test_scipy_special_loads_on_first_large_argument(self, tmp_path):
-        # coeffs, decay-sweep and small-argument evaluation never need J_nu
-        # of non-integer order, so scipy.special stays unloaded until eigen
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(EX1 + "\n[sweep]\nl_values = 0.5, 1.5\n")
+    def test_cli_never_loads_scipy_special(self, tmp_path):
+        # J_nu of non-integer order comes from pbessel.special itself, so no
+        # command and no evaluation, at any argument, loads scipy.special
+        small = EX1 + "\n[solve]\nomegas = 0, 20, 600\nxs = 0.5, 3\n[sweep]\nl_values = 0.5, 1.5\n"
+        neumann = EX1.replace("dirichlet", "neumann").replace("omega_max = 4.0", "omega_max = 12.0")
+        (tmp_path / "small.cfg").write_text(small)
+        (tmp_path / "neumann.cfg").write_text(neumann)
         code = (
             "import sys, numpy as np\n"
-            "from pbessel import build_solution, eval_u, make_potential, UniformMesh\n"
+            "import pbessel\n"
+            "from pbessel import build_solution, eval_u, eval_u_prime, make_potential, UniformMesh\n"
             "from pbessel.cli import main\n"
-            "cfg, out = sys.argv[1:]\n"
+            "d = sys.argv[1]\n"
             "loaded = lambda: 'scipy.special' in sys.modules\n"
-            "print(main(['coeffs', '--config', cfg, '--out', out + '/c']), loaded())\n"
-            "print(main(['decay-sweep', '--config', cfg, '--out', out + '/d']), loaded())\n"
-            "sol = build_solution(make_potential('x^2', UniformMesh(np.pi, 2001), 1.5), N=30)\n"
-            "[eval_u(sol, 0.6, x) for x in np.linspace(0.0, np.pi, 7)]\n"
             "print(loaded())\n"
-            "print(main(['eigen', '--config', cfg, '--out', out + '/e']), loaded())\n"
+            "print(main(['eigen', '--out', d + '/e']), loaded())\n"
+            "print(main(['eigen', '--config', d + '/neumann.cfg', '--out', d + '/n']), loaded())\n"
+            "for cmd in ('solve', 'coeffs', 'decay-sweep'):\n"
+            "    print(main([cmd, '--config', d + '/small.cfg', '--out', d + '/' + cmd]), loaded())\n"
+            "sol = build_solution(make_potential('x^2', UniformMesh(np.pi, 2001), 1.5), N=30)\n"
+            "omega = np.geomspace(0.5, 2000.0 / np.pi, 40)\n"
+            "for x in np.linspace(0.0, np.pi, 7):\n"
+            "    eval_u(sol, omega, x), eval_u_prime(sol, omega, x)\n"
+            "print(float(omega[-1] * np.pi), loaded())\n"
         )
-        assert run_fresh(code, str(cfg_file), str(tmp_path)) == [
-            "0", "False", "0", "False", "False", "0", "True"
+        assert run_fresh(code, str(tmp_path)) == [
+            "False", "0", "False", "0", "False", "0", "False", "0", "False", "0", "False", "2000.0", "False"
         ]
-
 
     def test_all_lists_resolve(self):
         # a stale __all__ entry breaks star-imports, with no error at import time

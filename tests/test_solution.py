@@ -344,6 +344,21 @@ class TestSharedSweep:
         assert got[eval_u_prime].tobytes() == fresh_du.tobytes()
         assert eval_u(sol, 9.5, self.X) == u[0, 3]
 
+    def test_entry_holds_the_leading_terms(self):
+        # S_l and D_l come from one call; each equals its public function's
+        # result bit for bit, on both sides of the Miller / Hankel split at 25
+        from pbessel.special import bl_prime_scaled, bl_scaled
+
+        sol = small_solution()
+        omega = np.concatenate([self.OMEGA, [20.0, 20.5, 40.0]])
+        eval_u(sol, omega, self.X)
+        (held,) = sol._last_sweep.values()
+        key, _, s, d = held
+        z = np.frombuffer(key)
+        assert z.max() > 25.0 > z[z > 0].min()
+        assert s.ravel().tobytes() == bl_scaled(sol.l, z).tobytes()
+        assert d.ravel().tobytes() == bl_prime_scaled(sol.l, z).tobytes()
+
     @pytest.mark.parametrize("change", ["omega", "x", "N_used"])
     def test_new_point_new_sweep(self, sweeps, change):
         sol = small_solution()

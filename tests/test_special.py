@@ -3,8 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn, jv
 
 from pbessel import (
@@ -225,6 +228,62 @@ class TestBl:
         v = bl_scaled(200.0, 2.5)
         assert np.isfinite(v)
         assert abs(v - 1.0) < 0.01  # deep inside the series region, S ~ 1
+
+
+def _z_star(l):
+    return max(2.0, math.sqrt(3.0 * (l + 1.5)))
+
+
+class TestLargeArgumentOracle:
+    # S_l and D_l past the series region (Miller's sweep below z = 25 or
+    # 2 nu, Hankel's expansion above) against mpmath's J_nu at 30 digits.
+    # The error is measured against the envelope of S_l,
+    # 2^{l+1/2} Gamma(l+3/2) sqrt(2/pi) z^{-l-1}, and z times it for D_l.
+    @staticmethod
+    def exact(l, z):
+        with mpmath.workdps(30):
+            nu, zz = mpmath.mpf(l) + 0.5, mpmath.mpf(z)
+            scale = mpmath.mpf(2) ** nu * mpmath.gamma(nu + 1)
+            j_nu, j_lo = mpmath.besselj(nu, zz), mpmath.besselj(nu - 1, zz)
+            s = scale * zz ** (-nu) * j_nu
+            d = scale * zz ** (-l) * (mpmath.sqrt(zz) * j_lo - l * j_nu / mpmath.sqrt(zz))
+            return float(s), float(d)
+
+    @pytest.mark.parametrize("l", [-0.5, -0.3, 0.0, 0.2, 0.5, 1.0, 1.5, 2.3, 7.5, 25.5])
+    def test_against_mpmath(self, l):
+        z_star = _z_star(l)
+        z = list(np.geomspace(z_star * (1 + 1e-9), 2000.0, 40))
+        for edge in (25.0, 2.0 * (l + 0.5)):
+            if edge > z_star:
+                z += [edge * 0.999, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), edge * 1.001]
+        z = np.array(sorted(z))
+        envelope = _scale(l) * math.sqrt(2.0 / math.pi) * z ** (-l - 1.0)
+        exact = np.array([self.exact(l, v) for v in z])
+        s_err = np.max(np.abs(bl_scaled(l, z) - exact[:, 0]) / envelope)
+        d_err = np.max(np.abs(bl_prime_scaled(l, z) - exact[:, 1]) / (z * envelope))
+        bound = 1e-14 if l <= 7.5 else 1e-13
+        assert s_err <= bound and d_err <= bound, (s_err, d_err)
+
+
+class TestLargeArgumentBits:
+    # a vector call equals its scalar calls bit for bit, whichever branch
+    # (series, Miller or Hankel) each entry takes
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l=st.floats(-0.5, 30.0),
+        picks=st.lists(
+            st.tuples(st.sampled_from(["z_star", "hankel", "two_nu"]), st.floats(-0.05, 0.05)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_vector_equals_scalar_calls(self, l, picks):
+        edges = {"z_star": _z_star(l), "hankel": 25.0, "two_nu": max(2.0 * (l + 0.5), 0.5)}
+        z = np.array([edges[name] * (1.0 + rel) for name, rel in picks])
+        z = np.concatenate([z, np.nextafter(z, 0.0), np.nextafter(z, np.inf)])
+        for f in (bl_scaled, bl_prime_scaled):
+            vec = f(l, z)
+            assert vec.tobytes() == np.array([f(l, float(v)) for v in z]).tobytes()
 
 
 class TestGammaRatios:

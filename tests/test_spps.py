@@ -134,6 +134,21 @@ class TestBuildU0:
         with pytest.raises(NonVanishingError):
             build_u0(p)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: at large l, u0 near the origin dips (x^2, "
+        "m=20001: w(h) = 0.849 at l=10.5) and turns non-positive from l=12.5 "
+        "on, a false NonVanishingError; the likely cause is the first quintic "
+        "panel of B = cum(s^{2l+2} q w), divided by x^{2l+1}",
+    )
+    def test_large_l_u0_near_origin(self):
+        # q = x^2 > 0 keeps u0 positive on (0, b], and w = u0/x^{l+1} = 1 + O(x^4)
+        mesh = UniformMesh(np.pi, 20001)
+        u0 = build_u0(make_potential("x^2", mesh, 10.5))
+        w_h = u0.u0.values[1] / mesh.x[1] ** 11.5
+        assert abs(w_h - 1.0) <= 1e-12
+        build_u0(make_potential("x^2", mesh, 12.5))
+
     def test_convergence_error(self, monkeypatch):
         mesh = UniformMesh(np.pi, 501)
         p = make_potential("x^2", mesh, 1.0)
