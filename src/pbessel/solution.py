@@ -139,7 +139,10 @@ def strip_columns(mesh: UniformMesh, x) -> np.ndarray:
     is evaluated only at ``x`` (and at b, which the residuals read).
     """
     j0, _ = _quintic_weights(mesh, _check_x(mesh.b, x))
-    return np.union1d((j0[:, None] + _NODES).ravel(), [mesh.m - 1])
+    keep = np.zeros(mesh.m, dtype=bool)  # a mask, not np.union1d, which imports numpy.ma
+    keep[(j0[:, None] + _NODES).ravel()] = True
+    keep[-1] = True
+    return np.flatnonzero(keep)
 
 
 def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) -> tuple:

@@ -22,11 +22,19 @@ J_nu(z), nu = l + 1/2, computed here with numpy alone, in two branches
   sin of z - (alpha/2 + 1/4) pi come from cos z and sin z by angle
   addition, because forming the shifted argument first costs eps * z
   (1e-13 of the envelope at z = 2000);
-- everywhere else, Miller's backward recurrence in J_{phi+k} runs from a
-  start order set by l alone and is normalized by the Neumann sum
-  (z/2)^phi = sum_k (phi+2k) Gamma(phi+k)/k! J_{phi+2k}(z).  The sum runs
-  row by row (``np.add.accumulate``), never through ``@`` or a pairwise
-  reduction, so a vector call equals its scalar calls bit for bit.
+- everywhere else, Miller's backward recurrence in J_{phi+k} is
+  normalized by the Neumann sum (z/2)^phi = sum_k (phi+2k) Gamma(phi+k)/k!
+  J_{phi+2k}(z).  The sum runs row by row (``np.add.accumulate``), never
+  through ``@`` or a pairwise reduction, so a vector call equals its scalar
+  calls bit for bit.
+
+Both backward recurrences start at an order set per argument, s(n, ceil z)
+from one cached table per order n (``_start_table``): Zhang & Jin's MSTA2
+rule (Computation of Special Functions, 1996, as in their SPHJ and JYNB),
+chosen so that the orders up to n come out to 15 digits.  A vector call runs one
+loop from its highest start; a column with a lower start holds exact zeros
+above it and takes the seed there, and rescales and sums on its own
+schedule, so it too equals its scalar call bit for bit.
 
 S_l = e^c z^{-nu} J_nu and D_l + l S_l = e^c z^{1-nu} J_{nu-1}, c = log(2^nu
 Gamma(nu+1)), with the power of z from pow unless the product underflows
@@ -65,11 +73,54 @@ __all__ = [
 _SMALL_Z = 1e-2          # below this, the two-term ascending series is exact to eps
 _RESCALE_AT = 2.0**700   # rescale trigger inside the backward recurrence
 _RESCALE_BY = 2.0**-700  # exact, so rescaling never changes the rounding
+_SEED = 1e-250           # value at its start order of every backward recurrence
 
 
-def _miller_offset(n_max: int) -> int:
-    # Safe start order for the backward recurrence; generous for n_max <= ~400.
-    return int(math.ceil(1.5 * math.sqrt(40.0 * max(n_max, 1)))) + 20
+def _envj(n, z):
+    # Zhang & Jin's ENVJ: -log10 of (e z/(2n))^n / sqrt(2 pi n), the envelope
+    # of |J_n(z)|, with e/2 rounded up to 1.36; a lower bound on -log10|J_n(z)|
+    return 0.5 * np.log10(6.28 * n) - n * np.log10(1.36 * z / n)
+
+
+@lru_cache(maxsize=32)
+def _start_table(n: int) -> np.ndarray:
+    """Start orders s(n, c) of a backward recurrence, c = 0..max(25, 2n).
+
+    A sweep over orders 0..n at argument z starts at s(n, ceil(z)).  s is
+    Zhang & Jin's MSTA2 with 15 digits (Computation of Special Functions,
+    1996, as in their SPHJ and JYNB): the smallest m with ENVJ(m, c) >= 15,
+    or >= ENVJ(n, c) + 7.5 where J_n(c) is already below 10^-7.5, plus 10.
+    It never decreases in c and always exceeds n + 10.
+    """
+    c = np.maximum(np.arange(max(25, 2 * n) + 1.0), 1.0)  # c = 0 shares c = 1's start
+    target = np.maximum(15.0, 7.5 + _envj(n, c))
+    # ENVJ(m, c) rises in m from m = max(n, 1.1 c), where it is below the
+    # target, and reaches it by 2 lo + 40; bisect over the integers between
+    lo = np.maximum(float(n), np.floor(1.1 * c))
+    hi = 2.0 * lo + 40.0
+    while (hi - lo > 1.0).any():
+        mid = np.floor(0.5 * (lo + hi))
+        ok = _envj(mid, c) >= target
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    out = np.maximum.accumulate(hi.astype(np.intp) + 10)
+    out.flags.writeable = False  # cached: every caller shares it
+    return out
+
+
+def _miller_starts(n: int, z: np.ndarray) -> tuple[int, dict, int]:
+    """(top, seeds, s_max) of a vector backward recurrence over orders 0..n at z.
+
+    top is the highest start among z, where the shared loop begins; seeds
+    maps each start s to the columns that start there (grouped without
+    np.unique); s_max is the largest start of the order, which the rescale
+    schedules use so that they do not depend on the other columns of a call.
+    """
+    table = _start_table(n)
+    start = table[np.ceil(z).astype(np.intp)]
+    order = np.argsort(start, kind="stable")
+    s = start[order]
+    edges = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), s.size]
+    return int(s[-1]), {int(s[a]): order[a:b] for a, b in zip(edges, edges[1:])}, int(table[-1])
 
 
 def _jseq_forward(n_max: int, z: np.ndarray) -> np.ndarray:
@@ -96,21 +147,28 @@ def _jseq_series(n_max: int, z: np.ndarray) -> np.ndarray:
 
 
 def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
-    m_start = n_max + _miller_offset(n_max)
-    # |f_{n-1}| <= (2n+1)/z |f_n| + |f_{n+1}|: a step grows the two live rows
-    # by at most g_max (z > _SMALL_Z here).  Checked every k steps, g_max^k <
-    # 2^323, nothing passes 2^1024 (float64 max) from 2^700 between checks; k
-    # depends on n_max alone, so each column rescales as it would on its own.
-    g_max = (2 * m_start + 1) / _SMALL_Z + 1.0
+    top, seeds, s_max = _miller_starts(n_max, z)
+    # One loop from the highest start; a column whose own start s is lower
+    # holds exact zeros above s and takes the seed at s, so every column sees
+    # the arithmetic it would alone.  |f_{n-1}| <= (2n+1)/z |f_n| + |f_{n+1}|:
+    # a step grows the two live rows by at most g_max (z > _SMALL_Z here).
+    # Checked every k steps, g_max^k < 2^323, nothing passes 2^1024 (float64
+    # max) from 2^700 between checks; k depends on n_max alone, so each column
+    # rescales as it would on its own.
+    g_max = (2 * s_max + 1) / _SMALL_Z + 1.0
     k = max(1, int(323.0 / math.log2(g_max)))
-    coef = list(np.divide.outer(2.0 * np.arange(m_start + 1) + 1.0, z))  # (2n+1)/z
-    f = np.empty((m_start + 2, z.size))
-    f[m_start:] = [[1e-250], [0.0]]  # f_{m_start}, f_{m_start+1}
+    coef = list(np.divide.outer(2.0 * np.arange(top + 1) + 1.0, z))  # (2n+1)/z
+    f = np.zeros((top + 2, z.size))
+    f[top, seeds[top]] = _SEED
     rows = list(f)
-    for n in range(m_start, 0, -1):
+    mul, sub = np.multiply, np.subtract
+    for n in range(top, 0, -1):
         row = rows[n - 1]
-        np.multiply(coef[n], rows[n], out=row)
-        np.subtract(row, rows[n + 1], out=row)
+        mul(coef[n], rows[n], row)
+        sub(row, rows[n + 1], row)
+        cols = seeds.get(n - 1)
+        if cols is not None:
+            row[cols] = _SEED
         if n % k == 0:
             live = np.abs(f[n - 1 : n + 1]).max(axis=0)
             if live.max() > _RESCALE_AT:
@@ -123,6 +181,12 @@ def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
     use_j1 = np.abs(j1) > np.abs(j0)
     scale = np.where(use_j1, j1, j0) / np.where(use_j1, f[1], f[0])
     return f[: n_max + 1] * scale
+
+
+def _jseq_zero(n_max: int, z: np.ndarray) -> np.ndarray:
+    out = np.zeros((n_max + 1, z.size))
+    out[0] = 1.0
+    return out
 
 
 def spherical_j_sequence(n_max: int, z) -> np.ndarray:
@@ -143,9 +207,11 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
     Notes
     -----
     For |z| >= n_max the upward recurrence is stable and used directly;
-    for 0 < |z| < n_max a Miller-type backward recurrence is used, checked
-    every k steps (k fixed by n_max) and rescaled by 2^-700, so a vector
-    call equals its scalar calls bit for bit; z = 0 gives (1, 0, 0, ...).
+    for 0 < |z| < n_max a Miller-type backward recurrence is used, started
+    at an order set per argument by Zhang & Jin's MSTA2 rule (at n_max =
+    200, from 213 for |z| <= 1 to 312 near |z| = 200), checked every k
+    steps (k fixed by n_max) and rescaled by 2^-700, so a vector call
+    equals its scalar calls bit for bit; z = 0 gives (1, 0, 0, ...).
     """
     if n_max < 0:
         raise DomainError(f"order must be nonnegative, got {n_max}")
@@ -156,22 +222,18 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
         raise DomainError("non-finite argument to spherical_j_sequence")
 
     za = np.abs(z_arr)
-    out = np.empty((n_max + 1, z_arr.size))
-
     zero = za == 0.0
     small = (~zero) & (za <= _SMALL_Z)
     fwd = (~zero) & (~small) & (za >= n_max)
     mil = (~zero) & (~small) & (~fwd)
-
-    if zero.any():
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
-    if small.any():
-        out[:, small] = _jseq_series(n_max, za[small])
-    if fwd.any():
-        out[:, fwd] = _jseq_forward(n_max, za[fwd])
-    if mil.any():
-        out[:, mil] = _jseq_miller(n_max, za[mil])
+    parts = [(part, seq) for part, seq in ((zero, _jseq_zero), (small, _jseq_series),
+                                           (fwd, _jseq_forward), (mil, _jseq_miller)) if part.any()]
+    if len(parts) == 1:  # one branch: its result is the result
+        out = parts[0][1](n_max, za)
+    else:
+        out = np.empty((n_max + 1, z_arr.size))
+        for part, seq in parts:
+            out[:, part] = seq(n_max, za[part])
 
     neg = z_arr < 0.0
     if neg.any():
@@ -264,12 +326,6 @@ def _jpair_hankel(phi: float, n0: int, z: np.ndarray) -> tuple:
     return 0.0, j0, j1
 
 
-def _miller_start(nu: float) -> int:
-    # start order of the J-pair Miller sweep, which serves z <= max(25, 2 nu)
-    t = max(_HANKEL_Z, 2.0 * nu)
-    return int(math.ceil(t + math.sqrt(40.0 * t))) + 10
-
-
 @lru_cache(maxsize=32)
 def _neumann_weights(phi: float, k_start: int) -> np.ndarray:
     # (k_start//2 + 1, 1): w_k of (z/2)^phi = sum_k w_k J_{phi+2k}(z) (DLMF
@@ -286,26 +342,32 @@ def _neumann_weights(phi: float, k_start: int) -> np.ndarray:
 
 def _jpair_miller(phi: float, n0: int, z: np.ndarray) -> tuple:
     # (log scale, j_{n0-1}, j_{n0}) with J_{phi+k}(z) = exp(log scale) j_k for
-    # 2 < z <= max(25, 2 nu): Miller's backward recurrence f_k from a start set
-    # by the order alone, divided by the Neumann sum of _neumann_weights.  The
-    # sum runs row by row (np.add.accumulate), so every column sees the same
-    # additions in the same order as it would alone.  A step grows the live rows
-    # by at most g_max = phi + k_start + 1, so checking every kc steps (g_max^kc
-    # < 2^250, kc set by the start) keeps every row below 2^950 and the weighted
-    # sum finite.  Rescaling by 2^-700 applies to every row made so far; the
-    # pair is copied when it is made and later rescales are counted, so it
-    # never underflows.
-    k_start = _miller_start(phi + n0)
-    kc = max(1, int(250.0 / math.log2(phi + k_start + 1.0)))
-    coef = list(np.divide.outer(2.0 * (phi + np.arange(k_start + 1)), z))  # 2(phi+k)/z
-    f = np.empty((k_start + 3, z.size))  # row i + 1 holds f_i, down to f_{-1}
-    f[k_start + 1 :] = [[1e-250], [0.0]]  # f_{k_start}, f_{k_start+1}
+    # 2 < z <= max(25, 2 nu): Miller's backward recurrence f_k, each column
+    # from its own start s(n0 + 1, ceil z) as in _jseq_miller (the pair's
+    # orders lie below n0 + 1), divided by the Neumann sum of
+    # _neumann_weights.  The sum runs row by row (np.add.accumulate), so every
+    # column sees the same additions in the same order as it would alone; the
+    # exact zeros above a column's start add nothing.  A step grows the live
+    # rows by at most g_max = phi + s_max + 1, so checking every kc steps
+    # (g_max^kc < 2^250) keeps every row below 2^950 and the weighted sum
+    # finite.  Rescaling by 2^-700 applies to every row made so far; the pair
+    # is copied when it is made and later rescales are counted, so it never
+    # underflows.
+    top, seeds, s_max = _miller_starts(n0 + 1, z)
+    kc = max(1, int(250.0 / math.log2(phi + s_max + 1.0)))
+    coef = list(np.divide.outer(2.0 * (phi + np.arange(top + 1)), z))  # 2(phi+k)/z
+    f = np.zeros((top + 3, z.size))  # row i + 1 holds f_i, down to f_{-1}
+    f[top + 1, seeds[top]] = _SEED
     rows = list(f)
     shift = np.zeros_like(z)
-    for k in range(k_start, min(n0, 1) - 1, -1):
+    mul, sub = np.multiply, np.subtract
+    for k in range(top, min(n0, 1) - 1, -1):
         row = rows[k]  # f_{k-1}
-        np.multiply(coef[k], rows[k + 1], out=row)
-        np.subtract(row, rows[k + 2], out=row)
+        mul(coef[k], rows[k + 1], row)
+        sub(row, rows[k + 2], row)
+        cols = seeds.get(k - 1)
+        if cols is not None:
+            row[cols] = _SEED
         if k % kc == 0:
             big = np.maximum(np.abs(row), np.abs(rows[k + 1])) > _RESCALE_AT
             if big.any():
@@ -313,8 +375,9 @@ def _jpair_miller(phi: float, n0: int, z: np.ndarray) -> tuple:
                 shift += big
         if k == n0:
             pair, shift_at = f[k : k + 2].copy(), shift.copy()
-    even = f[k_start // 2 * 2 + 1 : 0 : -2]  # f_{2k}, k from k_start // 2 down to 0
-    total = np.add.accumulate(_neumann_weights(phi, k_start) * even, axis=0)[-1]
+    even = f[top // 2 * 2 + 1 : 0 : -2]  # f_{2k}, k from top // 2 down to 0
+    weights = _neumann_weights(phi, s_max)[-even.shape[0] :]
+    total = np.add.accumulate(weights * even, axis=0)[-1]
     log_scale = phi * np.log(0.5 * z) - (shift - shift_at) * (700.0 * math.log(2.0))
     return log_scale, pair[0] / total, pair[1] / total
 

@@ -5,7 +5,8 @@ mpmath, independent of the library code paths under test.  Expensive
 values are frozen as module constants; the generating functions stay
 next to them so any constant can be recomputed on demand.  The exact
 eigenvalues of a constant potential come from scipy's Bessel zeros and
-evaluators, not from the library.  The one exception,
+evaluators, and those of the Coulomb potential from mpmath's Coulomb
+wave function, not from the library.  The one exception,
 ``extended_direct_reference``, is the library's own extended-precision
 direct route, cached so the several tests that compare against it build
 each reference once per session.
@@ -221,3 +222,16 @@ def const_c_eigenvalues(c: float, b: float, kind: str, omega_max: float) -> tupl
         ])
     omega = np.sqrt((t / b) ** 2 + c)
     return tuple(omega[omega <= omega_max].tolist())
+
+
+@lru_cache(maxsize=None)
+def coulomb_dirichlet(l: float, c: float, b: float, guess: float) -> float:
+    """The Dirichlet eigenvalue of q = c/x at real l on [0, b] nearest ``guess``.
+
+    The regular solution is u = F_l(eta, omega x) with eta = c/(2 omega)
+    (DLMF 33.2), so the eigenvalue is a root of omega -> F_l(c/(2 omega),
+    omega b), refined by mp.findroot from ``guess`` at 30 digits.
+    """
+    with mp.workdps(30):
+        l_, c_, b_ = mp.mpf(l), mp.mpf(c), mp.mpf(b)
+        return float(mp.findroot(lambda w: mp.coulombf(l_, c_ / (2 * w), w * b_), mp.mpf(guess)))

@@ -213,7 +213,8 @@ class TestImport:
 
     def test_cli_never_loads_scipy_special(self, tmp_path):
         # J_nu of non-integer order comes from pbessel.special itself, so no
-        # command and no evaluation, at any argument, loads scipy.special
+        # command and no evaluation, at any argument, loads scipy.special; nor
+        # numpy.ma, which np.unique (and so np.union1d) imports on first use
         small = EX1 + "\n[solve]\nomegas = 0, 20, 600\nxs = 0.5, 3\n[sweep]\nl_values = 0.5, 1.5\n"
         neumann = EX1.replace("dirichlet", "neumann").replace("omega_max = 4.0", "omega_max = 12.0")
         (tmp_path / "small.cfg").write_text(small)
@@ -224,7 +225,7 @@ class TestImport:
             "from pbessel import build_solution, eval_u, eval_u_prime, make_potential, UniformMesh\n"
             "from pbessel.cli import main\n"
             "d = sys.argv[1]\n"
-            "loaded = lambda: 'scipy.special' in sys.modules\n"
+            "loaded = lambda: 'scipy.special' in sys.modules or 'numpy.ma' in sys.modules\n"
             "print(loaded())\n"
             "print(main(['eigen', '--out', d + '/e']), loaded())\n"
             "print(main(['eigen', '--config', d + '/neumann.cfg', '--out', d + '/n']), loaded())\n"

@@ -18,7 +18,7 @@ from pbessel import (
     legendre_even_coeffs,
     spherical_j_sequence,
 )
-from pbessel.special import _series_region, bl_prime_scaled, bl_scaled
+from pbessel.special import _series_region, _start_table, bl_prime_scaled, bl_scaled
 
 import oracles
 
@@ -97,10 +97,11 @@ class TestSphericalSequence:
 
     @pytest.mark.parametrize("n_max", [10, 200, 400])
     def test_against_scipy_down_to_small_z(self, n_max):
-        # log-spaced from just above _SMALL_Z, where the Miller sweep rescales most
+        # log-spaced from just above _SMALL_Z, where the Miller sweep rescales most,
+        # and a dense band below n_max, where its start orders are highest
         from scipy.special import spherical_jn
 
-        z = np.geomspace(0.0101, 0.999 * n_max, 300)
+        z = np.concatenate([np.geomspace(0.0101, 0.999 * n_max, 300), np.linspace(0.9, 0.999, 100) * n_max])
         seq = spherical_j_sequence(n_max, z)
         ref = spherical_jn(np.arange(n_max + 1)[:, None], z[None, :])
         assert np.isfinite(seq).all()
@@ -109,12 +110,28 @@ class TestSphericalSequence:
 
     @pytest.mark.parametrize("n_max", [10, 200, 400])
     def test_vector_call_is_columnwise_exact(self, n_max):
-        # rescaling by powers of two on a per-column schedule: bit for bit
+        # per-column start orders and rescaling by powers of two on a per-column
+        # schedule: bit for bit, also across the dense band of the highest starts
         rng = np.random.default_rng(n_max)
-        z = np.concatenate([np.geomspace(0.0101, 0.999 * n_max, 40), rng.uniform(0, 1.5 * n_max, 20)])
+        z = np.concatenate([
+            np.geomspace(0.0101, 0.999 * n_max, 40),
+            rng.uniform(0, 1.5 * n_max, 20),
+            rng.permutation(np.linspace(0.9, 0.999, 30) * n_max),
+        ])
         mat = spherical_j_sequence(n_max, z)
         cols = np.column_stack([spherical_j_sequence(n_max, float(v)) for v in z])
         assert np.array_equal(mat, cols)
+
+    def test_start_rule(self):
+        # s(n, ceil z): an integer that never decreases in z, exceeds n + 10, and,
+        # over the spherical sweep's Miller range z < n, never exceeds
+        # n + ceil(1.5 sqrt(40 n)) + 20, a fixed start that is safe for every z < n
+        for n in range(1, 401):
+            s = _start_table(n)
+            assert s.dtype.kind == "i" and s.size == max(25, 2 * n) + 1
+            assert (np.diff(s) >= 0).all()
+            assert s.min() > n + 10
+            assert s[: n + 1].max() <= n + math.ceil(1.5 * math.sqrt(40.0 * n)) + 20
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -256,6 +273,9 @@ class TestLargeArgumentOracle:
         for edge in (25.0, 2.0 * (l + 0.5)):
             if edge > z_star:
                 z += [edge * 0.999, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), edge * 1.001]
+        # just below the Miller/Hankel switch, where Miller's start orders are highest
+        switch = max(25.0, 2.0 * (l + 0.5))
+        z += [v for v in switch - np.geomspace(1e-6, 1.0, 8) if v > z_star]
         z = np.array(sorted(z))
         envelope = _scale(l) * math.sqrt(2.0 / math.pi) * z ** (-l - 1.0)
         exact = np.array([self.exact(l, v) for v in z])

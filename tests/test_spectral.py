@@ -1,6 +1,7 @@
 """Eigenvalue search and decay fitting."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -227,6 +228,33 @@ class TestExactConstantPotential:
         # (ROADMAP item 14); at the first root 5.3e-15 and 6.2e-15
         assert err.max() <= 5e-11
         assert err[0] <= 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def coulomb_roots(l):
+    sol = build_solution(make_potential("1/x", MESH, l), N=100)
+    pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.1, 51.2)))
+    assert [p.index for p in pairs] == list(range(1, 51))  # the window holds the first 50
+    return tuple(p.omega for p in pairs)
+
+
+class TestExactCoulombPotential:
+    """q = 1/x: exact Dirichlet eigenvalues from mpmath's Coulomb F_l, below shooting's floor."""
+
+    @pytest.mark.parametrize(
+        "l,k,measured",
+        [
+            (0.5, 1, 1.3e-15), (0.5, 10, 8.9e-15), (0.5, 50, 5.6e-13),
+            (1.0, 1, 2.9e-15), (1.0, 10, 3.6e-15), (1.0, 50, 2.2e-12),
+            # N_opt = 57 here, not N = 100: truncation, not table noise, sets k = 50
+            (1.5, 1, 2.2e-16), (1.5, 10, 1.1e-13), (1.5, 50, 4.3e-8),
+        ],
+    )
+    def test_root_against_exact(self, l, k, measured):
+        got = coulomb_roots(l)[k - 1]
+        err = abs(got - oracles.coulomb_dirichlet(l, 1.0, math.pi, got))
+        # margin: 10x the error measured at m = 20001, N = 100 (at least 1e-14)
+        assert err <= 10.0 * max(measured, 1e-15), err
 
 
 class CountingPhi:
