@@ -33,17 +33,18 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
-The pass runs in place on three scratch rows and writes row n straight
-into each table; every product and sum keeps the grouping of the
+The pass runs in place on one block of seven full rows (orders n and
+n-1 of each family, three scratch rows) and copies row n of each family
+into its table; every product and sum keeps the grouping of the
 formulas as written, so the tables are bit for bit those of a plain
 transcription.
 
 A caller that reads only some mesh columns (x = b for eigenvalues, a few
-6-point strips for point evaluation) passes them as ``columns``.  The
-pass then keeps full rows only for orders n and n-1 and copies each
-order's kept columns out, so the tables take (N+1) x len(columns) floats
-in place of (N+1) x m, with the same values.  Evaluating such tables at
-an x whose strip was not kept raises :class:`~pbessel.errors.DomainError`.
+6-point strips for point evaluation) passes them as ``columns``, and the
+same pass copies only those columns out, so the tables take (N+1) x
+len(columns) floats in place of (N+1) x m, with the same values.
+Evaluating such tables at an x whose strip was not kept raises
+:class:`~pbessel.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -100,11 +101,10 @@ def recurrent_tables(
 
     Row n holds beta_n (gamma_n) at the mesh indices ``columns``: a sorted,
     unique integer array that ends at the last index m-1 (x = b, which the
-    residuals read).  ``None``, the default, keeps every column, and the
-    pass then works in the table rows themselves.  With ``columns`` the
-    pass works on two full rows per family, for orders n and n-1, and
-    copies the kept columns of each order into the result, whose values
-    are those of the full build's ``[:, columns]``, bit for bit.
+    residuals read).  ``None``, the default, keeps every column.  Either
+    way the pass works on two full rows per family, for orders n and n-1,
+    and copies the kept columns of each order into the result, so a subset
+    holds the full build's ``[:, columns]``, bit for bit.
 
     Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
     and then gamma_n from them; the next order's integrals replace them,
@@ -124,38 +124,34 @@ def recurrent_tables(
     if N < 0:
         raise DomainError("N must be nonnegative")
     m = u0.mesh.m
-    if columns is None:
-        betas, gammas = np.empty((N + 1, m)), np.empty((N + 1, m))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in _orders(u0, p, N, betas, gammas):
-                pass  # the working rows are the table rows
-        return betas, gammas
-    cols = np.asarray(columns)
-    if not (
-        cols.ndim == 1 and cols.size and cols.dtype.kind in "iu"
-        and cols[0] >= 0 and cols[-1] == m - 1 and (np.diff(cols) > 0).all()
-    ):
-        raise DomainError(f"columns must be sorted, unique mesh indices ending at m-1 = {m - 1}")
-    betas, gammas = np.empty((N + 1, cols.size)), np.empty((N + 1, cols.size))
+    cols, width = slice(None), m
+    if columns is not None:
+        cols = np.asarray(columns)
+        if not (
+            cols.ndim == 1 and cols.size and cols.dtype.kind in "iu"
+            and cols[0] >= 0 and cols[-1] == m - 1 and (np.diff(cols) > 0).all()
+        ):
+            raise DomainError(f"columns must be sorted, unique mesh indices ending at m-1 = {m - 1}")
+        width = cols.size
+    betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n, brow, grow in _orders(u0, p, N, np.empty((2, m)), np.empty((2, m))):
+        for n, brow, grow in _orders(u0, p, N):
             betas[n] = brow[cols]
             gammas[n] = grow[cols]
     return betas, gammas
 
 
-def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, grows: np.ndarray):
-    """The recurrence, one order at a time, in place on the full mesh rows.
+def _orders(u0: ParticularSolution, p: Potential, N: int):
+    """The recurrence, one order at a time, in place on full mesh rows.
 
-    Order n is written into ``brows[n % slots]`` and ``grows[n % slots]``,
-    slots = len(brows): either the (N+1)-row tables themselves or two
-    working rows per family.  Yields (n, beta_n row, gamma_n row) after
-    each order.
+    Yields (n, beta_n row, gamma_n row) after each order.  The rows are
+    two working rows per family, which the next order overwrites, so a
+    caller copies what it keeps before it resumes the generator.  They
+    share one block with the three scratch rows.
     Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
     """
     mesh = u0.mesh
     x, h, l = mesh.x, mesh.h, u0.l
-    slots = len(brows)
     u0v, u0pv = u0.u0.values, u0.u0_prime.values
     u0sq = u0v * u0v
     u0q = u0v * p.q.values
@@ -165,17 +161,17 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
 
-    buf, tmp, tail = np.empty(mesh.m), np.empty(mesh.m), np.empty(mesh.m)
+    brow, bprev, grow, gprev, buf, tmp, tail = np.empty((7, mesh.m))
     t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
-    brows[0] = u0v - xl1
+    brow[:] = u0v - xl1
     # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
     # (the sign makes the omega = 0 limit of the derivative series equal u0')
-    grows[0] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
-    grows[0, 0] = 0.0
-    yield 0, brows[0], grows[0]
+    grow[:] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
+    grow[0] = 0.0
+    yield 0, brow, grow
     for n in range(1, N + 1):
-        bprev, brow = brows[(n - 1) % slots], brows[n % slots]
-        gprev, grow = grows[(n - 1) % slots], grows[n % slots]
+        bprev, brow = brow, bprev
+        gprev, grow = grow, gprev
         t2nm1 = t2nm2 * x
         t2n = t2nm1 * x
 

@@ -125,8 +125,10 @@ def _quintic_weights(mesh: UniformMesh, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _check_x(b: float, x) -> np.ndarray:
-    """x as a 1-D float array; DomainError unless every entry lies in [0, b]."""
+    """x as a 1-D float array; DomainError unless it has at most one axis and lies in [0, b]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim > 1:
+        raise DomainError(f"x must be a scalar or 1-D array, got shape {xs.shape}")
     if not np.isfinite(xs).all() or (xs < 0).any() or (xs > b * (1 + 1e-12)).any():
         raise DomainError(f"x must lie in [0, {b}], got {x}")
     return xs
@@ -198,6 +200,8 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     the one a call on its own (omega, x) pair gives, bit for bit.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
+    if om.ndim > 1:
+        raise DomainError(f"omega must be a scalar or 1-D array, got shape {om.shape}")
     if not np.isfinite(om).all() or (om < 0).any():
         raise DomainError("omega must be finite and >= 0")
     xs = _check_x(sol.b, x)

@@ -28,13 +28,16 @@ J_nu(z), nu = l + 1/2, computed here with numpy alone, in two branches
   through ``@`` or a pairwise reduction, so a vector call equals its scalar
   calls bit for bit.
 
-Both backward recurrences start at an order set per argument, s(n, ceil z)
-from one cached table per order n (``_start_table``): Zhang & Jin's MSTA2
-rule (Computation of Special Functions, 1996, as in their SPHJ and JYNB),
-chosen so that the orders up to n come out to 15 digits.  A vector call runs one
-loop from its highest start; a column with a lower start holds exact zeros
-above it and takes the seed there, and rescales and sums on its own
-schedule, so it too equals its scalar call bit for bit.
+Both backward recurrences run in one kernel, ``_miller``: f_{k-1} =
+2(a+k)/z f_k - f_{k+1}, a = 1/2 for j_k and a = phi for J_{phi+k}; they
+differ only in their normalization (Gautschi, SIAM Review 9, 1967).  Each
+column starts at an order set by its argument, s(n, ceil z) from one
+cached table per order n (``_start_table``): Zhang & Jin's MSTA2 rule
+(Computation of Special Functions, 1996, as in their SPHJ and JYNB),
+chosen so that the orders up to n come out to 15 digits.  A vector call
+runs one loop from its highest start; a column with a lower start holds
+exact zeros above it and takes the seed there, and rescales and sums on
+its own schedule, so it too equals its scalar call bit for bit.
 
 S_l = e^c z^{-nu} J_nu and D_l + l S_l = e^c z^{1-nu} J_{nu-1}, c = log(2^nu
 Gamma(nu+1)), with the power of z from pow unless the product underflows
@@ -146,33 +149,51 @@ def _jseq_series(n_max: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
-    top, seeds, s_max = _miller_starts(n_max, z)
-    # One loop from the highest start; a column whose own start s is lower
-    # holds exact zeros above s and takes the seed at s, so every column sees
-    # the arithmetic it would alone.  |f_{n-1}| <= (2n+1)/z |f_n| + |f_{n+1}|:
-    # a step grows the two live rows by at most g_max (z > _SMALL_Z here).
-    # Checked every k steps, g_max^k < 2^323, nothing passes 2^1024 (float64
-    # max) from 2^700 between checks; k depends on n_max alone, so each column
-    # rescales as it would on its own.
-    g_max = (2 * s_max + 1) / _SMALL_Z + 1.0
-    k = max(1, int(323.0 / math.log2(g_max)))
-    coef = list(np.divide.outer(2.0 * np.arange(top + 1) + 1.0, z))  # (2n+1)/z
-    f = np.zeros((top + 2, z.size))
-    f[top, seeds[top]] = _SEED
+def _miller(a: float, n: int, z: np.ndarray, stop: int, z_min: float, bits: int, pair_at: int = -1) -> tuple:
+    """Miller's backward recurrence f_{k-1} = 2(a+k)/z f_k - f_{k+1} down to f_stop.
+
+    Each column starts at its own order (see the module docstring).  A step
+    grows the two live rows by at most g_max = 2(a + s_max)/z_min + 1 (z >=
+    z_min); checked every kc steps, g_max^kc < 2^bits, so no row passes
+    2^(700 + bits).  kc depends on n alone, so each column rescales as it
+    would on its own, by 2^-700, applied to every row made so far.
+
+    Returns (f, s_max, shift, pair): row k + 1 of f holds f_k, k = -1..top+1;
+    pair is (f_{pair_at-1}, f_{pair_at}), copied when made so it never
+    underflows, and shift counts each column's rescales after that.  The
+    default pair_at = -1, which no step reaches, gives no pair (None) and
+    counts every rescale.
+    """
+    top, seeds, s_max = _miller_starts(n, z)
+    kc = max(1, int(bits / math.log2(2.0 * (a + s_max) / z_min + 1.0)))
+    coef = list(np.divide.outer(2.0 * (a + np.arange(top + 1)), z))  # 2(a+k)/z
+    f = np.zeros((top + 3, z.size))
+    f[top + 1, seeds[top]] = _SEED
     rows = list(f)
+    shift = np.zeros_like(z)
+    pair = None
     mul, sub = np.multiply, np.subtract
-    for n in range(top, 0, -1):
-        row = rows[n - 1]
-        mul(coef[n], rows[n], row)
-        sub(row, rows[n + 1], row)
-        cols = seeds.get(n - 1)
+    for k in range(top, stop, -1):
+        row = rows[k]  # f_{k-1}
+        mul(coef[k], rows[k + 1], row)
+        sub(row, rows[k + 2], row)
+        cols = seeds.get(k - 1)
         if cols is not None:
             row[cols] = _SEED
-        if n % k == 0:
-            live = np.abs(f[n - 1 : n + 1]).max(axis=0)
-            if live.max() > _RESCALE_AT:
-                f[n - 1 : max(n, n_max) + 1] *= np.where(live > _RESCALE_AT, _RESCALE_BY, 1.0)
+        if k % kc == 0:
+            big = np.maximum(np.abs(row), np.abs(rows[k + 1])) > _RESCALE_AT
+            if big.any():
+                f[k:] *= np.where(big, _RESCALE_BY, 1.0)
+                shift += big
+        if k == pair_at:
+            pair, shift = f[k : k + 2].copy(), np.zeros_like(z)
+    return f, s_max, shift, pair
+
+
+def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
+    # a = 1/2: f_k is j_k up to a common factor; no sum of rows is formed,
+    # so they may reach 2^1023 between checks
+    f = _miller(0.5, n_max, z, 0, _SMALL_Z, 323)[0][1 : n_max + 2]
     # Normalize against whichever of j_0, j_1 is larger in magnitude; j_0
     # vanishes at z = k*pi, so a fixed j_0 normalization would be unstable
     # there.
@@ -180,13 +201,7 @@ def _jseq_miller(n_max: int, z: np.ndarray) -> np.ndarray:
     j1 = np.sin(z) / z**2 - np.cos(z) / z
     use_j1 = np.abs(j1) > np.abs(j0)
     scale = np.where(use_j1, j1, j0) / np.where(use_j1, f[1], f[0])
-    return f[: n_max + 1] * scale
-
-
-def _jseq_zero(n_max: int, z: np.ndarray) -> np.ndarray:
-    out = np.zeros((n_max + 1, z.size))
-    out[0] = 1.0
-    return out
+    return f * scale
 
 
 def spherical_j_sequence(n_max: int, z) -> np.ndarray:
@@ -207,14 +222,17 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
     Notes
     -----
     For |z| >= n_max the upward recurrence is stable and used directly;
-    for 0 < |z| < n_max a Miller-type backward recurrence is used, started
-    at an order set per argument by Zhang & Jin's MSTA2 rule (at n_max =
-    200, from 213 for |z| <= 1 to 312 near |z| = 200), checked every k
-    steps (k fixed by n_max) and rescaled by 2^-700, so a vector call
-    equals its scalar calls bit for bit; z = 0 gives (1, 0, 0, ...).
+    for 0.01 < |z| < n_max Miller's backward recurrence (the module's one
+    kernel, shared with J_nu) is used, started at an order set per
+    argument by Zhang & Jin's MSTA2 rule (at n_max = 200, from 213 for
+    |z| <= 1 to 312 near |z| = 200), checked every k steps (k fixed by
+    n_max) and rescaled by 2^-700, so a vector call equals its scalar
+    calls bit for bit; |z| <= 0.01 takes the ascending series, which
+    gives (1, 0, 0, ...) at z = 0.
     """
-    if n_max < 0:
-        raise DomainError(f"order must be nonnegative, got {n_max}")
+    if n_max < 0 or not float(n_max).is_integer():
+        raise DomainError(f"order must be a nonnegative integer, got {n_max}")
+    n_max = int(n_max)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if z_arr.ndim != 1:
         raise DomainError("z must be a scalar or 1-D array")
@@ -222,12 +240,11 @@ def spherical_j_sequence(n_max: int, z) -> np.ndarray:
         raise DomainError("non-finite argument to spherical_j_sequence")
 
     za = np.abs(z_arr)
-    zero = za == 0.0
-    small = (~zero) & (za <= _SMALL_Z)
-    fwd = (~zero) & (~small) & (za >= n_max)
-    mil = (~zero) & (~small) & (~fwd)
-    parts = [(part, seq) for part, seq in ((zero, _jseq_zero), (small, _jseq_series),
-                                           (fwd, _jseq_forward), (mil, _jseq_miller)) if part.any()]
+    small = za <= _SMALL_Z  # z = 0 included: the series gives (1, 0, 0, ...) there
+    fwd = (~small) & (za >= n_max)
+    mil = (~small) & (~fwd)
+    parts = [(part, seq) for part, seq in ((small, _jseq_series), (fwd, _jseq_forward),
+                                           (mil, _jseq_miller)) if part.any()]
     if len(parts) == 1:  # one branch: its result is the result
         out = parts[0][1](n_max, za)
     else:
@@ -342,43 +359,18 @@ def _neumann_weights(phi: float, k_start: int) -> np.ndarray:
 
 def _jpair_miller(phi: float, n0: int, z: np.ndarray) -> tuple:
     # (log scale, j_{n0-1}, j_{n0}) with J_{phi+k}(z) = exp(log scale) j_k for
-    # 2 < z <= max(25, 2 nu): Miller's backward recurrence f_k, each column
-    # from its own start s(n0 + 1, ceil z) as in _jseq_miller (the pair's
+    # 2 < z <= max(25, 2 nu): the rows f_k of _miller (a = phi; the pair's
     # orders lie below n0 + 1), divided by the Neumann sum of
     # _neumann_weights.  The sum runs row by row (np.add.accumulate), so every
     # column sees the same additions in the same order as it would alone; the
-    # exact zeros above a column's start add nothing.  A step grows the live
-    # rows by at most g_max = phi + s_max + 1, so checking every kc steps
-    # (g_max^kc < 2^250) keeps every row below 2^950 and the weighted sum
-    # finite.  Rescaling by 2^-700 applies to every row made so far; the pair
-    # is copied when it is made and later rescales are counted, so it never
-    # underflows.
-    top, seeds, s_max = _miller_starts(n0 + 1, z)
-    kc = max(1, int(250.0 / math.log2(phi + s_max + 1.0)))
-    coef = list(np.divide.outer(2.0 * (phi + np.arange(top + 1)), z))  # 2(phi+k)/z
-    f = np.zeros((top + 3, z.size))  # row i + 1 holds f_i, down to f_{-1}
-    f[top + 1, seeds[top]] = _SEED
-    rows = list(f)
-    shift = np.zeros_like(z)
-    mul, sub = np.multiply, np.subtract
-    for k in range(top, min(n0, 1) - 1, -1):
-        row = rows[k]  # f_{k-1}
-        mul(coef[k], rows[k + 1], row)
-        sub(row, rows[k + 2], row)
-        cols = seeds.get(k - 1)
-        if cols is not None:
-            row[cols] = _SEED
-        if k % kc == 0:
-            big = np.maximum(np.abs(row), np.abs(rows[k + 1])) > _RESCALE_AT
-            if big.any():
-                f[k:] *= np.where(big, _RESCALE_BY, 1.0)
-                shift += big
-        if k == n0:
-            pair, shift_at = f[k : k + 2].copy(), shift.copy()
+    # exact zeros above a column's start add nothing; rows below 2^950 keep
+    # the weighted sum finite.
+    f, s_max, shift, pair = _miller(phi, n0 + 1, z, min(n0, 1) - 1, 2.0, 250, n0)
+    top = f.shape[0] - 3
     even = f[top // 2 * 2 + 1 : 0 : -2]  # f_{2k}, k from top // 2 down to 0
     weights = _neumann_weights(phi, s_max)[-even.shape[0] :]
     total = np.add.accumulate(weights * even, axis=0)[-1]
-    log_scale = phi * np.log(0.5 * z) - (shift - shift_at) * (700.0 * math.log(2.0))
+    log_scale = phi * np.log(0.5 * z) - shift * (700.0 * math.log(2.0))
     return log_scale, pair[0] / total, pair[1] / total
 
 

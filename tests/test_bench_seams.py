@@ -58,3 +58,28 @@ def test_tables_hook_takes_column_subset(layers):
     layers._tables((), {}, t, c)
     assert c["coefficients.builds"] == 1
     assert c["coefficients.tables_bytes"] == t.beta.nbytes + t.gamma.nbytes + 2 * 13 * 8
+
+
+def test_miller_span_sees_the_spherical_sweep(layers, monkeypatch):
+    # special.jseq.miller_share reads the calls of the traced _jseq_miller;
+    # a spherical_j_sequence that went past it straight to the shared kernel
+    # would read 0 there, which the traced CI run (it checks for null) misses
+    from collections import Counter
+
+    import pbessel.special as special
+
+    calls = []
+    inner = special._jseq_miller
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(special, "_jseq_miller", counting)
+    special.spherical_j_sequence(200, [5.0, 50.0])
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 2 and args[0] == 200
+    c = Counter()
+    layers._miller(args, kwargs, None, c)
+    assert c["special.miller.args"] == 2

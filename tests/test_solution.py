@@ -188,6 +188,8 @@ class TestColumnSubset:
         assert np.array_equal(cols, [0, 1, 2, 3, 4, 5, 97, 98, 99, 100, 101, 102, mesh.m - 1])
         with pytest.raises(DomainError):
             strip_columns(mesh, [4.0])
+        with pytest.raises(DomainError, match="1-D"):
+            strip_columns(mesh, [[0.5, 1.0]])  # once numpy's broadcast ValueError
 
 
 class TestAgainstShooting:
@@ -306,6 +308,22 @@ class TestDomain:
                      lambda: error_indicator(sol, x)):
             with pytest.raises(DomainError, match="scalar"):
                 call()
+
+    def test_omega_two_axes(self):
+        # a 2-D omega was once accepted, and its sweep entry, keyed by the
+        # bytes of z alone, then gave the next 1-D call of the same values
+        # the 2-D shape
+        from pbessel.spectral import BoundaryCondition, SpectralProblem, characteristic
+
+        sol = build_solution(make_potential("x^2", UniformMesh(np.pi, 2001), 1.5), N=20)
+        om = np.array([1.0, 2.0, 3.0, 4.0])
+        prob = SpectralProblem(sol.potential, BoundaryCondition("dirichlet"), (0.5, 5.0))
+        for call in (lambda w: eval_u(sol, w, 1.0), lambda w: eval_u_prime(sol, w, 1.0),
+                     lambda w: characteristic(sol, prob, w), lambda w: _series(sol, w, [1.0, 2.0])):
+            with pytest.raises(DomainError, match="1-D"):
+                call(om.reshape(2, 2))
+        assert eval_u(sol, om, 1.0).shape == (4,)
+        assert eval_u_prime(sol, om, 1.0).shape == (4,)
 
     def test_n_used_bounds(self, sol_free):
         from pbessel.solution import NsbfSolution

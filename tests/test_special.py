@@ -138,6 +138,11 @@ class TestSphericalSequence:
             spherical_j_sequence(5, np.nan)
         with pytest.raises(DomainError):
             spherical_j_sequence(-1, 1.0)
+        # a non-integer order once raised TypeError from a slice
+        for n_max in (2.5, -0.5, 1e-3, math.nan, math.inf):
+            with pytest.raises(DomainError, match="integer"):
+                spherical_j_sequence(n_max, 1.0)
+        assert spherical_j_sequence(2.0, 1.0).tobytes() == spherical_j_sequence(2, 1.0).tobytes()
 
 
 def _scale(l):
