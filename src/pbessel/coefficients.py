@@ -33,11 +33,12 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
-The pass runs in place on one block of seven full rows (orders n and
-n-1 of each family, three scratch rows) and copies row n of each family
-into its table; every product and sum keeps the grouping of the
-formulas as written, so the tables are bit for bit those of a plain
-transcription.
+The pass runs in place on one block of thirteen full rows (orders n and
+n-1 of each family; eta_n, kappa_n, theta_n and mu_n, which the
+quadrature writes straight into; x^{2n-1} and x^{2n}; three scratch
+rows) and copies row n of each family into its table; every product and
+sum keeps the grouping of the formulas as written, so the tables are bit
+for bit those of a plain transcription.
 
 A caller that reads only some mesh columns (x = b for eigenvalues, a few
 6-point strips for point evaluation) passes them as ``columns``, and the
@@ -147,7 +148,10 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     Yields (n, beta_n row, gamma_n row) after each order.  The rows are
     two working rows per family, which the next order overwrites, so a
     caller copies what it keeps before it resumes the generator.  They
-    share one block with the three scratch rows.
+    share one block of thirteen rows with the order's four integrals
+    (written by the quadrature kernels through their ``out`` rows),
+    x^{2n-1}, x^{2n} and three scratch rows, so the only mesh-sized float
+    row an order allocates is gamma's ``x ** (2n)``.
     Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
     """
     mesh = u0.mesh
@@ -161,7 +165,9 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
 
-    brow, bprev, grow, gprev, buf, tmp, tail = np.empty((7, mesh.m))
+    brow, bprev, grow, gprev, eta, kappa, theta, mu, t2nm1, t2n, buf, tmp, tail = np.empty(
+        (13, mesh.m)
+    )
     t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
     brow[:] = u0v - xl1
     # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
@@ -172,8 +178,8 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     for n in range(1, N + 1):
         bprev, brow = brow, bprev
         gprev, grow = grow, gprev
-        t2nm1 = t2nm2 * x
-        t2n = t2nm1 * x
+        np.multiply(t2nm2, x, out=t2nm1)
+        np.multiply(t2nm1, x, out=t2n)
 
         # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
         np.multiply(u0v, 2 * n - 1, out=buf)
@@ -181,13 +187,13 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
         buf *= t2nm2
         buf *= bprev
         buf[0] = 0.0
-        eta = _cumulative_values(buf, h)
+        _cumulative_values(buf, h, out=eta)
 
         # kappa_n: u0 q x^{2n} x^{l+1}
         np.multiply(u0q, t2n, out=buf)
         buf *= xl1
         buf[0] = 0.0
-        kappa = _cumulative_values(buf, h)
+        _cumulative_values(buf, h, out=kappa)
 
         # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
         np.multiply(t2nm1, bprev, out=buf)
@@ -195,12 +201,12 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
         np.subtract(eta, buf, out=buf)
         _safe_div(buf, u0sq, zero_u0sq, buf)
         buf[0] = 0.0
-        theta, _ = _guarded_cumulative_values(buf, h)
+        _guarded_cumulative_values(buf, h, out=theta)
 
         # mu_n: kappa_n / u0^2
         _safe_div(kappa, u0sq, zero_u0sq, buf)
         buf[0] = 0.0
-        mu, _ = _guarded_cumulative_values(buf, h)
+        _guarded_cumulative_values(buf, h, out=mu)
 
         sign = -1.0 if n % 2 else 1.0
         b_n = gamma_ratio_Bn(n, l)

@@ -485,7 +485,7 @@ def gamma_ratio_Bn(n: int, l: float) -> float:
     product.  For integer l the reciprocal of Gamma(l-n+2) makes B_n
     exactly zero for every n >= l+2.
     """
-    if n < 1 or n != int(n):
+    if n < 1 or not float(n).is_integer():
         raise DomainError(f"n must be a positive integer, got {n}")
     l = _check_l(l)
     n = int(n)
@@ -548,7 +548,7 @@ def legendre_even_coeffs(n: int) -> LegendreCoeffRow:
     converted to floating point only at this boundary, so the rapid
     growth of the coefficients costs no accuracy here.
     """
-    if n < 0 or n != int(n):
+    if n < 0 or not float(n).is_integer():
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     if n > LEGENDRE_ORDER_CAP:
         raise OrderCapError(

@@ -141,6 +141,11 @@ class TestCumulativeIntegral:
         exact = x**6 / 6
         assert F.dtype == ld
         assert np.max(np.abs(F - exact)) <= 8 * np.finfo(ld).eps * np.max(exact)
+        # a caller's row gets the same values and signs; longdouble's padding
+        # bytes are uninitialised, so tobytes() is no test of its bits
+        row = np.full(m, np.nan, dtype=ld)
+        assert _cumulative_values(x**5, ld(1) / ld(m - 1), out=row) is row
+        assert np.array_equal(row, F) and np.array_equal(np.signbit(row), np.signbit(F))
 
     @pytest.mark.parametrize("m", [6, 11, 2001])
     def test_matches_panel_formula(self, m):
@@ -163,6 +168,10 @@ class TestCumulativeIntegral:
         assert np.all(np.abs(got - expected) <= np.spacing(size))
         if m > 6:
             assert got.tobytes() == expected.tobytes()
+        # written into a caller's row: that row, every entry, the same bits
+        row = np.full(m, np.nan)
+        assert _cumulative_values(y, h, out=row) is row
+        assert row.tobytes() == got.tobytes()
 
     def test_strided_input(self):
         # the panel and window views follow the input's own stride
@@ -171,6 +180,9 @@ class TestCumulativeIntegral:
         y[::2] = _first_pass_at(2001, 700, rng)
         F = _cumulative_values(y[::2], 0.01)
         assert F.tobytes() == _cumulative_values(y[::2].copy(), 0.01).tobytes()
+        row = np.full(2001, np.nan)
+        assert _cumulative_values(y[::2], 0.01, out=row) is row
+        assert row.tobytes() == F.tobytes()
         assert cutoff_start_index(y[::2]) == 700
 
     def test_fine_mesh_error_at_rounding_floor(self):
@@ -318,8 +330,12 @@ class TestGuardedIntegral:
         i = np.arange(10)
         corrupted[:10] = 1e6 * (-1.0) ** i * (10.0 - i) ** 6
 
-        F_bad = cumulative_integral_guarded(GridFunction(mesh, corrupted)).values
+        f_bad = GridFunction(mesh, corrupted)
+        assert cutoff_start_index(f_bad) > 0
+        F_bad = cumulative_integral_guarded(f_bad).values
         F_ref = cumulative_integral(GridFunction(mesh, clean)).values
+        # the kernel zeroes the prefix of a copy, not of the caller's samples
+        assert f_bad.values.tobytes() == corrupted.tobytes()
 
         assert np.all(np.isfinite(F_bad))
         # no 1e6-scale jump at the origin; tail increments agree with the

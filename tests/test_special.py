@@ -377,6 +377,11 @@ class TestGammaRatios:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_ratio_Bn(0, 1.0)
+        # NaN and inf orders once raised ValueError and OverflowError from int(n)
+        for n in (math.nan, math.inf):
+            for f in (gamma_ratio_Bn, gamma_ratio_Cn):
+                with pytest.raises(DomainError, match="integer"):
+                    f(n, 1.0)
 
 
 class TestLegendre:
@@ -418,3 +423,7 @@ class TestLegendre:
     def test_cap(self):
         with pytest.raises(OrderCapError):
             legendre_even_coeffs(31)
+        # a NaN or infinite order is refused as a non-integer, before the cap
+        for n in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="integer"):
+                legendre_even_coeffs(n)
