@@ -33,12 +33,13 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
-The pass runs in place on one block of thirteen full rows (orders n and
+The pass runs in place on one block of fourteen full rows (orders n and
 n-1 of each family; eta_n, kappa_n, theta_n and mu_n, which the
-quadrature writes straight into; x^{2n-1} and x^{2n}; three scratch
-rows) and copies row n of each family into its table; every product and
-sum keeps the grouping of the formulas as written, so the tables are bit
-for bit those of a plain transcription.
+quadrature writes straight into; x^{2n-2}, x^{2n-1} and x^{2n}, one
+running product of multiplies by x, with no vector ``pow``; three
+scratch rows) and copies row n of each family into its table; every
+product and sum keeps the grouping of the formulas as written, so the
+tables are bit for bit those of a plain transcription.
 
 A caller that reads only some mesh columns (x = b for eigenvalues, a few
 6-point strips for point evaluation) passes them as ``columns``, and the
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalBreakdownError, OrderCapError
 from .mesh import UniformMesh, _cumulative_values, _guarded_cumulative_values
-from .special import gamma_ratio_Bn, gamma_ratio_Cn, legendre_even_coeffs
+from .special import gamma_ratio_Bn, legendre_even_coeffs
 from .spps import ParticularSolution, Potential, _u0_power_case, _xtilde_chain
 
 __all__ = [
@@ -83,8 +84,11 @@ def _underflowed(den: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(den > _TINY))
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray, zero: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """num / den into ``out``, set to 0 at ``zero`` = ``_underflowed(den)``.
+def _safe_div(
+    num: np.ndarray, den: np.ndarray, zero: np.ndarray | slice, out: np.ndarray
+) -> np.ndarray:
+    """num / den into ``out``, set to 0 at ``zero``: ``_underflowed(den)``, or a
+    prefix slice where ``den`` is known not to decrease.
 
     Callers enter ``np.errstate(divide="ignore", invalid="ignore",
     over="ignore")`` once around their loop: the plain divide runs over
@@ -148,10 +152,13 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     Yields (n, beta_n row, gamma_n row) after each order.  The rows are
     two working rows per family, which the next order overwrites, so a
     caller copies what it keeps before it resumes the generator.  They
-    share one block of thirteen rows with the order's four integrals
+    share one block of fourteen rows with the order's four integrals
     (written by the quadrature kernels through their ``out`` rows),
-    x^{2n-1}, x^{2n} and three scratch rows, so the only mesh-sized float
-    row an order allocates is gamma's ``x ** (2n)``.
+    x^{2n-2}, x^{2n-1}, x^{2n} and three scratch rows, so an order
+    allocates no mesh-sized float row.  The powers are one running
+    product from 1 (x^{2n-1} = x^{2n-2} x, x^{2n} = x^{2n-1} x), and both
+    families divide by that x^{2n}; swapping rows makes it the next
+    order's x^{2n-2}.
     Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
     """
     mesh = u0.mesh
@@ -165,10 +172,10 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
 
-    brow, bprev, grow, gprev, eta, kappa, theta, mu, t2nm1, t2n, buf, tmp, tail = np.empty(
-        (13, mesh.m)
+    brow, bprev, grow, gprev, eta, kappa, theta, mu, t2nm2, t2nm1, t2n, buf, tmp, tail = np.empty(
+        (14, mesh.m)
     )
-    t2nm2 = 1.0  # x^{2n-2}: the previous order's x^{2n}, one `x ** k` per order
+    t2n[:] = 1.0  # x^0: the running product x^{2n-2} -> x^{2n-1} -> x^{2n} starts here
     brow[:] = u0v - xl1
     # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
     # (the sign makes the omega = 0 limit of the derivative series equal u0')
@@ -178,8 +185,12 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     for n in range(1, N + 1):
         bprev, brow = brow, bprev
         gprev, grow = grow, gprev
+        t2nm2, t2n = t2n, t2nm2
         np.multiply(t2nm2, x, out=t2nm1)
         np.multiply(t2nm1, x, out=t2n)
+        # x >= 0 rises along the mesh and IEEE products are monotone, so
+        # x^{2n} never falls: its underflowed samples are the prefix [:k]
+        zero_x2n = slice(0, np.searchsorted(t2n, _TINY, side="right"))
 
         # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
         np.multiply(u0v, 2 * n - 1, out=buf)
@@ -210,14 +221,14 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
 
         sign = -1.0 if n % 2 else 1.0
         b_n = gamma_ratio_Bn(n, l)
-        c_n = gamma_ratio_Cn(n, l)
+        c_n = 0.5 * b_n  # C_n = B_n / 2, as special.gamma_ratio_Cn
 
         # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
         #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
         np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
         np.multiply(mu, sign * (4 * n - 3) * b_n, out=tmp)
         buf += tmp
-        _safe_div(buf, t2n, _underflowed(t2n), buf)
+        _safe_div(buf, t2n, zero_x2n, buf)
         buf *= u0v
         np.add(bprev, buf, out=brow)
         brow *= (4 * n + 1) / (4 * n - 3)
@@ -227,15 +238,11 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
                 f"non-finite beta coefficient at order n={n}", order=n
             )
 
-        # gamma divides by `x ** (2n)`; beta's t2n = x^{2n-1} * x can differ in the last bit
-        x2n = x ** (2 * n)
-        zero_x2n = _underflowed(x2n)
-
         # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
-        inner = _safe_div(theta, x2n, zero_x2n, buf)
+        inner = _safe_div(theta, t2n, zero_x2n, buf)
         inner *= two_u0p
-        np.multiply(u0v, x2n, out=tmp)
-        _safe_div(eta, tmp, _underflowed(tmp), tmp)
+        np.multiply(u0v, t2n, out=tmp)
+        _safe_div(eta, tmp, _underflowed(tmp), tmp)  # u0 is not monotone: scan the row
         tmp *= 2.0
         inner += tmp
         inner -= _safe_div(bprev, x, zero_x, tmp)
@@ -244,7 +251,7 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
         # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
         np.multiply(mu, u0pv, out=tail)
         tail += _safe_div(kappa, u0v, zero_u0, tmp)
-        _safe_div(tail, x2n, zero_x2n, tail)
+        _safe_div(tail, t2n, zero_x2n, tail)
         tail *= b_n
         tail -= np.multiply(Qxl1, c_n, out=tmp)
 
@@ -257,7 +264,6 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
             raise NumericalBreakdownError(
                 f"non-finite gamma coefficient at order n={n}", order=n
             )
-        t2nm2 = x2n
         yield n, brow, grow
 
 

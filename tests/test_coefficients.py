@@ -68,13 +68,20 @@ class TestTableLayout:
                 table[2] *= 2.0
         assert tables.mesh == mesh
 
-    @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
-    def test_matches_plain_transcription(self, spec, l):
-        mesh = UniformMesh(np.pi, 2001)
+    @pytest.mark.parametrize(
+        "spec,l,b,N",
+        [("x^2", 1.5, np.pi, 30), ("1/x", 1.0, np.pi, 30), ("x^2", -0.5, np.pi, 30),
+         # b = 0.1: x^{200} underflows on 710 of 2001 points, so the loop's
+         # prefix zero set meets the transcription's `den > _TINY` masks
+         ("x^2", 1.5, 0.1, 100)],
+        ids=["x^2-1.5", "1/x-1.0", "x^2--0.5", "x^2-1.5-short"],
+    )
+    def test_matches_plain_transcription(self, spec, l, b, N):
+        mesh = UniformMesh(b, 2001)
         p = make_potential(spec, mesh, l)
         u0 = build_u0(p)
-        tables = build_coefficient_tables(u0, p, N=30)
-        betas, gammas = plain_recurrence(u0, p, 30)
+        tables = build_coefficient_tables(u0, p, N=N)
+        betas, gammas = plain_recurrence(u0, p, N)
         assert tables.beta.tobytes() == betas.tobytes()
         assert tables.gamma.tobytes() == gammas.tobytes()
 
@@ -187,8 +194,9 @@ def plain_recurrence(u0, p, N):
         xl = x**l
     gammas[0] = u0pv - (l + 1.0) * xl - p.Q.values * xl1 / 2.0
     gammas[0, 0] = 0.0
+    t2n = np.ones_like(x)
     for n in range(1, N + 1):
-        t2nm2 = x ** (2 * n - 2) if n > 1 else np.ones_like(x)
+        t2nm2 = t2n
         t2nm1 = t2nm2 * x
         t2n = t2nm1 * x
         eta_int = (x * u0pv + (2 * n - 1) * u0v) * t2nm2 * betas[n - 1]
@@ -208,7 +216,6 @@ def plain_recurrence(u0, p, N):
         bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
         betas[n] = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * safe_div(bracket, t2n))
         betas[n, 0] = 0.0
-        t2n = x ** (2 * n)
         inner = (4 * n - 1) * (
             2.0 * u0pv * safe_div(theta, t2n)
             + 2.0 * safe_div(eta, u0v * t2n)
