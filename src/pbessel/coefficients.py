@@ -13,11 +13,13 @@ potential.  The production path is the recurrent integration scheme
     kappa_n = int_0^x u0 q t^{2n+l+1} dt,
     theta_n = int_0^x (eta_n - t^{2n-1} beta_{n-1} u0)/u0^2 dt,     (guarded)
     mu_n    = int_0^x kappa_n/u0^2 dt,                              (guarded)
-    beta_n  = (4n+1)/(4n-3) [beta_{n-1} + u0 x^{-2n} (2(4n-1) theta_n
-              + (-1)^n (4n-3) B_n mu_n)],
+    Lam_n   = 2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n,   (E_n: eta_n, kappa_n)
+    beta_n  = r_n [beta_{n-1} + u0 Lam_n / x^{2n}],
+    gamma_n = r_n [gamma_{n-1} + u0' Lam_n / x^{2n} + E_n / (u0 x^{2n})
+              - (4n-1) beta_{n-1} / x] - (-1)^n (4n+1) C_n Q x^{l+1},
 
-with the analogous start gamma_0 = beta_0' - x^{l+1} Q/2 and recurrence
-for gamma_n from the same four integrals.  One pass over n
+with r_n = (4n+1)/(4n-3), C_n = B_n/2 and gamma_0 = beta_0' - x^{l+1} Q/2,
+so gamma_n reuses beta_n's bracket Lam_n/x^{2n}.  One pass over n
 (:func:`recurrent_tables`) fills row n of both tables from eta_n,
 kappa_n, theta_n and mu_n, and holds only the current order's integrals.
 The direct Fourier-Legendre formulas
@@ -33,18 +35,20 @@ small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
-The pass runs in place on one block of fourteen full rows (orders n and
-n-1 of each family; eta_n, kappa_n, theta_n and mu_n, which the
+A full build recurs in the rows of its own tables: order n writes row n
+and reads row n-1, so nothing is copied.  Besides them the pass holds a
+block of ten full rows (eta_n, kappa_n, theta_n and mu_n, which the
 quadrature writes straight into; x^{2n-2}, x^{2n-1} and x^{2n}, one
-running product of multiplies by x, with no vector ``pow``; three
-scratch rows) and copies row n of each family into its table; every
-product and sum keeps the grouping of the formulas as written, so the
-tables are bit for bit those of a plain transcription.
+running product of multiplies by x, with no vector ``pow``;
+Lam_n/x^{2n}; two scratch rows).  Every product and sum keeps the
+grouping of the formulas as written, so the tables are bit for bit
+those of a plain transcription.
 
 A caller that reads only some mesh columns (x = b for eigenvalues, a few
-6-point strips for point evaluation) passes them as ``columns``, and the
-same pass copies only those columns out, so the tables take (N+1) x
-len(columns) floats in place of (N+1) x m, with the same values.
+6-point strips for point evaluation) passes them as ``columns``.  The
+same pass then recurs in two scratch rows per family and copies only
+those columns out, so the tables take (N+1) x len(columns) floats in
+place of (N+1) x m, with the same values.
 Evaluating such tables at an x whose strip was not kept raises
 :class:`~pbessel.errors.DomainError`.
 """
@@ -106,10 +110,10 @@ def recurrent_tables(
 
     Row n holds beta_n (gamma_n) at the mesh indices ``columns``: a sorted,
     unique integer array that ends at the last index m-1 (x = b, which the
-    residuals read).  ``None``, the default, keeps every column.  Either
-    way the pass works on two full rows per family, for orders n and n-1,
-    and copies the kept columns of each order into the result, so a subset
-    holds the full build's ``[:, columns]``, bit for bit.
+    residuals read).  ``None``, the default, keeps every column, and the
+    pass writes each order straight into the tables.  A subset runs the
+    same pass on two full rows per family and copies the kept columns of
+    each order out, so it holds the full build's ``[:, columns]`` bit for bit.
 
     Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
     and then gamma_n from them; the next order's integrals replace them,
@@ -129,7 +133,7 @@ def recurrent_tables(
     if N < 0:
         raise DomainError("N must be nonnegative")
     m = u0.mesh.m
-    cols, width = slice(None), m
+    width = m
     if columns is not None:
         cols = np.asarray(columns)
         if not (
@@ -139,26 +143,28 @@ def recurrent_tables(
             raise DomainError(f"columns must be sorted, unique mesh indices ending at m-1 = {m - 1}")
         width = cols.size
     betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
+    ring = (betas, gammas) if columns is None else np.empty((2, 2, m))  # two rows per family
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n, brow, grow in _orders(u0, p, N):
-            betas[n] = brow[cols]
-            gammas[n] = grow[cols]
+        for n in _orders(u0, p, N, *ring):
+            if columns is not None:
+                betas[n], gammas[n] = ring[0][n % 2, cols], ring[1][n % 2, cols]
     return betas, gammas
 
 
-def _orders(u0: ParticularSolution, p: Potential, N: int):
+def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, grows: np.ndarray):
     """The recurrence, one order at a time, in place on full mesh rows.
 
-    Yields (n, beta_n row, gamma_n row) after each order.  The rows are
-    two working rows per family, which the next order overwrites, so a
-    caller copies what it keeps before it resumes the generator.  They
-    share one block of fourteen rows with the order's four integrals
-    (written by the quadrature kernels through their ``out`` rows),
-    x^{2n-2}, x^{2n-1}, x^{2n} and three scratch rows, so an order
-    allocates no mesh-sized float row.  The powers are one running
-    product from 1 (x^{2n-1} = x^{2n-2} x, x^{2n} = x^{2n-1} x), and both
-    families divide by that x^{2n}; swapping rows makes it the next
-    order's x^{2n-2}.
+    Writes beta_n and gamma_n into ring rows ``brows[n % k]`` and
+    ``grows[n % k]``, k = len(brows), and yields n after each order.  The
+    ring is the (N+1, m) tables themselves for a full build, or two rows
+    per family that the next orders overwrite.  A block of ten rows
+    holds the rest: the order's four integrals (written by the quadrature
+    kernels through their ``out`` rows), x^{2n-2}, x^{2n-1}, x^{2n},
+    Lam_n/x^{2n} and two scratch rows, so an order allocates no
+    mesh-sized float row.  The powers are one running product from 1
+    (x^{2n-1} = x^{2n-2} x, x^{2n} = x^{2n-1} x), and both families
+    divide by that x^{2n}; swapping rows makes it the next order's
+    x^{2n-2}.
     Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
     """
     mesh = u0.mesh
@@ -168,28 +174,26 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
     u0q = u0v * p.q.values
     xl1 = x ** (l + 1.0)
     xu0p = x * u0pv
-    two_u0p = 2.0 * u0pv
     Qxl1 = p.Q.values * xl1
-    zero_u0sq, zero_u0, zero_x = _underflowed(u0sq), _underflowed(u0v), _underflowed(x)
+    zero_u0sq, zero_x = _underflowed(u0sq), _underflowed(x)
 
-    brow, bprev, grow, gprev, eta, kappa, theta, mu, t2nm2, t2nm1, t2n, buf, tmp, tail = np.empty(
-        (14, mesh.m)
-    )
+    eta, kappa, theta, mu, t2nm2, t2nm1, t2n, lam, buf, tmp = np.empty((10, mesh.m))
     t2n[:] = 1.0  # x^0: the running product x^{2n-2} -> x^{2n-1} -> x^{2n} starts here
-    brow[:] = u0v - xl1
+    k, brow, grow = len(brows), brows[0], grows[0]
+    np.subtract(u0v, xl1, out=brow)
     # gamma_0 = beta_0' - x^{l+1} Q/2 with beta_0' = u0' - (l+1) x^l analytic
     # (the sign makes the omega = 0 limit of the derivative series equal u0')
     grow[:] = u0pv - (l + 1.0) * x**l - Qxl1 / 2.0
     grow[0] = 0.0
-    yield 0, brow, grow
+    yield 0
     for n in range(1, N + 1):
-        bprev, brow = brow, bprev
-        gprev, grow = grow, gprev
+        bprev, brow = brow, brows[n % k]
+        gprev, grow = grow, grows[n % k]
         t2nm2, t2n = t2n, t2nm2
         np.multiply(t2nm2, x, out=t2nm1)
         np.multiply(t2nm1, x, out=t2n)
         # x >= 0 rises along the mesh and IEEE products are monotone, so
-        # x^{2n} never falls: its underflowed samples are the prefix [:k]
+        # x^{2n} never falls: its underflowed samples are a prefix
         zero_x2n = slice(0, np.searchsorted(t2n, _TINY, side="right"))
 
         # eta_n: (x u0' + (2n-1) u0) x^{2n-2} beta_{n-1}
@@ -221,50 +225,45 @@ def _orders(u0: ParticularSolution, p: Potential, N: int):
 
         sign = -1.0 if n % 2 else 1.0
         b_n = gamma_ratio_Bn(n, l)
-        c_n = 0.5 * b_n  # C_n = B_n / 2, as special.gamma_ratio_Cn
+        r_n, a_n, s_n = (4 * n + 1) / (4 * n - 3), 2.0 * (4 * n - 1), sign * (4 * n - 3) * b_n
 
-        # beta_n = (4n+1)/(4n-3) (beta_{n-1} + u0 (2(4n-1) theta_n
-        #          + (-1)^n (4n-3) B_n mu_n) / x^{2n})
-        np.multiply(theta, 2.0 * (4 * n - 1), out=buf)
-        np.multiply(mu, sign * (4 * n - 3) * b_n, out=tmp)
-        buf += tmp
-        _safe_div(buf, t2n, zero_x2n, buf)
-        buf *= u0v
-        np.add(bprev, buf, out=brow)
-        brow *= (4 * n + 1) / (4 * n - 3)
+        # beta_n = r_n (beta_{n-1} + u0 Lam_n / x^{2n}),
+        # Lam_n = 2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n
+        np.multiply(theta, a_n, out=lam)
+        np.multiply(mu, s_n, out=tmp)
+        lam += tmp
+        _safe_div(lam, t2n, zero_x2n, lam)
+        np.multiply(lam, u0v, out=brow)
+        brow += bprev
+        brow *= r_n
         brow[0] = 0.0
         if not np.isfinite(brow).all():
             raise NumericalBreakdownError(
                 f"non-finite beta coefficient at order n={n}", order=n
             )
 
-        # (4n-1) (2 u0' theta/x^{2n} + 2 eta/(u0 x^{2n}) - beta_{n-1}/x)
-        inner = _safe_div(theta, t2n, zero_x2n, buf)
-        inner *= two_u0p
+        # gamma_n = r_n (gamma_{n-1} + u0' Lam_n/x^{2n} + E_n/(u0 x^{2n})
+        #           - (4n-1) beta_{n-1}/x) - (-1)^n (4n+1) C_n Q x^{l+1},
+        # E_n = 2(4n-1) eta_n + (-1)^n (4n-3) B_n kappa_n
+        np.multiply(eta, a_n, out=buf)
+        np.multiply(kappa, s_n, out=tmp)
+        buf += tmp
         np.multiply(u0v, t2n, out=tmp)
-        _safe_div(eta, tmp, _underflowed(tmp), tmp)  # u0 is not monotone: scan the row
-        tmp *= 2.0
-        inner += tmp
-        inner -= _safe_div(bprev, x, zero_x, tmp)
-        inner *= 4 * n - 1
-
-        # B_n (mu u0' + kappa/u0)/x^{2n} - C_n Q x^{l+1}
-        np.multiply(mu, u0pv, out=tail)
-        tail += _safe_div(kappa, u0v, zero_u0, tmp)
-        _safe_div(tail, t2n, zero_x2n, tail)
-        tail *= b_n
-        tail -= np.multiply(Qxl1, c_n, out=tmp)
-
-        np.add(gprev, inner, out=grow)
-        grow *= (4 * n + 1) / (4 * n - 3)
-        tail *= sign * (4 * n + 1)
-        grow += tail
+        _safe_div(buf, tmp, _underflowed(tmp), buf)  # u0 is not monotone: scan the row
+        np.multiply(lam, u0pv, out=grow)
+        grow += gprev
+        grow += buf
+        _safe_div(bprev, x, zero_x, buf)
+        buf *= 4 * n - 1
+        grow -= buf
+        grow *= r_n
+        grow -= np.multiply(Qxl1, sign * (4 * n + 1) * (0.5 * b_n), out=buf)  # C_n = B_n / 2
         grow[0] = 0.0
         if not np.isfinite(grow).all():
             raise NumericalBreakdownError(
                 f"non-finite gamma coefficient at order n={n}", order=n
             )
-        yield n, brow, grow
+        yield n
 
 
 # Seams for the per-layer spans ``coefficients.beta`` / ``coefficients.gamma``,

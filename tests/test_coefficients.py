@@ -85,10 +85,33 @@ class TestTableLayout:
         assert tables.beta.tobytes() == betas.tobytes()
         assert tables.gamma.tobytes() == gammas.tobytes()
 
+    @pytest.mark.parametrize(
+        "spec,l,b",
+        [("x^2", 1.5, np.pi), ("1/x", 1.0, np.pi), ("const:1", 1.5, np.pi), ("x^2", 1.5, 0.1)],
+        ids=["x^2-1.5", "1/x-1.0", "const:1-1.5", "x^2-1.5-short"],
+    )
+    def test_gamma_matches_four_term_formula(self, spec, l, b):
+        # gamma_n from beta_n's bracket against its four separate terms: the
+        # same value in exact arithmetic, so column b differs by rounding
+        # alone.  Measured (m = 2001, N = 100), relative to max |gamma_n(b)|:
+        # 1.0e-13, 7.5e-14, 1.3e-13 and 2.9e-14; the bound leaves ~4x margin
+        # over the largest.  beta does not depend on gamma's form at all.
+        mesh = UniformMesh(b, 2001)
+        p = make_potential(spec, mesh, l)
+        u0 = build_u0(p)
+        betas, gammas = recurrent_tables(u0, p, 100)
+        ref_b, ref_g = plain_recurrence(u0, p, 100, four_term_gamma=True)
+        assert betas.tobytes() == ref_b.tobytes()
+        gap = np.abs(gammas[:, -1] - ref_g[:, -1]).max()
+        assert gap <= 5e-13 * np.abs(ref_g[:, -1]).max()
+
     def test_build_keeps_no_per_order_auxiliaries(self):
         # a build holds its two tables plus a few rows of one order's
         # integrals; keeping every order's eta, kappa, theta and mu would add
-        # 4 N rows (~208 rows over the tables here)
+        # 4 N rows (~208 rows over the tables here).  A full build recurs in
+        # the tables' own rows: its peak is 18 rows over the tables (ten of
+        # them the recurrence's block), against 23 while it kept two working
+        # rows per family and copied them into the tables
         mesh = UniformMesh(np.pi, 4001)
         p = make_potential("x^2", mesh, 1.5)
         u0 = build_u0(p)
@@ -99,7 +122,7 @@ class TestTableLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= tables.beta.nbytes + tables.gamma.nbytes + 32 * 8 * mesh.m
+        assert peak <= tables.beta.nbytes + tables.gamma.nbytes + 22 * 8 * mesh.m
 
     @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
     def test_rows_independent_of_table_size(self, spec, l):
@@ -159,23 +182,36 @@ class TestColumnSubset:
             recurrent_tables(build_u0(p), p, 5, cols)
 
     def test_breakdown_on_one_column_names_full_row_order(self):
-        # the finiteness check reads the full working row, so a build that
-        # keeps only x = b breaks down where the full build does
+        # the finiteness check reads the full row of the ring, whether the
+        # ring is the tables themselves (columns=None) or two scratch rows
+        # per family, so a build that keeps only x = b breaks down where
+        # the full build does
         from pbessel.errors import NumericalBreakdownError
 
         mesh = UniformMesh(30.0, 2001)
         p = make_potential("1/x", mesh, -0.5)
-        with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
-            recurrent_tables(build_u0(p), p, 100, [mesh.m - 1])
-        assert exc.value.order == 78
+        u0 = build_u0(p)
+        for cols in ([mesh.m - 1], None):
+            with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
+                recurrent_tables(u0, p, 100, cols)
+            assert exc.value.order == 78
 
 
-def plain_recurrence(u0, p, N):
+def plain_recurrence(u0, p, N, four_term_gamma=False):
     """The recurrences transcribed out of place, one temporary per term.
 
     Kept as the reference for the in-place loop of ``recurrent_tables``:
     the same products and sums in the same grouping, so the tables must
-    agree bit for bit.
+    agree bit for bit.  gamma_n reuses beta_n's bracket
+    Lam_n/x^{2n} = (2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n)/x^{2n}.
+    ``four_term_gamma`` instead writes gamma_n from its four separate terms,
+
+        r_n (gamma_{n-1} + (4n-1)(2 u0' theta_n/x^{2n} + 2 eta_n/(u0 x^{2n})
+        - beta_{n-1}/x)) + (-1)^n (4n+1) (B_n (mu_n u0' + kappa_n/u0)/x^{2n}
+        - C_n Q x^{l+1}),
+
+    the same value in exact arithmetic (r_n (4n-3) = 4n+1), rounded
+    differently; beta is the same either way.
     """
 
     def safe_div(num, den):
@@ -213,16 +249,24 @@ def plain_recurrence(u0, p, N):
         mu, _ = _guarded_cumulative_values(mu_int, h)
         sign = -1.0 if n % 2 else 1.0
         b_n, c_n = gamma_ratio_Bn(n, l), gamma_ratio_Cn(n, l)
-        bracket = 2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
-        betas[n] = (4 * n + 1) / (4 * n - 3) * (betas[n - 1] + u0v * safe_div(bracket, t2n))
+        r_n = (4 * n + 1) / (4 * n - 3)
+        lam = safe_div(2.0 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu, t2n)
+        betas[n] = r_n * (betas[n - 1] + u0v * lam)
         betas[n, 0] = 0.0
-        inner = (4 * n - 1) * (
-            2.0 * u0pv * safe_div(theta, t2n)
-            + 2.0 * safe_div(eta, u0v * t2n)
-            - safe_div(betas[n - 1], x)
-        )
-        tail = b_n * safe_div(mu * u0pv + safe_div(kappa, u0v), t2n) - c_n * (p.Q.values * xl1)
-        gammas[n] = (4 * n + 1) / (4 * n - 3) * (gammas[n - 1] + inner) + sign * (4 * n + 1) * tail
+        if four_term_gamma:
+            inner = (4 * n - 1) * (
+                2.0 * u0pv * safe_div(theta, t2n)
+                + 2.0 * safe_div(eta, u0v * t2n)
+                - safe_div(betas[n - 1], x)
+            )
+            tail = b_n * safe_div(mu * u0pv + safe_div(kappa, u0v), t2n) - c_n * (p.Q.values * xl1)
+            gammas[n] = r_n * (gammas[n - 1] + inner) + sign * (4 * n + 1) * tail
+        else:
+            e_n = 2.0 * (4 * n - 1) * eta + sign * (4 * n - 3) * b_n * kappa
+            gammas[n] = r_n * (
+                gammas[n - 1] + u0pv * lam + safe_div(e_n, u0v * t2n)
+                - (4 * n - 1) * safe_div(betas[n - 1], x)
+            ) - sign * (4 * n + 1) * c_n * (p.Q.values * xl1)
         gammas[n, 0] = 0.0
     return betas, gammas
 
@@ -280,6 +324,33 @@ class TestRecurrentVsDirect:
         p, _ = xsq_15
         with pytest.raises(OrderCapError):
             direct_coefficients_extended(p, 13)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="longdouble is no wider than float64 here, so the oracle shows no float64 noise",
+)
+@pytest.mark.parametrize(
+    "spec,l,beta_bound,gamma_bound",
+    [("x^2", 1.5, 1.0e-12, 1.3e-10), ("1/x", 1.0, 4.0e-13, 3.4e-10)],
+    ids=["x^2-1.5", "1/x-1.0"],
+)
+def test_float64_noise_against_longdouble_recurrence(spec, l, beta_bound, gamma_bound):
+    # per row n, |float64 - longdouble| at x = b relative to the family's
+    # scale max_n |longdouble_n(b)|, at m = 2001, N = 100.  Measured on the
+    # four-term gamma formula and on beta's bracket alike (x86-64, 80-bit
+    # longdouble): x^2 l=1.5 beta 4.8e-13, gamma 6.5e-11; 1/x l=1 beta
+    # 2.1e-13, gamma 1.7e-10, each at n >= 64.  The bounds are ~2x those.
+    bl, gl = oracles.longdouble_recurrence(spec, l)
+    p = make_potential(spec, UniformMesh(np.pi, 2001), l)
+    t = build_coefficient_tables(build_u0(p), p, N=100)
+    # values, not bytes: longdouble padding bytes are uninitialised
+    beta_err = np.abs(t.beta[:, -1] - bl) / np.abs(bl).max()
+    gamma_err = np.abs(t.gamma[:, -1] - gl) / np.abs(gl).max()
+    assert beta_err.max() <= beta_bound
+    assert gamma_err.max() <= gamma_bound
+    # the oracle is no float64 copy: it tells the noise apart from zero
+    assert beta_err.max() > 0.0 and gamma_err.max() > 0.0
 
 
 class TestDirectArguments:
@@ -406,7 +477,7 @@ class TestSelectTruncation:
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 12: the residual plateau rule reads float64 noise, so "
-        "one ulp in every B_n moves N_used (x^2, m=2001: l=1 24 -> 39, l=2 80 -> 19)",
+        "one ulp in every B_n moves N_used (x^2, m=2001: l=1 24 -> 38, l=2 12 -> 19)",
     )
     def test_truncation_stable_under_one_ulp_in_Bn(self, monkeypatch):
         from pbessel import coefficients
