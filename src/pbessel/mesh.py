@@ -196,8 +196,9 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     if m < 6 or (m - 1) % 5 != 0:
         raise InvalidMeshError(f"cannot tile {m} points into 6-point panels")
     Wt = _cum_weights(np.result_type(y.dtype, np.float64))
-    if out is None:
-        out = np.empty(m, dtype=np.result_type(Wt.dtype, h))
+    if out is None:  # zeroed unless float64: nothing writes longdouble's padding bytes
+        dtype = np.result_type(Wt.dtype, h)
+        out = (np.empty if dtype == np.float64 else np.zeros)(m, dtype=dtype)
     out[0] = 0.0
     inc = out[1:].reshape(-1, 5)  # (P, 5) increments relative to panel start
     np.matmul(_windows(y, 5), Wt, out=inc)

@@ -13,15 +13,15 @@ never evaluated on its own above moderate arguments, which removes the
 overflow ceiling that a naive ratio hits near order 170.
 
 S_l and D_l come from one evaluation.  Up to z* = max(2, sqrt(3(l + 3/2)))
-they are ascending series; beyond it both come from one pair J_{nu-1}(z),
-J_nu(z), nu = l + 1/2, computed here with numpy alone, in two branches
-(phi = nu - floor(nu)):
+both are one long-double Horner pass over their shared ascending series, of a
+degree fixed per l (first term bound at z* below 1e-21: 14 at l = -1/2, 19 at
+l = 25.5); beyond it, one pair J_{nu-1}, J_nu, nu = l + 1/2, in two branches:
 
 - where z >= 25 and z > 2 nu, Hankel's expansion (DLMF 10.17(i)) gives
-  J_phi and J_{phi+1}, and the forward recurrence climbs to nu.  cos and
-  sin of z - (alpha/2 + 1/4) pi come from cos z and sin z by angle
-  addition, because forming the shifted argument first costs eps * z
-  (1e-13 of the envelope at z = 2000);
+  J_phi and J_{phi+1}, phi = nu - floor(nu), and the forward recurrence
+  climbs to nu.  cos and sin of z - (alpha/2 + 1/4) pi come from cos z and
+  sin z by angle addition, because forming the shifted argument first
+  costs eps * z (1e-13 of the envelope at z = 2000);
 - everywhere else, Miller's backward recurrence in J_{phi+k} is
   normalized by the Neumann sum (z/2)^phi = sum_k (phi+2k) Gamma(phi+k)/k!
   J_{phi+2k}(z).  The sum runs row by row (``np.add.accumulate``), never
@@ -43,8 +43,9 @@ S_l = e^c z^{-nu} J_nu and D_l + l S_l = e^c z^{1-nu} J_{nu-1}, c = log(2^nu
 Gamma(nu+1)), with the power of z from pow unless the product underflows
 (large l); folded into the exponent it would cost eps nu log z.  Against
 30-digit J_nu, S_l and D_l are within 3.6e-15 of their envelopes for
-l <= 7.5 and 1.6e-14 at l = 25.5.  Importing this module, and evaluating
-anything in it, loads numpy and the standard library only.
+l <= 7.5 and 1.6e-14 at l = 25.5 past z*, and correctly rounded up to it
+(within 8e-16 of max(|value|, 1) where long double is double).  Importing
+this module, and evaluating anything in it, loads numpy and the stdlib only.
 """
 
 from __future__ import annotations
@@ -276,21 +277,51 @@ def _series_region(l: float, z: np.ndarray) -> np.ndarray:
     return (z <= 2.0) | (z * z <= 3.0 * (l + 1.5))
 
 
-def _power_fused(log_mag: np.ndarray, z: np.ndarray, log_z: np.ndarray, p: float, j: np.ndarray) -> np.ndarray:
-    """exp(log_mag) z^p j, fused in log space so that no factor overflows on its own.
+def _horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # (r, len(w)): sum_k c[k] w^k for each column of c (K+1, r, 1), entry by entry, so a vector
+    # call equals its scalar calls; c and w are spread first (a broadcast per step costs more)
+    c = np.repeat(c, w.size, axis=2)
+    w = np.repeat(w[None], c.shape[1], axis=0)
+    acc = c[-1].copy()
+    for ck in c[-2::-1]:
+        acc *= w
+        acc += ck
+    return acc
+
+
+@lru_cache(maxsize=32)
+def _series_coeffs(l: float) -> np.ndarray:
+    # (K+1, 2, 1) in long double: c_k and (2k+l+1) c_k, c_k = prod_{j<=k} 1/(j (j+l+1/2))
+    # (DLMF 10.2.2), to the first k whose bound c_k |w*|^k at z* is below 1e-21, as a
+    # running product (|w*|^k overflows at large l)
+    lx = np.longdouble(l)
+    c, bound, k, rows = np.longdouble(1.0), 1.0, 0, [[1.0, lx + 1.0]]
+    while bound >= 1e-21:
+        k += 1
+        c /= k * (k + lx + 0.5)
+        bound *= max(1.0, 0.75 * (l + 1.5)) / (k * (k + l + 0.5))  # |w*| = z*^2 / 4
+        rows.append([c, (2 * k + lx + 1.0) * c])
+    out = np.array(rows, dtype=np.longdouble)[:, :, None]
+    out.flags.writeable = False  # cached: every caller shares it
+    return out
+
+
+def _power_fused(log_mag: np.ndarray, z: np.ndarray, log_z: np.ndarray, p: tuple, j: np.ndarray) -> np.ndarray:
+    """exp(log_mag) z^p[k] j[k] in row k, fused in log space so that no factor overflows on its own.
 
     z^p comes from pow wherever z^p j stays a normal number: folded into the
     exponent it would cost eps |p log z| (8e-15 of the envelope of D_l at
     l = 7.5, z ~ 1000).  Only entries whose z^p j underflows (large l) fold it.
+    Each z^p[k] is its own scalar-exponent pow, numpy's fast paths (1/z, sqrt z) included.
     """
     with np.errstate(under="ignore"):
-        zj = z**p * j
+        zj = np.array([z**pk for pk in p]) * j
     direct = np.abs(zj) >= np.finfo(float).tiny
     signed = np.where(direct, zj, j)
     mag = np.abs(signed)
     lg = np.full_like(mag, -np.inf)
     np.log(mag, out=lg, where=mag > 0.0)
-    return np.sign(signed) * np.exp(log_mag + np.where(direct, 0.0, p * log_z) + lg)
+    return np.sign(signed) * np.exp(log_mag + np.where(direct, 0.0, np.multiply.outer(p, log_z)) + lg)
 
 
 _HANKEL_Z = 25.0  # from here Hankel's expansion of orders < 2 is below eps in 11 + 11 terms
@@ -308,8 +339,7 @@ def _hankel_coeffs(phi: float) -> np.ndarray:
         a = [1.0]
         for k in range(1, 2 * _HANKEL_TERMS):
             a.append(a[-1] * (4.0 * alpha * alpha - (2 * k - 1) ** 2) / (8.0 * k))
-        sign = [(-1.0) ** m for m in range(_HANKEL_TERMS)]
-        rows += [[sg * c for sg, c in zip(sign, a[0::2])], [sg * c for sg, c in zip(sign, a[1::2])]]
+        rows += [[(-1.0) ** m * c for m, c in enumerate(a[i::2])] for i in (0, 1)]
     out = np.array(rows).T[:, :, None]
     out.flags.writeable = False  # cached: every caller shares it
     return out
@@ -321,13 +351,7 @@ def _jpair_hankel(phi: float, n0: int, z: np.ndarray) -> tuple:
     # phi + n0 < z/2, where it is stable.  cos and sin of z - (alpha/2 + 1/4) pi
     # come from cos z and sin z by angle addition: forming the shifted argument
     # first would cost eps * z.
-    c = _hankel_coeffs(phi)
-    w = 1.0 / (z * z)
-    pq = c[-1] * w
-    for cm in c[-2:0:-1]:
-        pq += cm
-        pq *= w
-    pq += c[0]
+    pq = _horner(_hankel_coeffs(phi), 1.0 / (z * z))
     p0, q0, p1, q1 = pq[0], pq[1] / z, pq[2], pq[3] / z
     cz, sz = np.cos(z), np.sin(z)
     amp = np.sqrt(2.0 / (math.pi * z))
@@ -374,62 +398,37 @@ def _jpair_miller(phi: float, n0: int, z: np.ndarray) -> tuple:
     return log_scale, pair[0] / total, pair[1] / total
 
 
-def _leading_scaled(l: float, z, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(S_l(z), D_l(z)) on z as an array of at least one dimension.
+def _leading_scaled(l: float, z, name: str) -> np.ndarray:
+    """S_l(z) and D_l(z) as the rows of one (2, n) array, z of at least one dimension.
 
-    Both ascending sums run over one term sequence t_k = Gamma(l+3/2) (-1)^k
-    (z/2)^{2k} / (k! Gamma(k+l+3/2)): S_l = sum_k t_k (S_l(0) = 1) and D_l =
-    sum_k (2k+l+1) t_k (D_l(0) = l+1), each stopping at its own first
-    negligible term.  Past the series region both come from one pair
-    J_{nu-1}, J_nu, nu = l + 1/2: S_l from J_nu, and D_l = t - l S_l with t
-    from J_{nu-1}, as b_l'(z) = sqrt(z) J_{nu-1}(z) - l J_nu(z)/sqrt(z).
+    Up to z*, S_l = sum_k c_k w^k and D_l = sum_k (2k+l+1) c_k w^k, w = -z^2/4,
+    by one long-double Horner pass to the degree of ``_series_coeffs``, rounded
+    once (w = -0.0 at z = 0 leaves exactly 1 and l + 1).  Past z*, S_l from J_nu
+    and D_l = t - l S_l with t from J_{nu-1}, as b_l'(z) = sqrt(z) J_{nu-1}(z) - l J_nu(z)/sqrt(z).
     """
     l = _check_l(l)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if (z_arr < 0).any() or not np.isfinite(z_arr).all():
         raise DomainError(f"{name} requires finite z >= 0")
-    s_out, d_out = np.empty_like(z_arr), np.empty_like(z_arr)
+    out = np.empty((2, z_arr.size))
     ser = _series_region(l, z_arr)
     if ser.any():
-        zs = z_arr[ser]
-        nz2 = -(zs * zs)
-        s_acc, d_acc = np.ones_like(zs), np.full_like(zs, l + 1.0)
-        term = np.ones_like(zs)
-        # each entry stops at its own first negligible term, as alone
-        s_live, d_live = np.ones(zs.shape, dtype=bool), np.ones(zs.shape, dtype=bool)
-        k = 0
-        while k <= 200:
-            s_any, d_any = s_live.any(), d_live.any()
-            if not (s_any or d_any):
-                break
-            k += 1
-            term = term * nz2 / (4.0 * k * (k + l + 0.5))
-            if d_any:
-                d_term = term * (2 * k + l + 1.0)
-                d_acc += d_term * d_live
-                d_live &= np.abs(d_term) > 1e-18
-            if s_any:
-                s_acc += term * s_live
-                s_live &= np.abs(term) > 1e-18 * np.maximum(np.abs(s_acc), 1e-30)
-        s_out[ser], d_out[ser] = s_acc, d_acc
-    rest = ~ser
-    if rest.any():
-        zr = z_arr[rest]
+        out[:, ser] = _horner(_series_coeffs(l), np.square(z_arr[ser], dtype=np.longdouble) * -0.25)
+    zr = z_arr[~ser]
+    if zr.size:
         nu = l + 0.5
-        n0 = int(nu)
-        phi = nu - n0
-        log_scale, j_lo, j_nu = np.empty_like(zr), np.empty_like(zr), np.empty_like(zr)
+        n0, phi = int(nu), nu - int(nu)
+        log_scale, j_lo, j_nu = pair = np.empty((3, zr.size))
         hankel = (zr >= _HANKEL_Z) & (zr > 2.0 * nu)
         for part, jpair in ((hankel, _jpair_hankel), (~hankel, _jpair_miller)):
             if part.any():
                 log_scale[part], j_lo[part], j_nu[part] = jpair(phi, n0, zr[part])
-        # S_l = e^base z^{-nu} J_nu and D_l = e^base z^{1-nu} J_{nu-1} - l S_l
+        # S_l = e^base z^{-nu} J_nu and D_l + l S_l = e^base z^{1-nu} J_{nu-1}
         base = nu * math.log(2.0) + math.lgamma(l + 1.5) + log_scale
-        log_z = np.log(zr)
-        s = _power_fused(base, zr, log_z, -nu, j_nu)
-        s_out[rest] = s
-        d_out[rest] = _power_fused(base, zr, log_z, 1.0 - nu, j_lo) - l * s
-    return s_out, d_out
+        sd = _power_fused(base, zr, np.log(zr), (-nu, 1.0 - nu), pair[:0:-1])
+        sd[1] -= l * sd[0]
+        out[:, ~ser] = sd
+    return out
 
 
 def bl_scaled(l: float, z) -> np.ndarray | float:

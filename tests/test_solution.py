@@ -33,8 +33,8 @@ def sol_free():
     return build_solution(make_potential("zero", UniformMesh(np.pi, 2001), 0.0), N=10)
 
 
-def small_solution():
-    return build_solution(make_potential("x^2", UniformMesh(np.pi, 2001), 1.5), N=30)
+def small_solution(l=1.5):
+    return build_solution(make_potential("x^2", UniformMesh(np.pi, 2001), l), N=30)
 
 
 @pytest.fixture
@@ -364,18 +364,22 @@ class TestSharedSweep:
 
     def test_entry_holds_the_leading_terms(self):
         # S_l and D_l come from one call; each equals its public function's
-        # result bit for bit, on both sides of the Miller / Hankel split at 25
-        from pbessel.special import bl_prime_scaled, bl_scaled
+        # result bit for bit, on every branch (the series up to z*, Miller's
+        # J pair below 25 and Hankel's expansion above), at l = 3/2 and at an
+        # integer l
+        from pbessel.special import _series_region, bl_prime_scaled, bl_scaled
 
-        sol = small_solution()
         omega = np.concatenate([self.OMEGA, [20.0, 20.5, 40.0]])
-        eval_u(sol, omega, self.X)
-        (held,) = sol._last_sweep.values()
-        key, _, s, d = held
-        z = np.frombuffer(key)
-        assert z.max() > 25.0 > z[z > 0].min()
-        assert s.ravel().tobytes() == bl_scaled(sol.l, z).tobytes()
-        assert d.ravel().tobytes() == bl_prime_scaled(sol.l, z).tobytes()
+        for l in (1.5, 2.0):
+            sol = small_solution(l)
+            eval_u(sol, omega, self.X)
+            (held,) = sol._last_sweep.values()
+            key, _, s, d = held
+            z = np.frombuffer(key)
+            series = _series_region(l, z)
+            assert series.sum() >= 3 and (~series & (z < 25.0)).sum() >= 2 and (z > 25.0).sum() >= 2
+            assert s.ravel().tobytes() == bl_scaled(l, z).tobytes()
+            assert d.ravel().tobytes() == bl_prime_scaled(l, z).tobytes()
 
     @pytest.mark.parametrize("change", ["omega", "x", "N_used"])
     def test_new_point_new_sweep(self, sweeps, change):

@@ -290,6 +290,36 @@ class TestLargeArgumentOracle:
         assert s_err <= bound and d_err <= bound, (s_err, d_err)
 
 
+class TestSeriesRegionOracle:
+    # S_l and D_l up to z* (the ascending series) against mpmath's J_nu at 30
+    # digits, relative to max(|value|, 1); z = 0 takes the exact limits
+    @pytest.mark.parametrize("l", [-0.5, -0.3, 0.0, 0.2, 0.8, 1.5, 3.0, 7.5, 25.5])
+    def test_against_mpmath(self, l):
+        z_star = _z_star(l)
+        z = np.array([0.0, 1e-8, 1e-3, *np.linspace(0.0, z_star, 42)[1:-1], np.nextafter(z_star, 0.0)])
+        assert _series_region(l, z).all()
+        exact = np.array([TestLargeArgumentOracle.exact(l, v) if v > 0 else (1.0, l + 1.0) for v in z])
+        scale = np.maximum(np.abs(exact), 1.0)
+        s_err = np.max(np.abs(bl_scaled(l, z) - exact[:, 0]) / scale[:, 0])
+        d_err = np.max(np.abs(bl_prime_scaled(l, z) - exact[:, 1]) / scale[:, 1])
+        assert s_err <= 1e-15 and d_err <= 1e-15, (s_err, d_err)
+
+
+class TestOriginLimits:
+    # S_l(0) = 1 and D_l(0) = l + 1 exactly, alone or among other arguments;
+    # the smallest subnormal z gives them to one ulp
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.floats(-0.5, 30.0))
+    def test_exact_at_zero(self, l):
+        assert bl_scaled(l, 0.0) == 1.0 and bl_prime_scaled(l, 0.0) == l + 1.0
+        z = np.array([0.0, 5e-324, 1.0, 40.0, 0.0])
+        s, d = bl_scaled(l, z), bl_prime_scaled(l, z)
+        assert s[0] == s[-1] == 1.0 and d[0] == d[-1] == l + 1.0
+        for s_tiny, d_tiny in ((s[1], d[1]), (bl_scaled(l, 5e-324), bl_prime_scaled(l, 5e-324))):
+            assert abs(s_tiny - 1.0) <= np.spacing(1.0)
+            assert abs(d_tiny - (l + 1.0)) <= np.spacing(l + 1.0)
+
+
 class TestLargeArgumentBits:
     # a vector call equals its scalar calls bit for bit, whichever branch
     # (series, Miller or Hankel) each entry takes
