@@ -26,7 +26,8 @@ l = 25.5); beyond it, one pair J_{nu-1}, J_nu, nu = l + 1/2, in two branches:
   normalized by the Neumann sum (z/2)^phi = sum_k (phi+2k) Gamma(phi+k)/k!
   J_{phi+2k}(z).  The sum runs row by row (``np.add.accumulate``), never
   through ``@`` or a pairwise reduction, so a vector call equals its scalar
-  calls bit for bit.
+  calls bit for bit.  Where J_nu < 1e-308 (large l) the quotient by the sum
+  would underflow, so there the binary exponents go to the log scale.
 
 Both backward recurrences run in one kernel, ``_miller``: f_{k-1} =
 2(a+k)/z f_k - f_{k+1}, a = 1/2 for j_k and a = phi for J_{phi+k}; they
@@ -140,14 +141,13 @@ def _jseq_forward(n_max: int, z: np.ndarray) -> np.ndarray:
 
 def _jseq_series(n_max: int, z: np.ndarray) -> np.ndarray:
     # Leading terms of j_n = z^n/(2n+1)!! (1 - z^2/(2(2n+3)) + z^4/(8(2n+3)(2n+5)));
-    # truncation below 1e-16 relative for z <= _SMALL_Z.
-    out = np.empty((n_max + 1, z.size))
-    lead = np.ones_like(z)
+    # truncation below 1e-16 relative for z <= _SMALL_Z.  z^n/(2n+1)!! is the running
+    # product of z/(2k+3), k < n, which underflows to 0 harmlessly for large n.
+    d = 2.0 * np.arange(n_max + 1.0)[:, None] + 3.0  # 2n + 3
+    lead = np.ones((n_max + 1, z.size))
+    np.multiply.accumulate(z / d[:-1], axis=0, out=lead[1:])
     z2 = z * z
-    for n in range(n_max + 1):
-        out[n] = lead * (1.0 - z2 / (2 * (2 * n + 3)) + z2 * z2 / (8.0 * (2 * n + 3) * (2 * n + 5)))
-        lead = lead * z / (2 * n + 3)  # underflows to 0 harmlessly for large n
-    return out
+    return lead * (1.0 - z2 / (2.0 * d) + z2 * z2 / (8.0 * d * (d + 2.0)))
 
 
 def _miller(a: float, n: int, z: np.ndarray, stop: int, z_min: float, bits: int, pair_at: int = -1) -> tuple:
@@ -395,7 +395,15 @@ def _jpair_miller(phi: float, n0: int, z: np.ndarray) -> tuple:
     weights = _neumann_weights(phi, s_max)[-even.shape[0] :]
     total = np.add.accumulate(weights * even, axis=0)[-1]
     log_scale = phi * np.log(0.5 * z) - shift * (700.0 * math.log(2.0))
-    return log_scale, pair[0] / total, pair[1] / total
+    out = pair / total
+    # J_nu < 1e-308: the pair and the sum hand their exponents (frexp: exact) to log_scale
+    tiny = (np.abs(out) < np.finfo(float).tiny).any(axis=0)
+    if tiny.any():
+        m_total, e_total = np.frexp(total[tiny])
+        e_pair = np.frexp(np.abs(pair[:, tiny]).max(axis=0))[1]
+        out[:, tiny] = np.ldexp(pair[:, tiny], -e_pair) / m_total
+        log_scale[tiny] += (e_pair - e_total) * math.log(2.0)
+    return log_scale, out[0], out[1]
 
 
 def _leading_scaled(l: float, z, name: str) -> np.ndarray:

@@ -7,14 +7,17 @@ Eigenvalues are the positive roots of the characteristic function
 where BC is u_N(omega, b), u_N'(omega, b) or u_N' + H u_N according to
 the boundary condition.  The omega^{l+1} regularizer keeps Phi O(1)
 across wide scan windows (the solution amplitude itself decays like
-omega^{-l-1}).  Roots are located by a sign-change scan and refined by
-ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
-2020): derivative-free and bracket-preserving like bisection, never
+omega^{-l-1}).  A bracket is every scan step whose ends differ in sign
+bit: an exact zero on the grid ends one, and a Phi whose omega^{l+1}
+underflows is +-0 with the sign of BC, so it ends none.  Brackets are
+refined by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM
+TOMS 2020): derivative-free and bracket-preserving like bisection, never
 slower than bisection by more than one step, and superlinear where Phi
 is smooth.  Each refinement round evaluates Phi once, in bulk, at one
 point per unfinished bracket; one final secant step polishes every root
 and one more bulk evaluation scores them all.  Tangential (double) roots
-are not resolved.
+are not resolved; a grid point where Phi touches zero without crossing
+may be reported twice.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ _REFINE_RTOL = 1e-13
 _ITP_K1 = 0.2
 _ITP_K2 = 2.0
 _ITP_N0 = 1
-#: brackets whose roots land closer than this are merged
-_DEDUP_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,16 @@ def _itp_brackets(phi, a, b, fa, fb):
 
 
 def find_eigenvalues(sol: NsbfSolution, prob: SpectralProblem) -> list[Eigenpair]:
-    """All eigenvalues in the scan window, sorted and deduplicated.
+    """All eigenvalues in the scan window, in grid (increasing) order.
 
-    Samples Phi on a uniform omega grid, refines every sign change by
-    vectorized ITP to relative width 1e-13, polishes each root with one
-    secant step and evaluates every root's residual |Phi| in one call.
-    An empty window or a window with no sign changes returns an empty
-    list (no error).
+    Samples Phi on a uniform omega grid, brackets every step whose ends
+    differ in ``np.signbit``, refines all brackets by vectorized ITP to
+    relative width 1e-13, polishes each root with one secant step and
+    evaluates every root's residual |Phi| in one call.  An exact zero on
+    the grid keeps its omega and residual 0, with the converged bracket's
+    width; an underflowed Phi keeps the sign of BC and brackets nothing; a
+    tangential grid zero may be reported twice.  An empty window or a
+    window with no sign changes returns an empty list (no error).
     """
     lo, hi = prob.omega_window
     n_scan = prob.effective_scan_points
@@ -190,33 +194,18 @@ def find_eigenvalues(sol: NsbfSolution, prob: SpectralProblem) -> list[Eigenpair
         bad = grid[~np.isfinite(values)][0]
         raise EvaluationError(f"characteristic function not finite at omega={bad}")
 
-    roots: list[tuple[float, float, float]] = []  # (omega, residual, width)
-
-    exact = np.flatnonzero(values == 0.0)
-    for i in exact:
-        roots.append((float(grid[i]), 0.0, 0.0))
-
-    sign_change = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
-    if sign_change.size:
-        a, b, fa, fb = _itp_brackets(
-            phi, grid[sign_change], grid[sign_change + 1], values[sign_change], values[sign_change + 1]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            om = b - fb * (b - a) / (fb - fa)  # secant polish
-        om = np.where((a <= om) & (om <= b), om, 0.5 * (a + b))  # also when fa = fb
-        roots.extend(zip(om.tolist(), np.abs(phi(om)).tolist(), (b - a).tolist()))
-
-    roots.sort(key=lambda r: r[0])
-    merged: list[tuple[float, float, float]] = []
-    for r in roots:
-        if merged and r[0] - merged[-1][0] < _DEDUP_WIDTH:
-            if r[1] < merged[-1][1]:
-                merged[-1] = r
-            continue
-        merged.append(r)
+    sign_change = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))
+    if not sign_change.size:
+        return []
+    a, b, fa, fb = _itp_brackets(
+        phi, grid[sign_change], grid[sign_change + 1], values[sign_change], values[sign_change + 1]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        om = b - fb * (b - a) / (fb - fa)  # secant polish
+    om = np.where((a <= om) & (om <= b), om, 0.5 * (a + b))  # also when fa = fb
     return [
-        Eigenpair(index=i + 1, omega=om, char_residual=res, refinement_width=w)
-        for i, (om, res, w) in enumerate(merged)
+        Eigenpair(index=i + 1, omega=omega, char_residual=res, refinement_width=width)
+        for i, (omega, res, width) in enumerate(zip(om.tolist(), np.abs(phi(om)).tolist(), (b - a).tolist()))
     ]
 
 

@@ -291,6 +291,17 @@ class TestCli:
         data = load_csv(tmp_path / "out" / "eigenvalues.csv")
         np.testing.assert_allclose(data[:, 1], [1, 2, 3, 4, 5], atol=1e-11)
 
+    def test_eigen_no_false_root_at_large_l(self, tmp_path):
+        # l = 45 on the default window (0, 10): Phi underflows to +0 at the nudged
+        # start, and the first eigenvalue lies near 16.68, so no row follows the header
+        cfg = EX1.replace("potential = x^2", "potential = zero").replace(
+            "l = 1.5", "l = 45"
+        ).replace("omega_min = 2.0", "omega_min = 0.0").replace("omega_max = 4.0", "omega_max = 10.0")
+        assert run_cli(tmp_path, "eigen", cfg) == 0
+        text = (tmp_path / "out" / "eigenvalues.csv").read_text()
+        rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+        assert rows == ["index,omega,residual,bracket_width"]
+
     def test_eigen_with_oracle(self, tmp_path):
         assert run_cli(tmp_path, "eigen", EX1, "--oracle") == 0
         comp = load_csv(tmp_path / "out" / "eigenvalues_comparison.csv")

@@ -48,6 +48,20 @@ class TestSphericalSequence:
         live = float(oracles.spherical_j_series(n, z))
         assert abs(live - expected) <= 1e-15 * abs(expected)
 
+    def test_small_argument_series_against_oracle(self):
+        # z <= 0.01 takes the ascending series, its leading factor z^n/(2n+1)!!
+        # a running product of z/(2k+3): 9.6e-16 relative at worst here (the
+        # per-order loop it replaced measured 1.27e-15)
+        z = np.array([1e-8, 3.3e-5, 1e-4, 7.7e-4, 0.003, 0.0061, 0.0099999])
+        seq = spherical_j_sequence(60, z)
+        worst = 0.0
+        for j, v in enumerate(z):
+            for n in range(61):
+                ref = oracles.spherical_j_series(n, v)
+                if abs(ref) >= 1e-300:  # the subnormal tail carries no relative accuracy
+                    worst = max(worst, float(abs((seq[n, j] - ref) / ref)))
+        assert worst <= 1e-15, worst
+
     def test_low_orders_match_scipy_forward(self):
         from scipy.special import spherical_jn
 
@@ -303,6 +317,32 @@ class TestSeriesRegionOracle:
         s_err = np.max(np.abs(bl_scaled(l, z) - exact[:, 0]) / scale[:, 0])
         d_err = np.max(np.abs(bl_prime_scaled(l, z) - exact[:, 1]) / scale[:, 1])
         assert s_err <= 1e-15 and d_err <= 1e-15, (s_err, d_err)
+
+
+class TestLargeOrderOracle:
+    # l >= 350 past z*: J_nu(z) < 1e-308 where S_l and D_l are O(1), so the J
+    # pair's quotient by its Neumann sum would underflow; near z* at l = 600.5
+    # and 800 the sweep also rescales after the pair is copied.  Relative to
+    # 50-digit mpmath (no zero of J_nu or of b_l' lies below nu)
+    @staticmethod
+    def exact(l, z):
+        with mpmath.workdps(50):
+            nu, zz = mpmath.mpf(l) + 0.5, mpmath.mpf(z)
+            scale = mpmath.mpf(2) ** nu * mpmath.gamma(nu + 1)
+            s = scale * zz ** (-nu) * mpmath.besselj(nu, zz)
+            return s, scale * zz ** (1 - nu) * mpmath.besselj(nu - 1, zz) - l * s
+
+    @pytest.mark.parametrize("l", [350.0, 400.0, 450.0, 600.5, 800.0])
+    def test_against_mpmath(self, l):
+        z_star, nu = _z_star(l), l + 0.5
+        z = np.array([z_star * (1 + 1e-9), 1.0001 * z_star, 1.2 * z_star, 1.5 * z_star,
+                      2.0 * z_star, 3.0 * z_star, 0.5 * nu, 0.9 * nu])
+        s, d = bl_scaled(l, z), bl_prime_scaled(l, z)
+        for i, v in enumerate(z):
+            s_ref, d_ref = self.exact(l, v)
+            assert abs((s[i] - s_ref) / s_ref) <= 5e-12, (v, s[i], s_ref)
+            assert abs((d[i] - d_ref) / d_ref) <= 5e-12, (v, d[i], d_ref)
+            assert s[i] == bl_scaled(l, float(v)) and d[i] == bl_prime_scaled(l, float(v))
 
 
 class TestOriginLimits:

@@ -138,6 +138,16 @@ class TestFindEigenvalues:
         prob = SpectralProblem(sol_free_l0.potential, DIRICHLET, (0.1, 0.9))
         assert find_eigenvalues(sol_free_l0, prob) == []
 
+    def test_exact_grid_zero_reported_once(self, sol_free_l0):
+        # omega = 2.0 is a grid point where Phi = 2 sin(2 pi) rounds to exactly 0:
+        # the one bracket it ends closes onto it
+        prob = SpectralProblem(sol_free_l0.potential, DIRICHLET, (0.5, 10.5))
+        pairs = find_eigenvalues(sol_free_l0, prob)
+        near = [p for p in pairs if abs(p.omega - 2.0) < 0.5]
+        assert len(near) == 1 and near[0].index == 2
+        assert near[0].omega == 2.0 and near[0].char_residual == 0.0
+        assert 0.0 <= near[0].refinement_width <= 1e-13 * near[0].omega
+
     def test_scan_robustness(self, sol_example1):
         prob1 = SpectralProblem(sol_example1.potential, DIRICHLET, (2.0, 11.0))
         prob2 = SpectralProblem(
@@ -201,6 +211,35 @@ class TestFindEigenvalues:
         for i in idx:
             ref = shoot_eigenvalue_near(q, 1.5, np.pi, pairs[i].omega)
             assert abs(pairs[i].omega - ref) < 1e-8
+
+
+class TestUnderflowedStart:
+    """l >= 45 from omega = 0: Phi = omega^{l+1} BC underflows to +-0 at the nudged start.
+
+    A zero that carries the sign of BC brackets nothing, so no false root
+    precedes the true ones and every index is the true spectral index.
+    """
+
+    @pytest.fixture(scope="class")
+    def sol_l45(self):
+        return build_solution(make_potential("zero", UniformMesh(np.pi, 2001), 45.0), N=30)
+
+    def test_dirichlet_roots_are_bessel_zeros(self, sol_l45):
+        pairs = find_eigenvalues(sol_l45, SpectralProblem(sol_l45.potential, DIRICHLET, (0.0, 20.0)))
+        ref = bisect_bessel_zeros(45.5, 4) / np.pi  # zeros of J_{45.5}(omega pi)
+        assert ref[2] < 20.0 < ref[3]
+        assert [p.index for p in pairs] == [1, 2, 3]
+        np.testing.assert_allclose([p.omega for p in pairs], ref[:3], rtol=1e-12, atol=0)
+
+    def test_window_below_first_root_is_empty(self, sol_l45):
+        assert find_eigenvalues(sol_l45, SpectralProblem(sol_l45.potential, DIRICHLET, (0.0, 10.0))) == []
+
+    def test_neumann_no_root_near_zero(self):
+        sol = build_solution(make_potential("zero", UniformMesh(np.pi, 2001), 60.5), N=30)
+        prob = SpectralProblem(sol.potential, BoundaryCondition("neumann"), (0.0, 30.0))
+        pairs = find_eigenvalues(sol, prob)
+        assert pairs and pairs[0].index == 1
+        assert all(p.omega >= 1.0 for p in pairs)
 
 
 class TestExactConstantPotential:
