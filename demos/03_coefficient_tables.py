@@ -2,35 +2,20 @@
 """Coefficient families beta_n, gamma_n and their decay.
 
 The recurrent integration scheme produces hundreds of coefficients
-stably; the direct Fourier-Legendre formulas lose a digit per order in
-float64, so the independent cross-check for small n runs them in
-extended precision (numpy.longdouble).
+stably; their decay rate in n depends on l, and the residual sum rule
+picks the truncation order.
 """
 import numpy as np
 
 from pbessel import UniformMesh, build_u0, make_potential
-from pbessel.coefficients import (
-    build_coefficient_tables,
-    direct_coefficients_extended,
-    recurrent_tables,
-)
+from pbessel.coefficients import build_coefficient_tables
 from pbessel.spectral import decay_fit
 
 mesh = UniformMesh(np.pi, 20001)
 
-# --- dual routes agree ------------------------------------------------------
-p = make_potential("x^2", mesh, 1.5)
-u0 = build_u0(p)
-betas, _ = recurrent_tables(u0, p, 6)
-direct, _ = direct_coefficients_extended(p, 6)  # at x = b = pi
-print("recurrent vs direct (extended precision) beta_n(pi):")
-for n in range(7):
-    br, bd = betas[n][-1], direct[n]
-    print(f"  n = {n}: {br:+.12e}  vs  {bd:+.12e}")
-
 # --- decay rate depends on l ------------------------------------------------
 # non-integer l: |beta_n| ~ n^{-(2l+3)}; integer l: much faster decay
-print("\nfitted decay exponents of |beta_n(pi)| over n in [10, 100]:")
+print("fitted decay exponents of |beta_n(pi)| over n in [10, 100]:")
 for l in (0.5, 1.5, 2.5):
     pl = make_potential("x^2", mesh, l)
     t = build_coefficient_tables(build_u0(pl), pl, N=100)

@@ -32,18 +32,11 @@ from .mesh import (
     cutoff_start_index,
     next_valid_size,
 )
-from .special import (
-    LegendreCoeffRow,
-    gamma_ratio_Bn,
-    gamma_ratio_Cn,
-    legendre_even_coeffs,
-    spherical_j_sequence,
-)
+from .special import gamma_ratio_Bn, spherical_j_sequence
 from .spps import ParticularSolution, Potential, build_u0
 from .coefficients import (
     CoefficientTables,
     build_coefficient_tables,
-    direct_coefficients_extended,
     recurrent_tables,
     select_truncation,
 )

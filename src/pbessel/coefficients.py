@@ -22,16 +22,10 @@ with r_n = (4n+1)/(4n-3), C_n = B_n/2 and gamma_0 = beta_0' - x^{l+1} Q/2,
 so gamma_n reuses beta_n's bracket Lam_n/x^{2n}.  One pass over n
 (:func:`recurrent_tables`) fills row n of both tables from eta_n,
 kappa_n, theta_n and mu_n, and holds only the current order's integrals.
-The direct Fourier-Legendre formulas
-
-    beta_n(x)  = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k - c_{k,l} x^{2k+l+1}),
-    gamma_n(x) = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k'
-                 - c_{k,l}((2k+l+1) x^{2k+l} + (Q/2) x^{2k+l+1})),
-
-lose roughly a digit per order in float64, so they are kept only in
-extended precision (:func:`direct_coefficients_extended`), as the
-independent reference the recurrent tables are checked against for
-small n.
+The paper's direct Fourier-Legendre formulas lose roughly a digit per
+order in float64; they live in the test oracle
+(``tests/oracles.py``), in longdouble, as the independent reference the
+recurrent tables are checked against for small n.
 
 All coefficients vanish at x = 0 (they are bounded by const * x^{l+1});
 samples where x^{2n} underflows are defined as 0 rather than divided.
@@ -55,30 +49,21 @@ Evaluating such tables at an x whose strip was not kept raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalBreakdownError, OrderCapError
+from .errors import DomainError, NumericalBreakdownError
 from .mesh import UniformMesh, _cumulative_values, _guarded_cumulative_values
-from .special import gamma_ratio_Bn, legendre_even_coeffs
-from .spps import ParticularSolution, Potential, _u0_power_case, _xtilde_chain
+from .special import gamma_ratio_Bn
+from .spps import ParticularSolution, Potential
 
 __all__ = [
     "CoefficientTables",
     "recurrent_tables",
-    "direct_coefficients_extended",
     "select_truncation",
     "build_coefficient_tables",
-    "DIRECT_ORDER_CAP",
 ]
-
-#: Direct Legendre-sum formulas are only served up to this order; beyond it
-#: their fixed-precision cancellation outgrows the value itself.  In float64
-#: the digits run out well before it (~1e-10 relative at n <= 5, 1e-7...2e-4
-#: at n = 8), which is why only the extended-precision route is kept.
-DIRECT_ORDER_CAP = 12
 
 _TINY = 1e-290  # below this, positive powers are treated as underflowed
 
@@ -277,84 +262,6 @@ def beta_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
 def gamma_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
     """The gamma table of :func:`recurrent_tables`, kept only as a benchmark seam."""
     return recurrent_tables(u0, p, N)[1]
-
-
-def _direct_sums(xi, l: float, u0i, u0pi, xt: list, Qi, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """beta_n(x_i) and gamma_n(x_i), n = 0..N, by the direct Fourier-Legendre sums.
-
-    ``xt`` holds Xt^(0..2N) at x_i.  The sums run in the dtype of ``xi``:
-    the Legendre coefficients are exact ratios and c_{k,l} follows its
-    exact gamma recurrence (c_0 = 1), both rounded in that dtype, and
-    phi_k' = (-1)^k (2k)! (u0' Xt^(2k) - Xt^(2k-1)/u0) is analytic.
-    """
-    betas = np.zeros(N + 1)
-    gammas = np.zeros(N + 1)
-    if xi == 0.0:
-        return betas, gammas  # every coefficient vanishes at the origin
-    dt = type(xi)
-    l = dt(l)
-    cks = [dt(1.0)]
-    for k in range(N):
-        cks.append(cks[-1] * (k + dt(0.5)) / (k + l + dt(1.5)))
-    for n in range(N + 1):
-        exact_row = legendre_even_coeffs(n).exact
-        tot_b = dt(0.0)
-        tot_g = dt(0.0)
-        for k in range(n + 1):
-            lk = dt(exact_row[2 * k].numerator) / dt(exact_row[2 * k].denominator)
-            fact = dt(math.factorial(2 * k))
-            phi_k = ((-1.0) ** k) * fact * u0i * xt[2 * k]
-            if k == 0:
-                phi_kp = u0pi
-            else:
-                phi_kp = ((-1.0) ** k) * fact * (u0pi * xt[2 * k] - xt[2 * k - 1] / u0i)
-            xpow = xi ** (2 * k + l + 1)
-            tot_b += lk * xi ** (-2 * k) * (phi_k - cks[k] * xpow)
-            unp = cks[k] * ((2 * k + l + 1) * xpow / xi + 0.5 * Qi * xpow)
-            tot_g += lk * xi ** (-2 * k) * (phi_kp - unp)
-        betas[n] = float((4 * n + 1) * tot_b)
-        gammas[n] = float((4 * n + 1) * tot_g)
-    return betas, gammas
-
-
-def direct_coefficients_extended(
-    p: Potential, N: int, x: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """beta_n(x) and gamma_n(x), n = 0..N, by the direct formulas in 80-bit floats.
-
-    In fixed double precision the direct Fourier-Legendre formulas lose
-    about a digit per order (the Legendre coefficients grow while the
-    values shrink), which caps them near n = 8-10; evaluated in extended
-    precision they stay meaningful over the whole served range and give
-    an independent reference for the recurrent path.  The mesh points,
-    the x q samples and the step are taken in ``numpy.longdouble``, and
-    the same Picard and quadrature kernels as the float64 pipeline then
-    run in that dtype, followed by the Xt chain of :mod:`pbessel.spps`.
-
-    Requires l > -1/2; the degenerate log-kernel case has no extended
-    path.  ``x`` defaults to the right endpoint b.
-    """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if N > DIRECT_ORDER_CAP:
-        raise OrderCapError(f"direct formulas limited to n <= {DIRECT_ORDER_CAP}")
-    if p.l == -0.5:
-        raise DomainError("extended direct evaluation requires l > -1/2")
-    ld = np.longdouble
-    mesh = p.mesh
-    i = mesh.m - 1 if x is None else mesh.index_of(x)
-    xv = mesh.x.astype(ld)
-    h = ld(mesh.b) / ld(mesh.m - 1)
-    qv = p.q.values.astype(ld)
-    sq = xv * qv
-    sq[0] = ld(p.xq_limit)
-    # iterate to the longdouble fixed point: the direct formulas amplify a
-    # relative u0 perturbation by many orders at the top of the range, so
-    # the sweep runs until its update drowns in longdouble rounding noise
-    u0v, u0pv, _ = _u0_power_case(xv, sq, p.l, h, 1e-19, 120, floor=1e-13)
-    Qv, _ = _guarded_cumulative_values(qv, h)
-    xt = _xtilde_chain(u0v, h, N)
-    return _direct_sums(xv[i], p.l, u0v[i], u0pv[i], [v[i] for v in xt], Qv[i], N)
 
 
 #: Plateau rule of :func:`select_truncation`: the trailing window of residuals,

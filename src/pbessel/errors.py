@@ -19,7 +19,11 @@ class DomainError(PerturbedBesselError, ValueError):
 
 
 class OrderCapError(PerturbedBesselError, ValueError):
-    """Requested order above the documented cap of a direct formula."""
+    """Requested order above the documented cap of a direct formula.
+
+    Only the test oracle's direct Fourier-Legendre route raises it now; the
+    CLI still maps it to exit code 2.
+    """
 
 
 class ConvergenceError(PerturbedBesselError, RuntimeError):

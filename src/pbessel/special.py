@@ -3,9 +3,8 @@
 Covers spherical Bessel functions j_0..j_n of a common argument
 (forward recurrence where it is stable, Miller backward recurrence with
 power-of-two renormalization otherwise), the scaled forms S_l and D_l of
-b_l(z) = sqrt(z) J_{l+1/2}(z) and its derivative, the gamma-ratio
-constants of the recurrent coefficient scheme, and exact-rational
-Legendre polynomial coefficients.
+b_l(z) = sqrt(z) J_{l+1/2}(z) and its derivative, and the gamma-ratio
+constants of the recurrent coefficient scheme.
 
 B_n goes through its exact rational ratio in n, and the normalization of
 S_l and D_l through ``math.lgamma`` in log space; the gamma function is
@@ -52,23 +51,17 @@ this module, and evaluating anything in it, loads numpy and the stdlib only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, OrderCapError
+from .errors import DomainError
 
 __all__ = [
     "spherical_j_sequence",
     "bl_scaled",
     "bl_prime_scaled",
     "gamma_ratio_Bn",
-    "gamma_ratio_Cn",
-    "LegendreCoeffRow",
-    "legendre_even_coeffs",
-    "LEGENDRE_ORDER_CAP",
 ]
 
 # ---------------------------------------------------------------------------
@@ -499,68 +492,3 @@ def gamma_ratio_Bn(n: int, l: float) -> float:
     if l - n + 2.0 <= 0.0 and l.is_integer():
         return 0.0  # pole of Gamma(l-n+2): reciprocal vanishes
     return _bn_sequence(l, 1 << max(7, n.bit_length()))[n]
-
-
-def gamma_ratio_Cn(n: int, l: float) -> float:
-    """C_n = B_n / 2, the coupling constant of the derivative scheme."""
-    return 0.5 * gamma_ratio_Bn(n, l)
-
-
-# ---------------------------------------------------------------------------
-# Legendre polynomial coefficients (exact rationals internally)
-# ---------------------------------------------------------------------------
-
-#: Largest n for which legendre_even_coeffs(n) (order 2n) is served.
-LEGENDRE_ORDER_CAP = 30
-
-
-@dataclass(frozen=True)
-class LegendreCoeffRow:
-    """Coefficients l_{k,n} of P_n(x) = sum_k l_{k,n} x^k.
-
-    ``coeffs[k]`` is the float coefficient of x^k; ``exact`` holds the same
-    numbers as exact rationals.  Entries with k, n of opposite parity are
-    exactly zero.
-    """
-
-    order: int
-    coeffs: np.ndarray
-    exact: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        self.coeffs.flags.writeable = False
-
-
-@lru_cache(maxsize=None)
-def _legendre_exact(order: int) -> tuple[Fraction, ...]:
-    # Bonnet recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} in exact rationals.
-    if order == 0:
-        return (Fraction(1),)
-    prev = [Fraction(1)]
-    cur = [Fraction(0), Fraction(1)]
-    for k in range(1, order):
-        nxt = [Fraction(0)] * (k + 2)
-        for p, c in enumerate(cur):
-            nxt[p + 1] += Fraction(2 * k + 1, k + 1) * c
-        for p, c in enumerate(prev):
-            nxt[p] -= Fraction(k, k + 1) * c
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
-def legendre_even_coeffs(n: int) -> LegendreCoeffRow:
-    """Exact coefficients of the Legendre polynomial P_{2n}.
-
-    The Bonnet recurrence is carried in exact rational arithmetic and
-    converted to floating point only at this boundary, so the rapid
-    growth of the coefficients costs no accuracy here.
-    """
-    if n < 0 or not float(n).is_integer():
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    if n > LEGENDRE_ORDER_CAP:
-        raise OrderCapError(
-            f"P_{2 * n} coefficients not served (cap n={LEGENDRE_ORDER_CAP}); "
-            "use the recurrent coefficient path for high orders"
-        )
-    exact = _legendre_exact(2 * int(n))
-    return LegendreCoeffRow(order=2 * int(n), coeffs=np.array([float(c) for c in exact]), exact=exact)

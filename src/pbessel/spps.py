@@ -1,23 +1,10 @@
-"""Particular solution u0 and the recursive-integral families built on it.
+"""Particular solution u0, by Picard iteration.
 
 The seed of the whole method is the non-vanishing solution u0 of
 
-    -u0'' + (l(l+1)/x^2 + q(x)) u0 = 0,   u0(x) ~ x^{l+1} as x -> 0,
+    -u0'' + (l(l+1)/x^2 + q(x)) u0 = 0,   u0(x) ~ x^{l+1} as x -> 0.
 
-from which the recursive integrals of the direct coefficient formulas
-are constructed:
-
-    Xt^(0) = 1,
-    Xt^(n) = integral_0^x u0^2 Xt^(n-1)        (n odd),
-    Xt^(n) = -integral_0^x Xt^(n-1) / u0^2     (n even),
-
-    phi_n  = (-1)^n (2n)! u0 Xt^(2n).
-
-Only the extended-precision direct reference
-(:func:`pbessel.coefficients.direct_coefficients_extended`) reads the Xt
-chain; the recurrent tables need u0 alone.
-
-u0 itself is produced by Picard iteration of the Volterra equation
+It is produced by Picard iteration of the Volterra equation
 
     u0(x) = x^{l+1} + (2l+1)^{-1} integral_0^x (x^{l+1} s^{-l} - x^{-l} s^{l+1}) q(s) u0(s) ds,
 
@@ -213,27 +200,6 @@ def _u0_power_case(x, sq, l: float, h, tol: float, max_iter: int, floor: float =
     # (l+1) x^l -> 1 for l = 0; 0 for l > 0, a placeholder for the unbounded l < 0
     u0pv[0] = 1.0 if l == 0.0 else 0.0
     return u0v, u0pv, iterations
-
-
-def _xtilde_chain(u0v, h, N: int) -> list:
-    """Xt^(0)..Xt^(2N) on the mesh, in the dtype of ``u0v``.
-
-    Odd n integrates u0^2 Xt^(n-1) plainly; even n integrates
-    Xt^(n-1)/u0^2 through the guarded path (the division amplifies noise
-    near the origin).
-    """
-    u0sq = u0v * u0v
-    xt = [np.ones_like(u0v)]
-    for n in range(1, 2 * N + 1):
-        if n % 2 == 1:
-            xt.append(_cumulative_values(u0sq * xt[-1], h))
-        else:
-            integrand = np.zeros_like(u0sq)
-            np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0.0)
-            integrand[0] = 0.0
-            vals, _ = _guarded_cumulative_values(integrand, h)
-            xt.append(-vals)
-    return xt
 
 
 def build_u0(p: Potential) -> ParticularSolution:

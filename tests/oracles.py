@@ -6,21 +6,26 @@ values are frozen as module constants; the generating functions stay
 next to them so any constant can be recomputed on demand.  The exact
 eigenvalues of a constant potential come from scipy's Bessel zeros and
 evaluators, and those of the Coulomb potential from mpmath's Coulomb
-wave function, not from the library.  Two exceptions reuse library
-kernels in ``numpy.longdouble`` and are cached, so the tests that compare
-against them build each reference once per session:
-``extended_direct_reference`` is the library's own extended-precision
-direct route, and ``longdouble_recurrence`` transcribes the recurrence
-itself in longdouble on the library's Picard and quadrature kernels.
+wave function, not from the library.  Two exceptions run the library's
+Picard and quadrature kernels in ``numpy.longdouble`` and are cached, so
+the tests that compare against them build each reference once per
+session: ``extended_direct_reference`` takes the paper's direct
+Fourier-Legendre formulas (``direct_coefficients_extended``, which the
+library does not ship), and ``longdouble_recurrence`` transcribes the
+recurrence itself.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+
+from pbessel.errors import DomainError, OrderCapError
 
 mp.mp.dps = 40
 
@@ -174,16 +179,143 @@ J2_ZEROS = (
 )
 
 
+# ---------------------------------------------------------------------------
+# The paper's direct Fourier-Legendre route, in longdouble.
+# ---------------------------------------------------------------------------
+
+#: Largest n for which legendre_even_coeffs(n) (order 2n) is served.
+LEGENDRE_ORDER_CAP = 30
+#: Largest order of the direct formulas: beyond it their fixed-precision
+#: cancellation outgrows the value itself (in float64 the digits run out well
+#: before it: ~1e-10 relative at n <= 5, 1e-7...2e-4 at n = 8).
+DIRECT_ORDER_CAP = 12
+
+
+class LegendreCoeffRow(NamedTuple):
+    """P_n(x) = sum_k l_{k,n} x^k: ``exact[k]`` is l_{k,n} as a Fraction, ``coeffs[k]`` its float."""
+
+    order: int
+    coeffs: np.ndarray
+    exact: tuple[Fraction, ...]
+
+
+def legendre_even_coeffs(n: int) -> LegendreCoeffRow:
+    """Exact coefficients of P_{2n} from the explicit sum
+
+        P_N(x) = 2^{-N} sum_k (-1)^k C(N, k) C(2N-2k, N) x^{N-2k}.
+    """
+    if n < 0 or not float(n).is_integer():
+        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    if n > LEGENDRE_ORDER_CAP:
+        raise OrderCapError(f"P_{2 * n} coefficients not served (cap n={LEGENDRE_ORDER_CAP})")
+    N = 2 * int(n)
+    exact = [Fraction(0)] * (N + 1)
+    for k in range(N // 2 + 1):
+        exact[N - 2 * k] = Fraction((-1) ** k * math.comb(N, k) * math.comb(2 * N - 2 * k, N), 2**N)
+    return LegendreCoeffRow(N, np.array([float(c) for c in exact]), tuple(exact))
+
+
+def xtilde_chain(u0v, h, N: int) -> list:
+    """The SPPS recursive integrals Xt^(0)..Xt^(2N) on the mesh, in the dtype of ``u0v``.
+
+    Xt^(0) = 1; odd n integrates u0^2 Xt^(n-1) plainly, and even n gives
+    -int Xt^(n-1)/u0^2 through the guarded path (the division amplifies
+    noise near the origin).
+    """
+    from pbessel.mesh import _cumulative_values, _guarded_cumulative_values
+
+    u0sq = u0v * u0v
+    xt = [np.ones_like(u0v)]
+    for n in range(1, 2 * N + 1):
+        if n % 2 == 1:
+            xt.append(_cumulative_values(u0sq * xt[-1], h))
+        else:
+            integrand = np.zeros_like(u0sq)
+            np.divide(xt[-1], u0sq, out=integrand, where=u0sq > 0.0)
+            integrand[0] = 0.0
+            vals, _ = _guarded_cumulative_values(integrand, h)
+            xt.append(-vals)
+    return xt
+
+
+def direct_coefficients_extended(p, N: int, x: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """beta_n(x) and gamma_n(x), n = 0..N, by the paper's direct formulas in longdouble:
+
+        beta_n(x)  = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k - c_k x^{2k+l+1}),
+        gamma_n(x) = (4n+1) sum_k l_{2k,2n} x^{-2k} (phi_k'
+                     - c_k ((2k+l+1) x^{2k+l} + (Q/2) x^{2k+l+1})),
+
+    with phi_k = (-1)^k (2k)! u0 Xt^(2k), phi_k' = (-1)^k (2k)! (u0' Xt^(2k)
+    - Xt^(2k-1)/u0) and c_0 = 1, c_{k+1} = c_k (k+1/2)/(k+l+3/2).  In
+    float64 they lose about a digit per order.  The mesh, the x q samples
+    and the step are taken in ``numpy.longdouble``, and the library's
+    Picard and quadrature kernels run in that dtype; only the sums' results
+    are rounded to float64.  Requires l > -1/2; ``x`` defaults to b.
+    """
+    from pbessel.mesh import _guarded_cumulative_values
+    from pbessel.spps import _u0_power_case
+
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    if N > DIRECT_ORDER_CAP:
+        raise OrderCapError(f"direct formulas limited to n <= {DIRECT_ORDER_CAP}")
+    if p.l == -0.5:
+        raise DomainError("extended direct evaluation requires l > -1/2")
+    ld = np.longdouble
+    mesh = p.mesh
+    i = mesh.m - 1 if x is None else mesh.index_of(x)
+    betas = np.zeros(N + 1)
+    gammas = np.zeros(N + 1)
+    if i == 0:
+        return betas, gammas  # every coefficient vanishes at the origin
+    xv = mesh.x.astype(ld)
+    h = ld(mesh.b) / ld(mesh.m - 1)
+    qv = p.q.values.astype(ld)
+    sq = xv * qv
+    sq[0] = ld(p.xq_limit)
+    # iterate to the longdouble fixed point: the direct formulas amplify a
+    # relative u0 perturbation by many orders at the top of the range
+    u0v, u0pv, _ = _u0_power_case(xv, sq, p.l, h, 1e-19, 120, floor=1e-13)
+    Qv, _ = _guarded_cumulative_values(qv, h)
+    xt = [v[i] for v in xtilde_chain(u0v, h, N)]
+    xi, u0i, u0pi, Qi, l = xv[i], u0v[i], u0pv[i], Qv[i], ld(p.l)
+    cks = [ld(1.0)]
+    for k in range(N):
+        cks.append(cks[-1] * (k + ld(0.5)) / (k + l + ld(1.5)))
+    for n in range(N + 1):
+        exact_row = legendre_even_coeffs(n).exact
+        tot_b = tot_g = ld(0.0)
+        for k in range(n + 1):
+            lk = ld(exact_row[2 * k].numerator) / ld(exact_row[2 * k].denominator)
+            fact = ld(math.factorial(2 * k))
+            phi_k = ((-1.0) ** k) * fact * u0i * xt[2 * k]
+            if k == 0:
+                phi_kp = u0pi
+            else:
+                phi_kp = ((-1.0) ** k) * fact * (u0pi * xt[2 * k] - xt[2 * k - 1] / u0i)
+            xpow = xi ** (2 * k + l + 1)
+            tot_b += lk * xi ** (-2 * k) * (phi_k - cks[k] * xpow)
+            unp = cks[k] * ((2 * k + l + 1) * xpow / xi + 0.5 * Qi * xpow)
+            tot_g += lk * xi ** (-2 * k) * (phi_kp - unp)
+        betas[n] = float((4 * n + 1) * tot_b)
+        gammas[n] = float((4 * n + 1) * tot_g)
+    return betas, gammas
+
+
 @lru_cache(maxsize=None)
 def extended_direct_reference(l: float) -> tuple[np.ndarray, np.ndarray]:
     """beta_n(pi), gamma_n(pi), n = 0..8, for q = x^2: the reference of criterion 03.
 
     The longdouble direct formulas on m = 80001 and 160001, Richardson-
-    extrapolated over that mesh doubling (their discretization error
-    converges ~2nd order at the top of the range).  The arrays are
-    read-only, since every caller shares them.
+    extrapolated over that mesh doubling with the second-order factor 1/3.
+    At l = 1, n = 8 that step is taken on the direct route's own floor:
+    measured against ``longdouble_recurrence("x^2", 1.0, m=20001, N=8)``,
+    the direct beta_8(pi) converges at about 4th order (8.4e-5, 5.5e-6,
+    1.3e-6 relative at m = 20001, 40001, 80001) and then stops near 1.5e-6,
+    and this reference lands 1.69e-6 from that recurrence.  The arrays
+    are read-only, since every caller shares them.
     """
-    from pbessel import UniformMesh, direct_coefficients_extended, make_potential
+    from pbessel import UniformMesh, make_potential
 
     refs = {}
     for m in (80001, 160001):

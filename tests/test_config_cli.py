@@ -206,10 +206,11 @@ class TestImport:
             "import sys, pbessel\n"
             "print('scipy.integrate' in sys.modules, 'pbessel.shooting' in sys.modules)\n"
             "print('scipy.special' in sys.modules)\n"
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
             "from pbessel import shoot_solution\n"
             "print(shoot_solution is pbessel.shooting.shoot_solution)\n"
         )
-        assert run_fresh(code) == ["False", "False", "False", "True"]
+        assert run_fresh(code) == ["False", "False", "False", "False", "False", "True"]
 
     def test_cli_never_loads_scipy_special(self, tmp_path):
         # J_nu of non-integer order comes from pbessel.special itself, so no

