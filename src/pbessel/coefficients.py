@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalBreakdownError
 from .mesh import UniformMesh, _cumulative_values, _guarded_cumulative_values
-from .special import gamma_ratio_Bn
+from .special import _bn_table
 from .spps import ParticularSolution, Potential
 
 __all__ = [
@@ -161,6 +161,7 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
     xu0p = x * u0pv
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_x = _underflowed(u0sq), _underflowed(x)
+    bns = _bn_table(N, l)  # B_n of gamma_ratio_Bn, looked up once per build
 
     eta, kappa, theta, mu, t2nm2, t2nm1, t2n, lam, buf, tmp = np.empty((10, mesh.m))
     t2n[:] = 1.0  # x^0: the running product x^{2n-2} -> x^{2n-1} -> x^{2n} starts here
@@ -209,7 +210,7 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
         _guarded_cumulative_values(buf, h, out=mu)
 
         sign = -1.0 if n % 2 else 1.0
-        b_n = gamma_ratio_Bn(n, l)
+        b_n = bns[n]
         r_n, a_n, s_n = (4 * n + 1) / (4 * n - 3), 2.0 * (4 * n - 1), sign * (4 * n - 3) * b_n
 
         # beta_n = r_n (beta_{n-1} + u0 Lam_n / x^{2n}),

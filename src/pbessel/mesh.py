@@ -10,7 +10,11 @@ up to five therefore integrate exactly up to rounding, and the rule is
 globally of sixth order for smooth integrands.  All panels go through
 one matrix product, a strided (P, 6) view of the samples times the
 (6, 5) weights, written straight into the result row (the caller's own
-row when it passes one, else a fresh one) and then chained.
+row when it passes one, else a fresh one) and then chained in that row:
+one left-to-right running sum turns the panel-end column into the panel
+ends, and one add per other increment column shifts it by the preceding
+panel end.  Every sum keeps that order, so the chained values are the
+bits of a plain running sum.
 
 Integrands that contain a 1/u0^2 factor are corrupted near the origin
 (small absolute errors are amplified by the division).  Those are
@@ -69,6 +73,10 @@ def _cum_weights(dtype: np.dtype) -> np.ndarray:
     w = np.ascontiguousarray((np.array(_CUM_W_NUM, dtype=dtype) / dtype.type(_CUM_W_DEN)).T)
     w.flags.writeable = False
     return w
+
+
+_F64 = np.dtype(np.float64)
+_CUM_W64 = _cum_weights(_F64)  # float64 samples take these without a dtype lookup
 
 
 # Fifth finite difference y0 - 5 y1 + 10 y2 - 10 y3 + 5 y4 - y5.
@@ -187,15 +195,19 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     Works in the dtype of ``y`` (at least float64): the weights are the
     exact ratios rounded in that dtype, so longdouble samples keep their
     extra digits.  The five increments of every panel are written
-    straight into the output, scaled by ``h`` and shifted by the running
-    sum of the preceding panel ends.  ``out``, if given, is a contiguous
-    row of that dtype and length that does not overlap ``y``; it is
-    filled and returned, with the same bits as a fresh result.
+    straight into the output and scaled by ``h``.  One sequential
+    left-to-right sum, in place, makes the panel-end column the running
+    panel ends; each of the other four columns then adds the preceding
+    panel's end in one call (a broadcast add over the (P, 5) block runs an
+    inner loop five elements long, and is slower).
+    ``out``, if given, is a contiguous row of that dtype and length that
+    does not overlap ``y``; it is filled and returned, with the same bits
+    as a fresh result.
     """
     m = y.shape[0]
     if m < 6 or (m - 1) % 5 != 0:
         raise InvalidMeshError(f"cannot tile {m} points into 6-point panels")
-    Wt = _cum_weights(np.result_type(y.dtype, np.float64))
+    Wt = _CUM_W64 if y.dtype is _F64 else _cum_weights(np.result_type(y.dtype, np.float64))
     if out is None:  # zeroed unless float64: nothing writes longdouble's padding bytes
         dtype = np.result_type(Wt.dtype, h)
         out = (np.empty if dtype == np.float64 else np.zeros)(m, dtype=dtype)
@@ -203,10 +215,11 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     inc = out[1:].reshape(-1, 5)  # (P, 5) increments relative to panel start
     np.matmul(_windows(y, 5), Wt, out=inc)
     inc *= h
-    starts = np.empty(inc.shape[0], dtype=inc.dtype)
-    starts[0] = 0.0
-    np.cumsum(inc[:-1, 4], out=starts[1:])
-    inc += starts[:, None]
+    ends = inc[:, 4]
+    np.add.accumulate(ends, out=ends)  # np.cumsum's own loop, in place: the panel ends
+    for k in range(4):
+        col = inc[1:, k]
+        np.add(col, ends[:-1], out=col)
     return out
 
 

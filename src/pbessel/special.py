@@ -465,13 +465,25 @@ def _bn_sequence(l: float, size: int) -> tuple[float, ...]:
     # few roundings: B_n is within 1e-15 of mpmath to n = 100 for
     # half-integer l and within 3e-14 to n = 400 for any l, where a log-gamma
     # sum carries eps * |log Gamma(n)|, ~1e-12 relative by n = 250.  Entries
-    # do not depend on ``size``, so every size gives the same B_n.
+    # do not depend on ``size``, so every size gives the same B_n.  For
+    # integer l the reciprocal of Gamma(l-n+2) vanishes from n = l+2 on, and
+    # those entries are +0.0.
     seq = [0.0, 3.0 * (l + 1.0) / (2.0 * l + 3.0)]
     for k in range(1, size - 1):
         num = (4 * k + 3) * (2 * k - 1) * (l - k + 1.0)
         den = (4 * k - 1) * (k + 1) * (2 * k + 2 * l + 3.0)
         seq.append(seq[k] * num / den)
+    if l.is_integer():
+        seq[int(l) + 2 :] = [0.0] * len(seq[int(l) + 2 :])
     return tuple(seq)
+
+
+def _bn_table(N: int, l: float) -> tuple[float, ...]:
+    """A cached sequence whose entry n = 1..N is B_n (entry 0 is unused), for a checked ``l``.
+
+    A table build looks its orders up here once, not once per order.
+    """
+    return _bn_sequence(l, 1 << max(7, N.bit_length()))
 
 
 def gamma_ratio_Bn(n: int, l: float) -> float:
@@ -489,6 +501,4 @@ def gamma_ratio_Bn(n: int, l: float) -> float:
         raise DomainError(f"n must be a positive integer, got {n}")
     l = _check_l(l)
     n = int(n)
-    if l - n + 2.0 <= 0.0 and l.is_integer():
-        return 0.0  # pole of Gamma(l-n+2): reciprocal vanishes
-    return _bn_sequence(l, 1 << max(7, n.bit_length()))[n]
+    return _bn_table(n, l)[n]

@@ -358,6 +358,43 @@ def const_c_eigenvalues(c: float, b: float, kind: str, omega_max: float) -> tupl
     return tuple(omega[omega <= omega_max].tolist())
 
 
+def piecewise_const_dirichlet(
+    l: float, c_left: float, c_right: float, a: float, b: float, lo: float, hi: float
+) -> float:
+    """The Dirichlet eigenvalue in [lo, hi] of q = c_left on [0, a], c_right on (a, b].
+
+    With nu = l + 1/2 the regular solution is sqrt(x) J_nu(k x) on [0, a],
+    k^2 = omega^2 - c_left, or sqrt(x) I_nu(k x) with k^2 = c_left - omega^2
+    where omega^2 < c_left; both are divided by k^nu, so u(b) is continuous
+    across omega^2 = c_left.  On [a, b] it is sqrt(x) (A J_nu(k x) +
+    B Y_nu(k x)), or A I_nu + B K_nu where omega^2 < c_right, with A and B
+    matched to the value and slope at a.  The root of u(b) comes from
+    ``scipy.optimize.brentq``, to a few ulp; [lo, hi] must bracket one root.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import iv, ivp, jv, jvp, kv, kvp, yv, yvp
+
+    nu = l + 0.5
+
+    def basis(omega, c):
+        # k and the (value, t-derivative) pairs of the regular and the second
+        # solution in t = k x
+        d = omega * omega - c
+        return math.sqrt(abs(d)), (((jv, jvp), (yv, yvp)) if d >= 0.0 else ((iv, ivp), (kv, kvp)))
+
+    def u_at_b(omega):
+        # u = sqrt(x) v, so matching u and u' at a matches v and v'
+        k1, ((f, fp), _) = basis(omega, c_left)
+        v, vp = f(nu, k1 * a) / k1**nu, k1 * fp(nu, k1 * a) / k1**nu
+        k2, ((f, fp), (g, gp)) = basis(omega, c_right)
+        A, B = np.linalg.solve(
+            [[f(nu, k2 * a), g(nu, k2 * a)], [k2 * fp(nu, k2 * a), k2 * gp(nu, k2 * a)]], [v, vp]
+        )
+        return math.sqrt(b) * (A * f(nu, k2 * b) + B * g(nu, k2 * b))
+
+    return brentq(u_at_b, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
 @lru_cache(maxsize=None)
 def coulomb_dirichlet(l: float, c: float, b: float, guess: float) -> float:
     """The Dirichlet eigenvalue of q = c/x at real l on [0, b] nearest ``guess``.

@@ -83,3 +83,45 @@ def test_miller_span_sees_the_spherical_sweep(layers, monkeypatch):
     c = Counter()
     layers._miller(args, kwargs, None, c)
     assert c["special.miller.args"] == 2
+
+
+def test_build_reaches_quadrature_through_traced_names(layers, monkeypatch):
+    # mesh.plain and mesh.guarded count the calls of these four names; a build
+    # that reached the kernels past them would read 0 there, which the traced
+    # CI run (it checks for null) would miss
+    from collections import Counter
+
+    from pbessel import UniformMesh, build_u0, make_potential
+    from pbessel.coefficients import build_coefficient_tables
+
+    names = [
+        ("pbessel.coefficients", "_cumulative_values"),
+        ("pbessel.coefficients", "_guarded_cumulative_values"),
+        ("pbessel.spps", "_cumulative_values"),
+        ("pbessel.spps", "_guarded_cumulative_values"),
+    ]
+    assert sorted(names) == sorted(layers.TARGETS["mesh.plain"] + layers.TARGETS["mesh.guarded"])
+    calls = Counter()
+
+    def counting(key, inner):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for mod, attr in names:
+        module = importlib.import_module(mod)
+        monkeypatch.setattr(module, attr, counting((mod, attr), getattr(module, attr)))
+
+    p = make_potential("x^2", UniformMesh(np.pi, 2001), 1.5)
+    assert calls == Counter({("pbessel.spps", "_guarded_cumulative_values"): 1})
+    calls.clear()
+    u0 = build_u0(p)
+    assert calls == Counter({("pbessel.spps", "_cumulative_values"): 2 * u0.iterations})
+    calls.clear()
+    build_coefficient_tables(u0, p, 30)
+    assert calls == Counter({
+        ("pbessel.coefficients", "_cumulative_values"): 60,
+        ("pbessel.coefficients", "_guarded_cumulative_values"): 60,
+    })

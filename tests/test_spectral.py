@@ -296,6 +296,35 @@ class TestExactCoulombPotential:
         assert err <= 10.0 * max(measured, 1e-15), err
 
 
+class TestPiecewiseConstantPotential:
+    """q4 (0, then 1 past pi/2) and s0 (1, then 2): exact Dirichlet eigenvalues by matching."""
+
+    def test_oracle_reproduces_constant_potential(self):
+        # c_left = c_right: the matched solution is sqrt(x) J_2(k x) on all of [0, pi]
+        exact = oracles.const_c_eigenvalues(1.0, math.pi, "dirichlet", 20.0)
+        got = [oracles.piecewise_const_dirichlet(1.5, 1.0, 1.0, math.pi / 2, math.pi, w - 0.25, w + 0.25)
+               for w in exact]
+        assert np.max(np.abs(np.array(got) - exact)) <= 1e-13
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 18: the jump at pi/2 sits on a panel boundary (m = 20001), where "
+        "the stored left limit makes the next panel integrate a one-node step; today q4 is "
+        "1.1e-5 / 2.0e-6 / 8.2e-7 off at k = 1 / 5 / 15 and s0 9.3e-6 / 2.0e-6 / 8.2e-7",
+    )
+    @pytest.mark.parametrize("name,c_left,c_right", [("q4", 0.0, 1.0), ("s0", 1.0, 2.0)])
+    def test_roots_against_exact(self, name, c_left, c_right):
+        sol = build_solution(make_potential(name, MESH, 1.0), N=100)
+        pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.1, 20.0)))
+        assert [p.index for p in pairs[:15]] == list(range(1, 16))
+        for k in (1, 5, 15):
+            got = pairs[k - 1].omega
+            exact = oracles.piecewise_const_dirichlet(
+                1.0, c_left, c_right, math.pi / 2, math.pi, got - 0.25, got + 0.25
+            )
+            assert abs(got - exact) <= 1e-11, (k, got - exact)
+
+
 class CountingPhi:
     """Wraps a bulk function of omega and counts its calls."""
 

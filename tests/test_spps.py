@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pbessel import ConvergenceError, NonVanishingError, UniformMesh, spps
+from pbessel.mesh import _cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
 from pbessel.spps import Potential, _picard_sweep, build_u0
@@ -155,6 +156,65 @@ class TestBuildU0:
         monkeypatch.setattr(spps, "_PICARD_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
             build_u0(p)
+
+
+def plain_picard(p):
+    """u0, u0', sweeps and residual of ``build_u0`` for l > -1/2, transcribed out of place.
+
+    One temporary per term, as ``plain_recurrence`` does for the tables: the
+    Picard sweep, its stopping rule, the u0' epilogue and the ODE defect in
+    the same products, sums and order as the library's in-place versions,
+    so the results must agree bit for bit.
+    """
+    mesh = p.mesh
+    x, h, l = mesh.x, mesh.h, p.l
+    sq = x * p.q.values
+    sq[0] = p.xq_limit
+    lt = np.float64(l)
+    two_l_p1 = 2 * lt + 1
+    s_pow = x ** (2.0 * l + 1.0)
+    w, prev_delta = np.ones_like(x), np.inf
+    for sweeps in range(1, spps._PICARD_MAX_SWEEPS + 1):
+        gA = sq * w
+        A = _cumulative_values(gA, h)
+        B = _cumulative_values(gA * s_pow, h)
+        ratio = np.zeros_like(B)
+        np.divide(B, s_pow, out=ratio, where=s_pow > 0.0)
+        w_new = 1.0 + (A - ratio) / two_l_p1
+        delta = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        scale = max(1.0, float(np.max(np.abs(w))))
+        stalled = delta < 1e-12 * scale and delta >= 0.5 * prev_delta
+        if delta < spps._PICARD_TOL * scale or stalled:
+            break
+        prev_delta = delta
+    else:
+        raise AssertionError("no fixed point")
+    xl1 = x ** (l + 1.0)
+    u0v = xl1 * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xl = x**l
+        b_over = np.zeros_like(B)
+        np.divide(B, xl1, out=b_over, where=x > 0.0)
+        u0pv = (lt + 1) * xl * (1 + A / two_l_p1) + lt * b_over / two_l_p1
+    u0pv[0] = 1.0 if l == 0.0 else 0.0
+    i = np.arange(max(2, mesh.m // 400), mesh.m - 2)
+    upp = (-u0v[i - 2] + 16 * u0v[i - 1] - 30 * u0v[i] + 16 * u0v[i + 1] - u0v[i + 2]) / (
+        12.0 * h * h
+    )
+    rhs = (l * (l + 1) / x[i] ** 2 + p.q.values[i]) * u0v[i]
+    residual = float(np.max(np.abs(upp - rhs) / (1.0 + np.abs(upp))))
+    return u0v, u0pv, sweeps, residual
+
+
+@pytest.mark.parametrize("name,l", [("x^2", 1.5), ("1/x", 1.0), ("const:1", 2.5)])
+def test_u0_matches_plain_transcription_bit_for_bit(name, l):
+    p = make_potential(name, UniformMesh(np.pi, 2001), l)
+    sol = build_u0(p)
+    u0v, u0pv, sweeps, residual = plain_picard(p)
+    assert sol.u0.values.tobytes() == u0v.tobytes()
+    assert sol.u0_prime.values.tobytes() == u0pv.tobytes()
+    assert (sol.iterations, sol.residual) == (sweeps, residual)
 
 
 def phi_family(u0, N):
