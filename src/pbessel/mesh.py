@@ -75,10 +75,6 @@ def _cum_weights(dtype: np.dtype) -> np.ndarray:
     return w
 
 
-_F64 = np.dtype(np.float64)
-_CUM_W64 = _cum_weights(_F64)  # float64 samples take these without a dtype lookup
-
-
 # Fifth finite difference y0 - 5 y1 + 10 y2 - 10 y3 + 5 y4 - y5.
 _DELTA5 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 
@@ -199,7 +195,9 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     left-to-right sum, in place, makes the panel-end column the running
     panel ends; each of the other four columns then adds the preceding
     panel's end in one call (a broadcast add over the (P, 5) block runs an
-    inner loop five elements long, and is slower).
+    inner loop five elements long, and is slower).  The first panel adds
+    its start, +0.0, last, so a -0.0 increment there reads +0.0 while the
+    second panel is shifted by the unshifted first end, as in a running sum.
     ``out``, if given, is a contiguous row of that dtype and length that
     does not overlap ``y``; it is filled and returned, with the same bits
     as a fresh result.
@@ -207,7 +205,7 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     m = y.shape[0]
     if m < 6 or (m - 1) % 5 != 0:
         raise InvalidMeshError(f"cannot tile {m} points into 6-point panels")
-    Wt = _CUM_W64 if y.dtype is _F64 else _cum_weights(np.result_type(y.dtype, np.float64))
+    Wt = _cum_weights(np.result_type(y.dtype, np.float64))
     if out is None:  # zeroed unless float64: nothing writes longdouble's padding bytes
         dtype = np.result_type(Wt.dtype, h)
         out = (np.empty if dtype == np.float64 else np.zeros)(m, dtype=dtype)
@@ -220,6 +218,7 @@ def _cumulative_values(y: np.ndarray, h: float, out: np.ndarray | None = None) -
     for k in range(4):
         col = inc[1:, k]
         np.add(col, ends[:-1], out=col)
+    inc[0] += 0.0  # the first panel's start, after the second panel read its end
     return out
 
 

@@ -483,7 +483,7 @@ def _bn_table(N: int, l: float) -> tuple[float, ...]:
 
     A table build looks its orders up here once, not once per order.
     """
-    return _bn_sequence(l, 1 << max(7, N.bit_length()))
+    return _bn_sequence(l, 1 << max(7, int(N).bit_length()))
 
 
 def gamma_ratio_Bn(n: int, l: float) -> float:

@@ -11,10 +11,7 @@ It is produced by Picard iteration of the Volterra equation
 written in the scaled variable w = u0/x^{l+1} so the x^{l+1} asymptotics
 is built in exactly and the iteration works on O(1) quantities.  The
 derivative comes from differentiating the same representation, never
-from numerical differentiation.  A sweep for l > -1/2 forms its second
-integrand and its update in place, and the stopping rule takes both
-sup-norms through one scratch row, so such a sweep allocates only its
-integrand, its two integrals and its update.
+from numerical differentiation.
 """
 
 from __future__ import annotations
@@ -132,20 +129,14 @@ def _picard_sweep(w, sq, s_pow, two_l_p1, h):
     """One Picard update of w = u0/x^{l+1} for l > -1/2.
 
     Returns (w_new, A, B) with A = cum(s q w), B = cum(s^{2l+2} q w),
-    in the dtype of its inputs.  Both integrands share one row, and w_new
-    is built in the row of B/s^{2l+1}, with the operations of
-    1 + (A - B/s^{2l+1})/(2l+1) in that order, so no other temporary.
+    in the dtype of its inputs.
     """
-    g = sq * w
-    A = _cumulative_values(g, h)
-    g *= s_pow
-    B = _cumulative_values(g, h)
-    w_new = np.zeros_like(B)
-    np.divide(B, s_pow, out=w_new, where=s_pow > 0.0)
-    np.subtract(A, w_new, out=w_new)
-    w_new /= two_l_p1
-    w_new += 1.0
-    return w_new, A, B
+    gA = sq * w
+    A = _cumulative_values(gA, h)
+    B = _cumulative_values(gA * s_pow, h)
+    ratio = np.zeros_like(B)
+    np.divide(B, s_pow, out=ratio, where=s_pow > 0.0)
+    return 1.0 + (A - ratio) / two_l_p1, A, B
 
 
 def _picard_sweep_log(w, sq, log_x, sq_log, h):
@@ -159,13 +150,11 @@ def _picard_sweep_log(w, sq, log_x, sq_log, h):
 
 def _ode_defect(u0v, x, l, qv, h, skip):
     m = u0v.shape[0]
-    i = max(skip, 2)  # interior points i..m-3; the stencil's samples are shifted slices
-    u = u0v[i : m - 2]
-    upp = (
-        -u0v[i - 2 : m - 4] + 16 * u0v[i - 1 : m - 3] - 30 * u
-        + 16 * u0v[i + 1 : m - 1] - u0v[i + 2 :]
-    ) / (12.0 * h * h)
-    rhs = (l * (l + 1) / x[i : m - 2] ** 2 + qv[i : m - 2]) * u
+    i = np.arange(max(skip, 2), m - 2)
+    upp = (-u0v[i - 2] + 16 * u0v[i - 1] - 30 * u0v[i] + 16 * u0v[i + 1] - u0v[i + 2]) / (
+        12.0 * h * h
+    )
+    rhs = (l * (l + 1) / x[i] ** 2 + qv[i]) * u0v[i]
     return float(np.max(np.abs(upp - rhs) / (1.0 + np.abs(upp))))
 
 
@@ -175,16 +164,13 @@ def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float = 1e-1
     Stops when the update, relative to max(1, max|w|), drops below ``tol``
     or stalls at the rounding floor: below ``floor`` and at least half the
     previous update.  Healthy cases contract super-linearly and stop on ``tol``.
-    Both sup-norms go through one scratch row.
     """
     prev_delta = np.inf
-    row = np.empty_like(w)
     for it in range(1, max_iter + 1):
         w_new, *aux = sweep(w)
-        np.abs(np.subtract(w_new, w, out=row), out=row)
-        delta = float(row.max())
+        delta = float(np.max(np.abs(w_new - w)))
         w = w_new
-        scale = max(1.0, float(np.abs(w, out=row).max()))
+        scale = max(1.0, float(np.max(np.abs(w))))
         if delta < tol * scale or (delta < floor * scale and delta >= 0.5 * prev_delta):
             return w, aux, it
         prev_delta = delta

@@ -176,6 +176,22 @@ class TestCumulativeIntegral:
         assert _cumulative_values(y, h, out=row) is row
         assert row.tobytes() == got.tobytes()
 
+    def test_signed_zero_of_underflowed_first_panels(self):
+        # subnormal samples whose scaled increments underflow to -0.0 in the
+        # first two panels: the plain formula shifts panel 0 by +0.0 (so it
+        # reads +0.0) and panel 1 by the unshifted end of panel 0 (-0.0)
+        W = np.array(_CUM_W_NUM, dtype=float) / _CUM_W_DEN
+        y = np.random.default_rng(5).standard_normal(21)
+        y[:11] = -1e-310
+        h = 1e-20
+        inc = h * (np.lib.stride_tricks.sliding_window_view(y, 6)[::5] @ W.T)
+        starts = np.concatenate(([0.0], np.cumsum(inc[:, 4])[:-1]))
+        expected = np.concatenate(([0.0], (starts[:, None] + inc).ravel()))
+        assert np.all(inc[:2] == 0.0) and np.all(np.signbit(inc[:2]))
+        got = _cumulative_values(y, h)
+        assert not np.signbit(got[1:6]).any() and np.signbit(got[6:11]).all()
+        assert got.tobytes() == expected.tobytes()
+
     def test_strided_input(self):
         # the panel and window views follow the input's own stride
         rng = np.random.default_rng(7)

@@ -308,6 +308,7 @@ class TestPiecewiseConstantPotential:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="ROADMAP item 18: the jump at pi/2 sits on a panel boundary (m = 20001), where "
         "the stored left limit makes the next panel integrate a one-node step; today q4 is "
         "1.1e-5 / 2.0e-6 / 8.2e-7 off at k = 1 / 5 / 15 and s0 9.3e-6 / 2.0e-6 / 8.2e-7",

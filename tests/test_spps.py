@@ -163,8 +163,8 @@ def plain_picard(p):
 
     One temporary per term, as ``plain_recurrence`` does for the tables: the
     Picard sweep, its stopping rule, the u0' epilogue and the ODE defect in
-    the same products, sums and order as the library's in-place versions,
-    so the results must agree bit for bit.
+    the same products, sums and order as the library, so a rewrite of any of
+    them (in place, fused, reordered) that moves a bit of u0 fails here.
     """
     mesh = p.mesh
     x, h, l = mesh.x, mesh.h, p.l
