@@ -82,25 +82,18 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _pipeline(cfg: RunConfig, columns):
-    """Mesh, potential and a solution whose tables keep the mesh columns ``columns(mesh)``."""
+def _pipeline(cfg: RunConfig, points):
+    """Mesh, potential and a solution whose tables keep the columns ``points(mesh)`` read."""
     m = next_valid_size(cfg.mesh_points)
     mesh = UniformMesh(cfg.b, m)
     p = make_potential(cfg.potential, mesh, cfg.l)
-    sol = build_solution(p, N=cfg.N, columns=columns(mesh))
+    sol = build_solution(p, N=cfg.N, columns=strip_columns(mesh, points(mesh)))
     return mesh, p, sol
 
 
-def _at_b(mesh: UniformMesh) -> np.ndarray:
-    """The one column that the residuals and the decay files read: x = b."""
-    return np.array([mesh.m - 1])
-
-
-def _coeff_columns(mesh: UniformMesh) -> np.ndarray:
-    """The ~201 strided columns of ``coefficients.csv``, ending at x = b."""
-    stride = max(1, (mesh.m - 1) // 200)
-    idx = np.arange(0, mesh.m, stride)
-    return idx if idx[-1] == mesh.m - 1 else np.append(idx, mesh.m - 1)
+def _coeff_nodes(mesh: UniformMesh) -> np.ndarray:
+    """The ~201 strided mesh nodes of ``coefficients.csv``; the tables add x = b."""
+    return mesh.x[:: max(1, (mesh.m - 1) // 200)]
 
 
 def _provenance(cfg: RunConfig, command: str, mesh: UniformMesh, sol=None) -> list[str]:
@@ -186,7 +179,7 @@ def _write_decay(out: Path, prov: list[str], t, tag: str = "") -> dict:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    mesh, p, sol = _pipeline(cfg, _coeff_columns)
+    mesh, p, sol = _pipeline(cfg, _coeff_nodes)
     prov = _provenance(cfg, "coeffs", mesh, sol)
     t = sol.tables
 
@@ -239,7 +232,7 @@ def _oracle_rows(cfg: RunConfig, sol, pairs):
 def cmd_eigen(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     # every characteristic evaluation is at x = b
-    mesh, p, sol = _pipeline(cfg, lambda mesh: strip_columns(mesh, mesh.b))
+    mesh, p, sol = _pipeline(cfg, lambda mesh: [mesh.b])
     prov = _provenance(cfg, "eigen", mesh, sol)
     prob = SpectralProblem(
         potential=p,
@@ -268,7 +261,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not cfg.omegas or not cfg.xs:
         raise ConfigError("solve needs non-empty omegas and xs lists in [solve]")
     out = _out_dir(cfg)
-    mesh, p, sol = _pipeline(cfg, lambda mesh: strip_columns(mesh, cfg.xs))
+    mesh, p, sol = _pipeline(cfg, lambda mesh: cfg.xs)
     prov = _provenance(cfg, "solve", mesh, sol)
     u, du = _series(sol, cfg.omegas, cfg.xs)  # (len(xs), len(omegas)), one sweep
     eps = [error_indicator(sol, x) if x > 0 else (0.0, 0.0) for x in cfg.xs]
@@ -284,7 +277,7 @@ def cmd_decay_sweep(cfg: RunConfig) -> int:
     exponents = {}
     for lv in l_values:
         sub = cfg.with_overrides(l=float(lv))
-        mesh, p, sol = _pipeline(sub, _at_b)
+        mesh, p, sol = _pipeline(sub, lambda mesh: [])  # the decay files read x = b alone
         tag = _fmt(lv)
         fit = _write_decay(out, _provenance(sub, "decay-sweep", mesh, sol), sol.tables, f"_l{tag}")
         exponents[tag] = {k: fit[k] for k in ("beta_exponent", "gamma_exponent")}

@@ -38,17 +38,18 @@ Lam_n/x^{2n}; two scratch rows).  Every product and sum keeps the
 grouping of the formulas as written, so the tables are bit for bit
 those of a plain transcription.
 
-A caller that reads only some mesh columns (x = b for eigenvalues, a few
-6-point strips for point evaluation) passes them as ``columns``.  The
-same pass then recurs in two scratch rows per family and copies only
-those columns out, so the tables take (N+1) x len(columns) floats in
-place of (N+1) x m, with the same values.
-Evaluating such tables at an x whose strip was not kept raises
-:class:`~pbessel.errors.DomainError`.
+A caller that reads only some mesh columns (a few 6-point strips or
+nodes for point evaluation, none for eigenvalues at x = b) passes them as
+``columns``; the build adds x = b, which the residuals read.  The same
+pass then recurs in two scratch rows per family and copies only those
+columns out, so the tables take (N+1) x len(columns) floats in place of
+(N+1) x m, with the same values.  Evaluating such tables at an x whose
+strip was not kept raises :class:`~pbessel.errors.DomainError`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,28 @@ def _safe_div(
     return out
 
 
+def _kept_columns(columns, m: int) -> np.ndarray | None:
+    """Sorted, unique mesh indices ``columns`` and m-1 (x = b) in a new array; None stays None."""
+    if columns is None:
+        return None
+    cols = np.asarray(columns)
+    if not (cols.ndim == 1 and (cols.dtype.kind in "iu" or not cols.size)
+            and ((cols >= 0) & (cols < m)).all() and (np.diff(cols.astype(int)) > 0).all()):
+        raise DomainError(f"columns must be sorted, unique mesh indices in [0, {m - 1}]")
+    return np.append(cols[cols < m - 1].astype(int), m - 1)
+
+
 def recurrent_tables(
     u0: ParticularSolution, p: Potential, N: int, columns=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1, len(columns)) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
+    """(N+1, k) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
 
-    Row n holds beta_n (gamma_n) at the mesh indices ``columns``: a sorted,
-    unique integer array that ends at the last index m-1 (x = b, which the
-    residuals read).  ``None``, the default, keeps every column, and the
-    pass writes each order straight into the tables.  A subset runs the
+    Row n holds beta_n (gamma_n) at the k kept mesh indices: ``columns``
+    (sorted, unique integers, or none) and m-1, x = b, which the residuals
+    read and the pass adds.  ``None``, the default, keeps every column, and
+    the pass writes each order straight into the tables.  A subset runs the
     same pass on two full rows per family and copies the kept columns of
-    each order out, so it holds the full build's ``[:, columns]`` bit for bit.
+    each order out, so it holds the full build's ``[:, kept]`` bit for bit.
 
     Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
     and then gamma_n from them; the next order's integrals replace them,
@@ -108,30 +120,23 @@ def recurrent_tables(
     Raises
     ------
     DomainError
-        For a negative N, or ``columns`` that are not sorted, unique mesh
-        indices ending at m-1.
+        For an N that is not a nonnegative integer (numpy integers are), or
+        ``columns`` that are not sorted, unique mesh indices.
     NumericalBreakdownError
         At the first non-finite full row, in the order rows are written
         (beta_n, then gamma_n); the exception names that family and order.
         A column subset raises exactly where the full build does.
     """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise DomainError(f"N must be nonnegative and an integer, got {N!r}")
     m = u0.mesh.m
-    width = m
-    if columns is not None:
-        cols = np.asarray(columns)
-        if not (
-            cols.ndim == 1 and cols.size and cols.dtype.kind in "iu"
-            and cols[0] >= 0 and cols[-1] == m - 1 and (np.diff(cols) > 0).all()
-        ):
-            raise DomainError(f"columns must be sorted, unique mesh indices ending at m-1 = {m - 1}")
-        width = cols.size
+    cols = _kept_columns(columns, m)
+    width = m if cols is None else cols.size
     betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
-    ring = (betas, gammas) if columns is None else np.empty((2, 2, m))  # two rows per family
+    ring = (betas, gammas) if cols is None else np.empty((2, 2, m))  # two rows per family
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in _orders(u0, p, N, *ring):
-            if columns is not None:
+            if cols is not None:
                 betas[n], gammas[n] = ring[0][n % 2, cols], ring[1][n % 2, cols]
     return betas, gammas
 
@@ -310,10 +315,10 @@ class CoefficientTables:
     ``beta`` and ``gamma`` are read-only (N+1, k) float64 arrays: row n
     holds beta_n (gamma_n) at the kept mesh indices ``columns``, table
     column j all orders at x_{columns[j]}.  ``columns`` is None when every
-    mesh column is kept (k = m, the default), else a read-only sorted
-    index array whose last entry is m-1; the last table column is x = b
-    either way.  Evaluation at an x whose interpolation strip was not kept
-    raises :class:`~pbessel.errors.DomainError`.
+    mesh column is kept (k = m, the default), else the read-only sorted
+    index array of the requested columns and m-1; the last table column is
+    x = b either way.  Evaluation at an x whose interpolation strip was not
+    kept raises :class:`~pbessel.errors.DomainError`.
 
     ``beta_residual[K]`` is |sum_{n<=K} beta_n(b)| / b, the computable
     discrepancy of the truncated kernel diagonal from zero (its exact
@@ -344,12 +349,11 @@ def build_coefficient_tables(
 
     ``columns`` (default: every mesh column) is passed through; see there.
     """
+    columns = _kept_columns(columns, u0.mesh.m)
     betas, gammas = recurrent_tables(u0, p, N, columns)
     if columns is not None:
-        columns = np.array(columns)
         columns.flags.writeable = False
-    betas.flags.writeable = False
-    gammas.flags.writeable = False
+    betas.flags.writeable = gammas.flags.writeable = False
     b = u0.mesh.b
     beta_res = np.abs(np.cumsum(betas[:, -1])) / b
     gamma_res = np.abs(np.cumsum(gammas[:, -1])) / b

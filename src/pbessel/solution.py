@@ -15,9 +15,9 @@ truncation error of both series is uniform in omega on the real axis,
 which is what makes large eigenvalue scans accurate.
 
 Evaluation reads only the families it needs (u: beta; u': gamma and Q),
-as six-column strips of the read-only tables, exact on mesh points.
+as six-column strips of the read-only tables, one column on a mesh node.
 Tables built on a subset of the mesh columns (:func:`strip_columns` gives
-the strips of a list of x) serve only x whose strip they kept.  One Bessel
+the columns a list of x reads) serve only x whose strip they kept.  One Bessel
 sweep gives u, u' or both, at a vector of omega and, in the private kernel,
 of x too (z is their outer product).
 
@@ -112,16 +112,20 @@ _NODE_DIFF = _NODES[:, None] - _OTHERS
 
 
 def _quintic_weights(mesh: UniformMesh, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices and Lagrange weights (len(x), 6) of 6-point interpolation at x.
+    """Mesh indices and Lagrange weights, both (len(x), 6), of 6-point interpolation at x.
 
-    Within 1e-12 b of a node t is an integer, where the weights are exactly one-hot.
+    An x within 1e-12 b of a node reads that node alone: six copies of its
+    index, with weights (1, 0, 0, 0, 0, 0).
     """
     s = x / mesh.h
     i = np.rint(s).astype(int)
     j0 = np.minimum(np.maximum(i - 3, 0), mesh.m - 6)
+    t = s - j0  # position in units of h relative to window start
+    idx = j0[:, None] + _NODES
+    w = np.multiply.reduce((t[:, None, None] - _OTHERS) / _NODE_DIFF, axis=-1)
     on = np.abs(mesh.x[i] - x) <= 1e-12 * mesh.b
-    t = np.where(on, i, s) - j0  # position in units of h relative to window start
-    return j0, np.multiply.reduce((t[:, None, None] - _OTHERS) / _NODE_DIFF, axis=-1)
+    idx[on], w[on] = i[on, None], _NODES == 0
+    return idx, w
 
 
 def _check_x(b: float, x) -> np.ndarray:
@@ -135,39 +139,37 @@ def _check_x(b: float, x) -> np.ndarray:
 
 
 def strip_columns(mesh: UniformMesh, x) -> np.ndarray:
-    """Sorted mesh indices of the 6-point strips that evaluation at ``x`` reads, and m-1.
+    """Sorted mesh indices that evaluation at ``x`` reads: one per node, six per other x.
 
     Pass them as ``columns`` to :func:`build_solution` for a solution that
-    is evaluated only at ``x`` (and at b, which the residuals read).
+    is evaluated only at ``x``.
     """
-    j0, _ = _quintic_weights(mesh, _check_x(mesh.b, x))
+    idx, _ = _quintic_weights(mesh, _check_x(mesh.b, x))
     keep = np.zeros(mesh.m, dtype=bool)  # a mask, not np.union1d, which imports numpy.ma
-    keep[(j0[:, None] + _NODES).ravel()] = True
-    keep[-1] = True
+    keep[idx.ravel()] = True
     return np.flatnonzero(keep)
 
 
 def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) -> tuple:
-    """Each of ``families`` at every x, from a 6-point strip.
+    """Each of ``families`` at every x, from its 6-point strip.
 
     A family with a value at every mesh point (Q, or a table of every
     column) reads the strip's mesh indices; a table of ``tables.columns``
     reads the table columns that hold them, and raises DomainError for an
     x whose strip it did not keep.
     """
-    j0, w = _quintic_weights(sol.mesh, x)
-    window = pos = j0[:, None] + _NODES
-    kept = sol.tables.columns
+    idx, w = _quintic_weights(sol.mesh, x)
+    kept, pos = sol.tables.columns, idx
     if kept is not None:
-        pos = np.minimum(np.searchsorted(kept, window), kept.size - 1)
-        lost = (kept[pos] != window).any(axis=1)
+        pos = np.minimum(np.searchsorted(kept, idx), kept.size - 1)
+        lost = (kept[pos] != idx).any(axis=1)
         if lost.any():
             raise DomainError(
                 f"the tables do not keep the strip of x = {x[lost][0]}; "
                 "build them with columns=strip_columns(mesh, x)"
             )
     m = sol.mesh.m
-    return tuple((f[..., window if f.shape[-1] == m else pos] * w).sum(axis=-1) for f in families)
+    return tuple((f[..., idx if f.shape[-1] == m else pos] * w).sum(axis=-1) for f in families)
 
 
 def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

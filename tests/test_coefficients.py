@@ -139,6 +139,19 @@ class TestTableLayout:
         assert numpy_n.beta.tobytes() == small.beta.tobytes()
         assert numpy_n.gamma.tobytes() == small.gamma.tobytes()
 
+    @pytest.mark.parametrize("N", [10.0, 10.5, "10", None, -1, np.int64(-1)])
+    def test_N_not_a_nonnegative_integer(self, N):
+        # 10.0 and 10.5 once raised TypeError from range(), "10" a '<' TypeError
+        mesh = UniformMesh(np.pi, 201)
+        p = make_potential("x^2", mesh, 1.5)
+        u0 = build_u0(p)
+        with pytest.raises(DomainError, match="N must be nonnegative and an integer"):
+            recurrent_tables(u0, p, N)
+        with pytest.raises(DomainError, match="N must be nonnegative and an integer"):
+            build_coefficient_tables(u0, p, N=N)
+        for n in (np.int32(3), np.uint8(3), 3):
+            assert recurrent_tables(u0, p, n)[0].shape == (4, mesh.m)
+
 
 #: the column-subset cases: (potential, l) at m = 2001, N = 60
 SUBSET_CASES = [("x^2", 1.5), ("x^2", -0.5), ("1/x", 1.0), ("const:1", 2.5)]
@@ -164,9 +177,11 @@ class TestColumnSubset:
         u0 = build_u0(p)
         full = build_coefficient_tables(u0, p, N=30)
         cols = [0, 500, 1996, 1997, 1998, 1999, 2000]
-        sub = build_coefficient_tables(u0, p, N=30, columns=cols)
+        asked = np.array(cols)
+        sub = build_coefficient_tables(u0, p, N=30, columns=asked)
         assert full.columns is None
         assert np.array_equal(sub.columns, cols) and not sub.columns.flags.writeable
+        assert asked.flags.writeable  # the tables keep a copy, not the caller's array
         assert not sub.beta.flags.writeable and not sub.gamma.flags.writeable
         # the residuals read x = b, the last kept column, in both
         assert sub.beta_residual.tobytes() == full.beta_residual.tobytes()
@@ -174,9 +189,29 @@ class TestColumnSubset:
         assert (sub.N_opt, sub.converged) == (full.N_opt, full.converged)
 
     @pytest.mark.parametrize(
+        "cols", [[0, 10], [], np.array([], dtype=np.uint32)], ids=["no-b", "empty", "empty-uint"]
+    )
+    def test_b_appended(self, cols):
+        # the residuals read x = b, so the build keeps it whether asked or not
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential("x^2", mesh, 1.5)
+        u0 = build_u0(p)
+        full = build_coefficient_tables(u0, p, N=20)
+        sub = build_coefficient_tables(u0, p, N=20, columns=cols)
+        kept = np.append(np.asarray(cols, dtype=int), mesh.m - 1)
+        assert np.array_equal(sub.columns, kept) and sub.columns.dtype.kind == "i"
+        assert sub.beta.tobytes() == full.beta[:, kept].tobytes()
+        assert sub.gamma.tobytes() == full.gamma[:, kept].tobytes()
+        assert sub.beta_residual.tobytes() == full.beta_residual.tobytes()
+        assert sub.N_opt == full.N_opt
+        betas, gammas = recurrent_tables(u0, p, 20, cols)
+        assert betas.tobytes() == sub.beta.tobytes() and gammas.tobytes() == sub.gamma.tobytes()
+
+    @pytest.mark.parametrize(
         "cols",
-        [[0, 10], [2000, 1999], [5, 5, 2000], [-1, 2000], [], [[2000]], [0.0, 2000.0]],
-        ids=["no-b", "unsorted", "repeated", "negative", "empty", "2-d", "float"],
+        [[2000, 1999], np.array([5, 3], dtype=np.uint32), [5, 5, 2000], [-1, 2000], [0, 2001],
+         [[2000]], [0.0, 2000.0]],
+        ids=["unsorted", "unsorted-uint", "repeated", "negative", "past-b", "2-d", "float"],
     )
     def test_bad_columns(self, cols):
         mesh = UniformMesh(np.pi, 2001)
@@ -355,6 +390,33 @@ def test_float64_noise_against_longdouble_recurrence(spec, l, beta_bound, gamma_
     assert gamma_err.max() <= gamma_bound
     # the oracle is no float64 copy: it tells the noise apart from zero
     assert beta_err.max() > 0.0 and gamma_err.max() > 0.0
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="longdouble is no wider than float64 here, so the oracle shows no float64 noise",
+)
+@pytest.mark.parametrize(
+    "spec,l", [("x^2", 1.0), ("x^2", 1.5), ("x^2", 2.5), ("1/x", 1.0), ("const:1", 1.5)]
+)
+def test_shadow_noise_estimate_tracks_longdouble_noise(spec, l):
+    # ROADMAP item 21, step 1: each family's largest row-wise estimate at
+    # x = b against the largest |float64 - longdouble| at m = 2001, N = 100.
+    # Measured ratios (x86-64, 80-bit longdouble), beta / gamma: x^2 l=1
+    # 1.46 / 1.63, l=1.5 1.30 / 2.01, l=2.5 0.71 / 0.65; 1/x l=1 1.02 / 1.26;
+    # const:1 l=1.5 1.45 / 0.93.  The bound is the item's 3x target, a margin
+    # of 1.5x over the largest ratio and 2x under the smallest
+    bl, gl = oracles.longdouble_recurrence(spec, l)
+    p = make_potential(spec, UniformMesh(np.pi, 2001), l)
+    t = build_coefficient_tables(build_u0(p), p, N=100, columns=[])
+    beta_est, gamma_est = oracles.shadow_noise_estimate(spec, l)
+    assert beta_est.shape == gamma_est.shape == (101,)
+    for est, table, ref in ((beta_est, t.beta, bl), (gamma_est, t.gamma, gl)):
+        true = float(np.abs(table[:, -1] - ref).max())
+        assert true / 3 <= est.max() <= 3 * true
+    # a fixed sign pattern: a rerun gives the same bits
+    again = oracles.shadow_noise_estimate(spec, l)
+    assert again[0].tobytes() == beta_est.tobytes() and again[1].tobytes() == gamma_est.tobytes()
 
 
 class TestDirectArguments:

@@ -475,14 +475,13 @@ l_values = -0.5, 1.5
 
 
 def build_every_column(p, N, columns):
-    """The CLI's build on every mesh column, handed over as its ``columns`` subset."""
+    """The CLI's build on every mesh column, handed over as its ``columns`` subset and x = b."""
     from pbessel.solution import build_solution
 
     sol = build_solution(p, N)
     t = sol.tables
-    kept = dataclasses.replace(
-        t, beta=t.beta[:, columns], gamma=t.gamma[:, columns], columns=np.asarray(columns)
-    )
+    columns = np.union1d(columns, [p.mesh.m - 1]).astype(int)
+    kept = dataclasses.replace(t, beta=t.beta[:, columns], gamma=t.gamma[:, columns], columns=columns)
     return dataclasses.replace(sol, tables=kept)
 
 
@@ -504,19 +503,40 @@ class TestKeptColumns:
 
     @pytest.mark.parametrize("N", [30, 200])
     def test_eigen_keeps_one_strip(self, tmp_path, monkeypatch, N):
-        from pbessel.solution import build_solution
-
-        built = []
-
-        def spy(p, N, columns):
-            sol = build_solution(p, N, columns=columns)
-            built.append(sol.tables)
-            return sol
-
-        monkeypatch.setattr("pbessel.cli.build_solution", spy)
+        # every characteristic evaluation is at the node x = b: one column
+        built = spy_builds(monkeypatch)
         assert run_cli(tmp_path, "eigen", EX1, "--N", str(N)) == 0
         assert len(built) == 1 and built[0].N == N
-        assert built[0].beta.shape[1] <= 6 and built[0].gamma.shape[1] <= 6
+        assert np.array_equal(built[0].columns, [2000])
+        assert built[0].beta.shape == built[0].gamma.shape == (N + 1, 1)
+
+    @pytest.mark.parametrize(
+        "command,kept",
+        [
+            ("decay-sweep", [2000]),
+            # xs 0, pi/2 and pi are nodes of the 2001-point mesh; 0.3 and 2.71 read 6-column strips
+            ("solve", [0, *range(188, 194), 1000, *range(1722, 1728), 2000]),
+        ],
+    )
+    def test_tables_keep_the_columns_read(self, tmp_path, monkeypatch, command, kept):
+        built = spy_builds(monkeypatch)
+        assert run_cli(tmp_path, command, EX1_ALL) == 0
+        assert built and all(t.columns.tolist() == kept for t in built)
+
+
+def spy_builds(monkeypatch):
+    """Record the tables of every solution the CLI builds; return the list they go into."""
+    from pbessel.solution import build_solution
+
+    built = []
+
+    def spy(p, N, columns):
+        sol = build_solution(p, N, columns=columns)
+        built.append(sol.tables)
+        return sol
+
+    monkeypatch.setattr("pbessel.cli.build_solution", spy)
+    return built
 
 
 def one_shot_csv(path, provenance, header, rows):

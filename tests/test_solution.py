@@ -10,6 +10,7 @@ from pbessel import DomainError, UniformMesh
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
 from pbessel.solution import (
+    _coeff_values_at,
     _quintic_weights,
     _series,
     build_solution,
@@ -123,12 +124,36 @@ class TestLookup:
         # both clamped ends (j0 = 0 and j0 = m - 6) plus the interior
         x = np.concatenate([rng.uniform(0, 2.4 * h, 50), MESH.b - rng.uniform(0, 2.4 * h, 50),
                             rng.uniform(0, MESH.b, 900)])
-        j0, w = _quintic_weights(MESH, x)
-        assert j0.min() == 0 and j0.max() == MESH.m - 6
+        idx, w = _quintic_weights(MESH, x)
+        assert idx.min() == 0 and idx.max() == MESH.m - 1
         for k, xv in enumerate(x):
             j_ref, w_ref = quintic_weights_loop(MESH, float(xv))
-            assert j0[k] == j_ref
+            assert np.array_equal(idx[k], j_ref + np.arange(6))
             assert np.array_equal(w[k], w_ref)
+
+    def test_node_reads_its_column_alone(self):
+        # within 1e-12 b of a node, x reads that node's index six times, with one-hot weights
+        nodes = np.array([0, 1, 2, MESH.m // 2, MESH.m - 2, MESH.m - 1])
+        x = np.concatenate([MESH.x[nodes], MESH.x[nodes[1:-1]] + 5e-13 * MESH.b])
+        idx, w = _quintic_weights(MESH, x)
+        assert np.array_equal(idx, np.repeat(np.concatenate([nodes, nodes[1:-1]]), 6).reshape(-1, 6))
+        assert np.array_equal(w, np.broadcast_to([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], w.shape))
+
+    @pytest.mark.parametrize("kept", ["full", "subset"])
+    def test_lookup_on_nodes_equals_table_column(self, kept):
+        mesh = UniformMesh(np.pi, 2001)
+        nodes = np.array([0, 1, 2, mesh.m // 2, mesh.m - 2, mesh.m - 1])
+        p = make_potential("x^2", mesh, 1.5)
+        columns = None if kept == "full" else strip_columns(mesh, mesh.x[nodes])
+        sol = build_solution(p, N=30, columns=columns)
+        t = sol.tables
+        cols = nodes if t.columns is None else np.searchsorted(t.columns, nodes)
+        if t.columns is not None:
+            assert np.array_equal(t.columns, nodes)  # one column per node
+        beta, gamma, Q = _coeff_values_at(sol, mesh.x[nodes], t.beta, t.gamma, p.Q.values)
+        assert beta.tobytes() == t.beta[:, cols].tobytes()
+        assert gamma.tobytes() == t.gamma[:, cols].tobytes()
+        assert Q.tobytes() == p.Q.values[nodes].tobytes()
 
     def test_series_on_x_vector_equals_per_x_calls(self, sol_xsq):
         rng = np.random.default_rng(4)
@@ -181,11 +206,15 @@ class TestColumnSubset:
 
     def test_strip_columns(self):
         mesh = UniformMesh(np.pi, 2001)
-        assert np.array_equal(strip_columns(mesh, mesh.b), np.arange(mesh.m - 6, mesh.m))
-        assert np.array_equal(strip_columns(mesh, []), [mesh.m - 1])
-        # the strip at 0 is clamped to the first six columns; two x share one strip
-        cols = strip_columns(mesh, [0.0, mesh.x[100], mesh.x[100] + mesh.h / 4])
-        assert np.array_equal(cols, [0, 1, 2, 3, 4, 5, 97, 98, 99, 100, 101, 102, mesh.m - 1])
+        # a node is its own column; x = b is no longer added (the build adds it)
+        assert np.array_equal(strip_columns(mesh, mesh.b), [mesh.m - 1])
+        assert strip_columns(mesh, []).size == 0
+        assert np.array_equal(strip_columns(mesh, [0.0, mesh.x[100]]), [0, 100])
+        # off a node, the strip near 0 is clamped to the first six columns; two x share one strip
+        cols = strip_columns(mesh, [mesh.h / 3, mesh.x[100], mesh.x[100] + mesh.h / 4])
+        assert np.array_equal(cols, [0, 1, 2, 3, 4, 5, 97, 98, 99, 100, 101, 102])
+        nodes = np.arange(0, mesh.m, 7)
+        assert np.array_equal(strip_columns(mesh, mesh.x[nodes]), nodes)  # one column per node
         with pytest.raises(DomainError):
             strip_columns(mesh, [4.0])
         with pytest.raises(DomainError, match="1-D"):
