@@ -21,7 +21,6 @@ from .errors import (
     InvalidMeshError,
     NonVanishingError,
     NumericalBreakdownError,
-    OrderCapError,
     PerturbedBesselError,
 )
 from .mesh import (

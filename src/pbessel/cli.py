@@ -18,8 +18,9 @@ Commands
     one log-log data file per l plus a JSON of fitted decay exponents.
 
 Flags: ``--config PATH``, ``--out DIR``, ``--mesh M``, ``--N K``,
-``--oracle``.  Exit codes: 0 success, 2 configuration error, 3 numerical
-breakdown, 4 convergence failure.
+``--oracle``.  Exit code 0 is success; a library error exits with its
+class's ``exit_code`` and prints ``pbessel: {label}: {message}`` to stderr
+(the mapping lives in :mod:`pbessel.errors`).
 
 Every output file starts with a ``#``-prefixed provenance block (config
 hash, actual mesh size, N, N_opt, residual floors), uses 17-significant-
@@ -38,27 +39,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_sha256, emit_config, parse_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    InsufficientDataError,
-    InvalidMeshError,
-    NonVanishingError,
-    NumericalBreakdownError,
-    OrderCapError,
-    PerturbedBesselError,
-)
+from .errors import ConfigError, DomainError, InsufficientDataError, PerturbedBesselError
 from .mesh import UniformMesh, next_valid_size
 from .potentials import make_potential, potential_callable
 from .solution import _series, build_solution, error_indicator, strip_columns
 from .spectral import BoundaryCondition, SpectralProblem, decay_fit, find_eigenvalues
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_CONVERGENCE = 4
 
 
 def _fmt(v: float) -> str:
@@ -322,18 +309,9 @@ def main(argv=None) -> int:
             sys.stdout.write(emit_config(cfg))
             return EXIT_OK
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidMeshError, DomainError, OrderCapError) as exc:
-        print(f"pbessel: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalBreakdownError, EvaluationError) as exc:
-        print(f"pbessel: numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConvergenceError, NonVanishingError) as exc:
-        print(f"pbessel: convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except PerturbedBesselError as exc:
-        print(f"pbessel: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except PerturbedBesselError as exc:  # each class names its own code and label
+        print(f"pbessel: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

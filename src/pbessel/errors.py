@@ -1,33 +1,39 @@
 """Exception types shared across the library.
 
-The CLI maps these onto process exit codes: configuration / argument
-problems exit with 2, numerical breakdowns with 3, iteration failures
-with 4 (see :mod:`pbessel.cli`).
+Each class carries the process exit code and the stderr label under which
+:func:`pbessel.cli.main` reports it, as ``pbessel: {label}: {message}``:
+2 "configuration error" for configuration and argument problems, 3
+"numerical breakdown" for non-finite values, 4 "convergence failure" for
+iterations that fail, and the base class's 3 "error" for the rest.
 """
 
 
 class PerturbedBesselError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+    label = "error"
+
 
 class InvalidMeshError(PerturbedBesselError, ValueError):
     """Mesh too small or point count incompatible with 6-point panels."""
+
+    exit_code = 2
+    label = "configuration error"
 
 
 class DomainError(PerturbedBesselError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
-
-class OrderCapError(PerturbedBesselError, ValueError):
-    """Requested order above the documented cap of a direct formula.
-
-    Only the test oracle's direct Fourier-Legendre route raises it now; the
-    CLI still maps it to exit code 2.
-    """
+    exit_code = 2
+    label = "configuration error"
 
 
 class ConvergenceError(PerturbedBesselError, RuntimeError):
     """An iteration did not converge within its iteration budget."""
+
+    exit_code = 4
+    label = "convergence failure"
 
 
 class NonVanishingError(PerturbedBesselError, RuntimeError):
@@ -39,9 +45,14 @@ class NonVanishingError(PerturbedBesselError, RuntimeError):
     rather than guessing.
     """
 
+    exit_code = 4
+    label = "convergence failure"
+
 
 class NumericalBreakdownError(PerturbedBesselError, RuntimeError):
     """A non-finite value appeared inside a recurrence."""
+
+    label = "numerical breakdown"
 
     def __init__(self, message: str, order: int | None = None):
         super().__init__(message)
@@ -51,6 +62,8 @@ class NumericalBreakdownError(PerturbedBesselError, RuntimeError):
 class EvaluationError(PerturbedBesselError, RuntimeError):
     """A solution/characteristic evaluation returned a non-finite value."""
 
+    label = "numerical breakdown"
+
 
 class InsufficientDataError(PerturbedBesselError, ValueError):
     """Too few usable points remain for a fit after floor exclusion."""
@@ -58,3 +71,6 @@ class InsufficientDataError(PerturbedBesselError, ValueError):
 
 class ConfigError(PerturbedBesselError, ValueError):
     """Malformed, incomplete or contradictory run configuration."""
+
+    exit_code = 2
+    label = "configuration error"

@@ -7,14 +7,15 @@ next to them so any constant can be recomputed on demand.  The exact
 eigenvalues of a constant potential come from scipy's Bessel zeros and
 evaluators, and those of the Coulomb potential from mpmath's Coulomb
 wave function, not from the library.  Two exceptions run the library's
-Picard and quadrature kernels in ``numpy.longdouble`` and are cached, so
-the tests that compare against them build each reference once per
-session: ``extended_direct_reference`` takes the paper's direct
-Fourier-Legendre formulas (``direct_coefficients_extended``, which the
-library does not ship), and ``longdouble_recurrence`` transcribes the
-recurrence itself.  ``shadow_noise_estimate`` is no reference: it runs the
-library's float64 build twice, once with u0 perturbed, to estimate that
-build's rounding noise.
+quadrature kernels in ``numpy.longdouble`` and are cached, so the tests
+that compare against them build each reference once per session:
+``extended_direct_reference`` takes the paper's direct Fourier-Legendre
+formulas (``direct_coefficients_extended``, which the library does not
+ship) on a u0 from the oracle's own Picard update (``u0_by_parts``), and
+``longdouble_recurrence`` transcribes the recurrence itself on the
+library's Picard kernel.  ``shadow_noise_estimate`` is no reference: it
+runs the library's float64 build twice, once with u0 perturbed, to
+estimate that build's rounding noise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from pbessel.errors import DomainError, OrderCapError
+from pbessel.errors import DomainError
 
 mp.mp.dps = 40
 
@@ -209,7 +210,7 @@ def legendre_even_coeffs(n: int) -> LegendreCoeffRow:
     if n < 0 or not float(n).is_integer():
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     if n > LEGENDRE_ORDER_CAP:
-        raise OrderCapError(f"P_{2 * n} coefficients not served (cap n={LEGENDRE_ORDER_CAP})")
+        raise DomainError(f"P_{2 * n} coefficients not served (cap n={LEGENDRE_ORDER_CAP})")
     N = 2 * int(n)
     exact = [Fraction(0)] * (N + 1)
     for k in range(N // 2 + 1):
@@ -240,6 +241,52 @@ def xtilde_chain(u0v, h, N: int) -> list:
     return xt
 
 
+def u0_by_parts(x, sq, l, h) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, u0') for l >= -1/2 by Picard iteration written by parts, in the dtype of ``x``.
+
+    The update never divides a cumulative integral of s^{2l+2} q w by
+    x^{2l+1}:
+
+        w <- 1 + x^{-(2l+1)} int_0^x s^{2l+1} g ds,   g = G/s,   G = int_0^s t q w dt,
+
+    with g(0) = (x q)(0) w(0) (``sq`` holds the samples x q, its origin
+    sample the limit).  Both integrals are the library's panel quintics,
+    except that on the first panel s^{2l+1} is integrated exactly against
+    the quintic through g_0..g_5: (w - 1)(x_k) = h sum_j V_kj g_j with
+    V_kj = sum_i a_ji k^{i+1}/(2l+2+i), L_j = sum_i a_ji t^i.  Later values
+    shift by that exact panel integral minus the quintic rule's.  Then
+    u0 = x^{l+1} w and u0' = x^l (G + 2l + 1 - l w), which is +inf at the
+    origin for l < 0.  Sweeps stop at the longdouble fixed point
+    (``_picard_fixed_point(..., 1e-19, 120, floor=1e-13)``).
+    """
+    from pbessel.mesh import _cumulative_values
+    from pbessel.spps import _picard_fixed_point
+
+    l = x.dtype.type(l)
+    s_pow = x ** (2 * l + 1)
+    k = np.arange(1, 6, dtype=x.dtype)[:, None]
+    i = np.arange(6)
+    # inv(Vandermonde on 0..5)[i, j] = a_ji, and 120 a_ji are integers: rounding recovers them
+    A = np.rint(120 * np.linalg.inv(np.vander(np.arange(6.0), increasing=True))).astype(x.dtype)
+    V = (k ** (i + 1) / (2 * l + 2 + i)) @ A / 120
+
+    def sweep(w):
+        G = _cumulative_values(sq * w, h)
+        g = np.concatenate(([sq[0] * w[0]], G[1:] / x[1:]))
+        S = _cumulative_values(s_pow * g, h)
+        head = h * (V @ g[:6])  # (w - 1)(x_k), k = 1..5
+        S[6:] += s_pow[5] * head[4] - S[5]
+        w_new = np.ones_like(w)
+        w_new[1:6] += head
+        w_new[6:] += S[6:] / s_pow[6:]
+        return w_new, G
+
+    w, (G,), _ = _picard_fixed_point(sweep, np.ones_like(x), 1e-19, 120, floor=1e-13)
+    with np.errstate(divide="ignore"):
+        u0p = x**l * (G + 2 * l + 1 - l * w)
+    return x ** (l + 1) * w, u0p
+
+
 def direct_coefficients_extended(p, N: int, x: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """beta_n(x) and gamma_n(x), n = 0..N, by the paper's direct formulas in longdouble:
 
@@ -250,17 +297,17 @@ def direct_coefficients_extended(p, N: int, x: float | None = None) -> tuple[np.
     with phi_k = (-1)^k (2k)! u0 Xt^(2k), phi_k' = (-1)^k (2k)! (u0' Xt^(2k)
     - Xt^(2k-1)/u0) and c_0 = 1, c_{k+1} = c_k (k+1/2)/(k+l+3/2).  In
     float64 they lose about a digit per order.  The mesh, the x q samples
-    and the step are taken in ``numpy.longdouble``, and the library's
-    Picard and quadrature kernels run in that dtype; only the sums' results
-    are rounded to float64.  Requires l > -1/2; ``x`` defaults to b.
+    and the step are taken in ``numpy.longdouble``; u0 comes from
+    :func:`u0_by_parts` and the Xt chain from the library's quadrature
+    kernels, both in that dtype, and only the sums' results are rounded
+    to float64.  Requires l > -1/2; ``x`` defaults to b.
     """
     from pbessel.mesh import _guarded_cumulative_values
-    from pbessel.spps import _u0_power_case
 
     if N < 0:
         raise DomainError("N must be nonnegative")
     if N > DIRECT_ORDER_CAP:
-        raise OrderCapError(f"direct formulas limited to n <= {DIRECT_ORDER_CAP}")
+        raise DomainError(f"direct formulas limited to n <= {DIRECT_ORDER_CAP}")
     if p.l == -0.5:
         raise DomainError("extended direct evaluation requires l > -1/2")
     ld = np.longdouble
@@ -277,7 +324,7 @@ def direct_coefficients_extended(p, N: int, x: float | None = None) -> tuple[np.
     sq[0] = ld(p.xq_limit)
     # iterate to the longdouble fixed point: the direct formulas amplify a
     # relative u0 perturbation by many orders at the top of the range
-    u0v, u0pv, _ = _u0_power_case(xv, sq, p.l, h, 1e-19, 120, floor=1e-13)
+    u0v, u0pv = u0_by_parts(xv, sq, p.l, h)
     Qv, _ = _guarded_cumulative_values(qv, h)
     xt = [v[i] for v in xtilde_chain(u0v, h, N)]
     xi, u0i, u0pi, Qi, l = xv[i], u0v[i], u0pv[i], Qv[i], ld(p.l)
@@ -310,11 +357,12 @@ def extended_direct_reference(l: float) -> tuple[np.ndarray, np.ndarray]:
 
     The longdouble direct formulas on m = 80001 and 160001, Richardson-
     extrapolated over that mesh doubling with the second-order factor 1/3.
-    At l = 1, n = 8 that step is taken on the direct route's own floor:
+    At l = 1, n = 8 that step is taken on the direct route's own scatter:
     measured against ``longdouble_recurrence("x^2", 1.0, m=20001, N=8)``,
-    the direct beta_8(pi) converges at about 4th order (8.4e-5, 5.5e-6,
-    1.3e-6 relative at m = 20001, 40001, 80001) and then stops near 1.5e-6,
-    and this reference lands 1.69e-6 from that recurrence.  The arrays
+    the direct beta_8(pi) converges at about 4th order (8.4e-5, 4.8e-6,
+    1.4e-6 relative at m = 20001, 40001, 80001) and then scatters (1.6e-8
+    at 160001, 3.8e-7 at 320001).  This reference lands 4.4e-7 from that
+    recurrence and 1.2e-7 from the float64 table at m = 20001.  The arrays
     are read-only, since every caller shares them.
     """
     from pbessel import UniformMesh, make_potential

@@ -12,7 +12,7 @@ from pbessel.coefficients import (
     recurrent_tables,
     select_truncation,
 )
-from pbessel.errors import DomainError, OrderCapError
+from pbessel.errors import DomainError, NumericalBreakdownError
 from pbessel.mesh import _cumulative_values, _guarded_cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
@@ -224,8 +224,6 @@ class TestColumnSubset:
         # ring is the tables themselves (columns=None) or two scratch rows
         # per family, so a build that keeps only x = b breaks down where
         # the full build does
-        from pbessel.errors import NumericalBreakdownError
-
         mesh = UniformMesh(30.0, 2001)
         p = make_potential("1/x", mesh, -0.5)
         u0 = build_u0(p)
@@ -330,10 +328,8 @@ class TestRecurrentVsDirect:
     @pytest.mark.parametrize("l", [1.5, 1.0])
     def test_extended_direct_cross_check(self, l):
         # both families, n = 0..8, against the extended-precision direct
-        # route.  The single cell (l=1, n=8) is excluded here: there the
-        # reference sits on the direct route's own longdouble floor (~1.5e-6
-        # relative), while the float64 table is within 5.5e-7 of the
-        # longdouble recurrence; see the literal test below.
+        # route.  The single cell (l=1, n=8), the closest to the bound, is
+        # asserted in the literal test below.
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, l)
         u0 = build_u0(p)
@@ -344,13 +340,6 @@ class TestRecurrentVsDirect:
                 assert abs(betas[n][-1] - bd[n]) <= 1e-6 * abs(bd[n])
             assert abs(gammas[n][-1] - gd[n]) <= 1e-6 * abs(gd[n])
 
-    @pytest.mark.xfail(
-        strict=False,
-        reason="known reference defect: at l=1 the direct route's beta_8(pi) stops "
-        "converging near 1.5e-6 relative in longdouble, and the Richardson-extrapolated "
-        "reference lands 1.69e-6 from the longdouble recurrence, to which the float64 "
-        "table is within 5.5e-7; the 1e-6 match pins the reference's floor",
-    )
     def test_extended_direct_cross_check_literal_l1(self):
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, 1.0)
@@ -361,7 +350,7 @@ class TestRecurrentVsDirect:
 
     def test_direct_order_cap(self, xsq_15):
         p, _ = xsq_15
-        with pytest.raises(OrderCapError):
+        with pytest.raises(DomainError, match="direct formulas limited to n <= 12"):
             oracles.direct_coefficients_extended(p, 13)
 
 
@@ -566,8 +555,6 @@ class TestSelectTruncation:
 class TestNumericalBreakdown:
     def test_breakdown_names_order(self):
         # b >> 1 with large N overflows x^{2n}: breakdown must name the order
-        from pbessel.errors import NumericalBreakdownError
-
         mesh = UniformMesh(40.0, 101)
         p = make_potential("zero", mesh, 0.5)
         u0 = build_u0(p)
@@ -585,9 +572,20 @@ class TestNumericalBreakdown:
     def test_breakdown_names_first_bad_row(self, spec, l, b, order):
         # here gamma turns non-finite before beta does; rows are written
         # beta_n then gamma_n, and the error names the first bad one
-        from pbessel.errors import NumericalBreakdownError
-
         p = make_potential(spec, UniformMesh(b, 2001), l)
         with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
             recurrent_tables(build_u0(p), p, 100)
         assert exc.value.order == order
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NumericalBreakdownError,
+        reason="ROADMAP item 4: for q = 0 every beta_n and gamma_n is exactly 0, yet "
+        "x^{2n} overflows on a long interval and the build raises instead of returning "
+        "the zero tables (m = 2001, N = 100: b = 34 builds, b = 36 breaks at beta_99, "
+        "b = 40 at beta_96)",
+    )
+    def test_zero_potential_long_interval_builds_zero_tables(self):
+        p = make_potential("zero", UniformMesh(40.0, 2001), 0.0)
+        betas, gammas = recurrent_tables(build_u0(p), p, 100)
+        assert not betas.any() and not gammas.any()

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pbessel
+from pbessel import cli
 from pbessel.cli import main
 from pbessel.config import _SECTIONS, RunConfig, config_sha256, emit_config, parse_config
 from pbessel.errors import ConfigError
@@ -461,6 +463,42 @@ N = 150
         assert main(["coeffs", "--config", str(cfg_file), "--emit-config"]) == 0
         emitted = capsys.readouterr().out
         assert parse_config(emitted) == parse_config(EX1)
+
+
+#: Exit code and stderr label of every exported error class
+ERROR_MAPPING = {
+    "PerturbedBesselError": (3, "error"),
+    "InsufficientDataError": (3, "error"),
+    "ConfigError": (2, "configuration error"),
+    "InvalidMeshError": (2, "configuration error"),
+    "DomainError": (2, "configuration error"),
+    "NumericalBreakdownError": (3, "numerical breakdown"),
+    "EvaluationError": (3, "numerical breakdown"),
+    "ConvergenceError": (4, "convergence failure"),
+    "NonVanishingError": (4, "convergence failure"),
+}
+
+
+EXPORTED_ERRORS = sorted(
+    name for name, obj in vars(pbessel).items()
+    if isinstance(obj, type) and issubclass(obj, pbessel.PerturbedBesselError)
+)
+
+
+@pytest.mark.parametrize("name", EXPORTED_ERRORS)
+def test_error_class_sets_exit_code_and_stderr_line(name, monkeypatch, capsys):
+    cls = getattr(pbessel, name)
+    code, label = ERROR_MAPPING[name]
+    assert (cls.exit_code, cls.label) == (code, label)
+
+    def fail(cfg):
+        raise cls("boom: x=1")
+
+    monkeypatch.setitem(cli._COMMANDS, "eigen", fail)
+    assert main(["eigen"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"pbessel: {label}: boom: x=1\n"
+    assert captured.out == ""
 
 
 #: EX1 with the solve and sweep lists, so every command runs on it
