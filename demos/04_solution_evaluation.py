@@ -14,7 +14,8 @@ from pbessel.solution import error_indicator, eval_u, eval_u_prime
 
 mesh = UniformMesh(np.pi, 20001)
 sol = build_solution(make_potential("x^2", mesh, 1.5), N=100)
-print(f"tables built: N = {sol.tables.N}, N_used = {sol.N_used}")
+# evaluation sums every row; N_opt only says where the residual curve flattens
+print(f"tables built: N = {sol.tables.N} (residual plateau N_opt = {sol.tables.N_opt})")
 
 # --- omega = 0 reduces to the particular solution ----------------------------
 i = mesh.m // 2

@@ -36,7 +36,6 @@ from .spps import ParticularSolution, Potential, build_u0
 from .coefficients import (
     CoefficientTables,
     build_coefficient_tables,
-    recurrent_tables,
     select_truncation,
 )
 from .solution import (

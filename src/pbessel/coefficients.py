@@ -20,7 +20,7 @@ potential.  The production path is the recurrent integration scheme
 
 with r_n = (4n+1)/(4n-3), C_n = B_n/2 and gamma_0 = beta_0' - x^{l+1} Q/2,
 so gamma_n reuses beta_n's bracket Lam_n/x^{2n}.  One pass over n
-(:func:`recurrent_tables`) fills row n of both tables from eta_n,
+(:func:`build_coefficient_tables`) fills row n of both tables from eta_n,
 kappa_n, theta_n and mu_n, and holds only the current order's integrals.
 The paper's direct Fourier-Legendre formulas lose roughly a digit per
 order in float64; they live in the test oracle
@@ -61,7 +61,6 @@ from .spps import ParticularSolution, Potential
 
 __all__ = [
     "CoefficientTables",
-    "recurrent_tables",
     "select_truncation",
     "build_coefficient_tables",
 ]
@@ -87,58 +86,6 @@ def _safe_div(
     np.divide(num, den, out=out)
     out[zero] = 0.0
     return out
-
-
-def _kept_columns(columns, m: int) -> np.ndarray | None:
-    """Sorted, unique mesh indices ``columns`` and m-1 (x = b) in a new array; None stays None."""
-    if columns is None:
-        return None
-    cols = np.asarray(columns)
-    if not (cols.ndim == 1 and (cols.dtype.kind in "iu" or not cols.size)
-            and ((cols >= 0) & (cols < m)).all() and (np.diff(cols.astype(int)) > 0).all()):
-        raise DomainError(f"columns must be sorted, unique mesh indices in [0, {m - 1}]")
-    return np.append(cols[cols < m - 1].astype(int), m - 1)
-
-
-def recurrent_tables(
-    u0: ParticularSolution, p: Potential, N: int, columns=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1, k) tables of beta_0..beta_N and gamma_0..gamma_N in one pass.
-
-    Row n holds beta_n (gamma_n) at the k kept mesh indices: ``columns``
-    (sorted, unique integers, or none) and m-1, x = b, which the residuals
-    read and the pass adds.  ``None``, the default, keeps every column, and
-    the pass writes each order straight into the tables.  A subset runs the
-    same pass on two full rows per family and copies the kept columns of
-    each order out, so it holds the full build's ``[:, kept]`` bit for bit.
-
-    Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
-    and then gamma_n from them; the next order's integrals replace them,
-    so the pass holds one order's integrals at a time, never a table of
-    them.
-
-    Raises
-    ------
-    DomainError
-        For an N that is not a nonnegative integer (numpy integers are), or
-        ``columns`` that are not sorted, unique mesh indices.
-    NumericalBreakdownError
-        At the first non-finite full row, in the order rows are written
-        (beta_n, then gamma_n); the exception names that family and order.
-        A column subset raises exactly where the full build does.
-    """
-    if not isinstance(N, numbers.Integral) or N < 0:
-        raise DomainError(f"N must be nonnegative and an integer, got {N!r}")
-    m = u0.mesh.m
-    cols = _kept_columns(columns, m)
-    width = m if cols is None else cols.size
-    betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
-    ring = (betas, gammas) if cols is None else np.empty((2, 2, m))  # two rows per family
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in _orders(u0, p, N, *ring):
-            if cols is not None:
-                betas[n], gammas[n] = ring[0][n % 2, cols], ring[1][n % 2, cols]
-    return betas, gammas
 
 
 def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, grows: np.ndarray):
@@ -261,13 +208,13 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
 # which ``TARGETS`` in bench/layers.py resolves by name; ROADMAP item 10 moves
 # those spans and removes both.  Nothing in the package calls them.
 def beta_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
-    """The beta table of :func:`recurrent_tables`, kept only as a benchmark seam."""
-    return recurrent_tables(u0, p, N)[0]
+    """The beta table of :func:`build_coefficient_tables`, kept only as a benchmark seam."""
+    return build_coefficient_tables(u0, p, N).beta
 
 
 def gamma_recurrent(u0: ParticularSolution, p: Potential, N: int) -> np.ndarray:
-    """The gamma table of :func:`recurrent_tables`, kept only as a benchmark seam."""
-    return recurrent_tables(u0, p, N)[1]
+    """The gamma table of :func:`build_coefficient_tables`, kept only as a benchmark seam."""
+    return build_coefficient_tables(u0, p, N).gamma
 
 
 #: Plateau rule of :func:`select_truncation`: the trailing window of residuals,
@@ -279,16 +226,18 @@ _FLOOR_FACTOR = 10.0
 
 
 def select_truncation(residuals: np.ndarray) -> tuple[int, bool]:
-    """Truncation order where the residual sequence reaches its floor.
+    """Order where the residual sequence flattens onto its floor: a diagnostic.
 
-    Three shapes occur in practice.  A sequence that decays onto a flat
-    noise floor (the trailing ``_TAIL_WINDOW`` = 10 samples span less than
-    a factor ``_TAIL_FLAT`` = 1.25): the plateau starts at the first K
-    whose residual is within ``_FLOOR_FACTOR`` = 10 of that floor.  A V
-    shape, where the sum starts growing again by accumulating noise-level
-    coefficients: the floor is the interior minimizer.  A sequence still
-    decreasing at the end of the table has no floor; returns (N, False),
-    meaning "not converged: increase N or refine the mesh".
+    Evaluation reads every table row; this order only reports where the
+    residual curve stops falling.  Three shapes occur in practice.  A
+    sequence that decays onto a flat noise floor (the trailing
+    ``_TAIL_WINDOW`` = 10 samples span less than a factor ``_TAIL_FLAT`` =
+    1.25): the plateau starts at the first K whose residual is within
+    ``_FLOOR_FACTOR`` = 10 of that floor.  A V shape, where the sum starts
+    growing again by accumulating noise-level coefficients: the floor is
+    the interior minimizer.  A sequence still decreasing at the end of the
+    table has no floor; returns (N, False), meaning "not flat yet: a larger
+    N or a finer mesh may still gain".
     """
     r = np.asarray(residuals, dtype=float)
     N = r.size - 1
@@ -310,21 +259,22 @@ def select_truncation(residuals: np.ndarray) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class CoefficientTables:
-    """beta_n and gamma_n tables with truncation diagnostics.
+    """beta_n and gamma_n tables with residual diagnostics.
 
     ``beta`` and ``gamma`` are read-only (N+1, k) float64 arrays: row n
     holds beta_n (gamma_n) at the kept mesh indices ``columns``, table
     column j all orders at x_{columns[j]}.  ``columns`` is None when every
     mesh column is kept (k = m, the default), else the read-only sorted
     index array of the requested columns and m-1; the last table column is
-    x = b either way.  Evaluation at an x whose interpolation strip was not
-    kept raises :class:`~pbessel.errors.DomainError`.
+    x = b either way.  Evaluation reads every row, and raises
+    :class:`~pbessel.errors.DomainError` at an x whose strip was not kept.
 
     ``beta_residual[K]`` is |sum_{n<=K} beta_n(b)| / b, the computable
     discrepancy of the truncated kernel diagonal from zero (its exact
-    value); likewise for gamma.  ``N_opt`` is the plateau-selected
-    truncation covering both families; ``converged`` is False when a
-    residual sequence never flattens within the table.
+    value); likewise for gamma.  The rest are diagnostics of where those
+    residual curves flatten (:func:`select_truncation`), which evaluation
+    does not read: ``N_opt`` covers both families, and ``converged`` is
+    False when a residual sequence never flattens within the table.
     """
 
     mesh: UniformMesh
@@ -345,14 +295,46 @@ class CoefficientTables:
 def build_coefficient_tables(
     u0: ParticularSolution, p: Potential, N: int = 100, columns=None
 ) -> CoefficientTables:
-    """Build both tables with :func:`recurrent_tables` and attach residual diagnostics.
+    """(N+1, k) tables of beta_0..beta_N and gamma_0..gamma_N in one pass, and their residuals.
 
-    ``columns`` (default: every mesh column) is passed through; see there.
+    Row n holds beta_n (gamma_n) at the k kept mesh indices: ``columns``
+    (sorted, unique integers, or none) and m-1, x = b, which the residuals
+    read and the pass adds.  ``None``, the default, keeps every column, and
+    the pass writes each order straight into the tables.  A subset runs the
+    same pass on two full rows per family and copies the kept columns of
+    each order out, so it holds the full build's ``[:, kept]`` bit for bit.
+
+    Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
+    and then gamma_n from them; the next order's integrals replace them,
+    so the pass holds one order's integrals at a time, never a table of
+    them.
+
+    Raises
+    ------
+    DomainError
+        For an N that is not a nonnegative integer (numpy integers are), or
+        ``columns`` that are not sorted, unique mesh indices.
+    NumericalBreakdownError
+        At the first non-finite full row, in the order rows are written
+        (beta_n, then gamma_n); the exception names that family and order.
+        A column subset raises exactly where the full build does.
     """
-    columns = _kept_columns(columns, u0.mesh.m)
-    betas, gammas = recurrent_tables(u0, p, N, columns)
-    if columns is not None:
-        columns.flags.writeable = False
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise DomainError(f"N must be nonnegative and an integer, got {N!r}")
+    m, cols = u0.mesh.m, None if columns is None else np.asarray(columns)
+    if cols is not None:
+        if not (cols.ndim == 1 and (cols.dtype.kind in "iu" or not cols.size)
+                and ((cols >= 0) & (cols < m)).all() and (np.diff(cols.astype(int)) > 0).all()):
+            raise DomainError(f"columns must be sorted, unique mesh indices in [0, {m - 1}]")
+        cols = np.append(cols[cols < m - 1].astype(int), m - 1)  # a new array: x = b is kept
+        cols.flags.writeable = False
+    width = m if cols is None else cols.size
+    betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
+    ring = (betas, gammas) if cols is None else np.empty((2, 2, m))  # two rows per family
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in _orders(u0, p, N, *ring):
+            if cols is not None:
+                betas[n], gammas[n] = ring[0][n % 2, cols], ring[1][n % 2, cols]
     betas.flags.writeable = gammas.flags.writeable = False
     b = u0.mesh.b
     beta_res = np.abs(np.cumsum(betas[:, -1])) / b
@@ -363,7 +345,7 @@ def build_coefficient_tables(
         mesh=u0.mesh,
         beta=betas,
         gamma=gammas,
-        columns=columns,
+        columns=cols,
         N=N,
         beta_residual=beta_res,
         gamma_residual=gamma_res,

@@ -12,7 +12,9 @@ d(omega) omega b_l' (see :mod:`pbessel.special`); writing the leading
 terms this way removes the omega^{-l-1} pole analytically, so omega = 0
 needs no special-casing and large-l evaluations cannot overflow.  The
 truncation error of both series is uniform in omega on the real axis,
-which is what makes large eigenvalue scans accurate.
+which is what makes large eigenvalue scans accurate, and why evaluation
+reads every row a table was built with (the tables' ``N_opt`` and
+``converged`` only report where the residual curves flatten).
 
 Evaluation reads only the families it needs (u: beta; u': gamma and Q),
 as six-column strips of the read-only tables, one column on a mesh node.
@@ -22,7 +24,7 @@ sweep gives u, u' or both, at a vector of omega and, in the private kernel,
 of x too (z is their outer product).
 
 A solution hands the Bessel data of a one-x evaluation on to its next
-one: the rows j_{2n}(z), n <= N_used, S_l(z) and D_l(z), keyed by the bytes
+one: the rows j_{2n}(z), n <= N, S_l(z) and D_l(z), keyed by the bytes
 of z; S_l and D_l come from one call, which shares their J_{l-1/2},
 J_{l+1/2} pair.
 So :func:`eval_u` and :func:`eval_u_prime` at the same (omega, x) share one
@@ -62,24 +64,18 @@ __all__ = [
 class NsbfSolution:
     """Truncated series solution of one perturbed Bessel problem.
 
-    ``N_used`` is the truncation actually applied when evaluating; it
-    never exceeds ``tables.N``, and :func:`build_solution` sets it to the
-    plateau-selected ``tables.N_opt``.  ``_last_sweep`` holds the Bessel
-    data a one-x evaluation leaves for the next, j_{2n}, S_l and D_l (see the
-    module docstring);
-    it is private, takes no part in init, repr or comparison, and a copy
-    made by ``dataclasses.replace`` starts with it empty.
+    Evaluation sums every row of ``tables``, n = 0..``tables.N``; the
+    tables' ``N_opt`` and ``converged`` are diagnostics it does not read.
+    ``_last_sweep`` holds the Bessel data a one-x evaluation leaves for the
+    next, j_{2n}, S_l and D_l (see the module docstring); it is private,
+    takes no part in init, repr or comparison, and a copy made by
+    ``dataclasses.replace`` starts with it empty.
     """
 
     potential: Potential
     u0: ParticularSolution
     tables: CoefficientTables
-    N_used: int
     _last_sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (0 <= self.N_used <= self.tables.N):
-            raise DomainError(f"N_used must be in [0, {self.tables.N}], got {self.N_used}")
 
     @property
     def mesh(self) -> UniformMesh:
@@ -102,7 +98,7 @@ def build_solution(p: Potential, N: int = 100, columns=None) -> NsbfSolution:
     """
     u0 = build_u0(p)
     tables = build_coefficient_tables(u0, p, N=N, columns=columns)
-    return NsbfSolution(potential=p, u0=u0, tables=tables, N_used=tables.N_opt)
+    return NsbfSolution(potential=p, u0=u0, tables=tables)
 
 
 #: the six interpolation nodes, and for node j the other five and j minus them
@@ -173,7 +169,7 @@ def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) ->
 
 
 def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """j_{2n}(z), n <= N_used, along a new last axis, S_l(z) and D_l(z), at z = outer(x, omega).
+    """j_{2n}(z), n <= N, along a new last axis, S_l(z) and D_l(z), at z = outer(x, omega).
 
     A one-x call takes the entry the last one-x call left: it reuses it if
     the bytes of z match, drops it either way (before any new sweep, so two
@@ -185,8 +181,8 @@ def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         if last is not None and last[0] == key:
             return last[1:]
     # (len(x), len(omega), N+1), a view of the even rows of the sweep
-    rows = spherical_j_sequence(2 * sol.N_used, z.ravel())[0::2]
-    jeven = rows.T.reshape(*z.shape, sol.N_used + 1)
+    rows = spherical_j_sequence(2 * sol.tables.N, z.ravel())[0::2]
+    jeven = rows.T.reshape(*z.shape, len(rows))
     s, d = (a.reshape(z.shape) for a in _leading_scaled(sol.l, z.ravel(), "_sweep"))
     if key is not None:
         jeven.flags.writeable = s.flags.writeable = d.flags.writeable = False
@@ -207,13 +203,12 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     if not np.isfinite(om).all() or (om < 0).any():
         raise DomainError("omega must be finite and >= 0")
     xs = _check_x(sol.b, x)
-    l, n = sol.l, sol.N_used + 1
-    t = sol.tables
-    families = ([t.beta[:n]] if u else []) + ([t.gamma[:n], sol.potential.Q.values] if du else [])
+    l, t = sol.l, sol.tables
+    families = ([t.beta] if u else []) + ([t.gamma, sol.potential.Q.values] if du else [])
     coeffs = _coeff_values_at(sol, xs, *families)
     z = np.multiply.outer(xs, om)
     jeven, s, d = _sweep(sol, z)
-    signs = (-1.0) ** np.arange(n)
+    signs = (-1.0) ** np.arange(t.N + 1)
 
     # summed along the contiguous last axis of the product, so the order of
     # the additions does not depend on the shape of the call
@@ -253,10 +248,10 @@ def eval_u_prime(sol: NsbfSolution, omega, x: float):
 def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
     """Computable proxies for the omega-uniform truncation error at x.
 
-    Returns (|sum_{n<=N_used} beta_n(x)/x|, |same with gamma|): the exact
-    sums vanish (the kernel diagonals are zero), so the truncated sums
-    expose the combined truncation + accumulation error level, uniformly
-    in omega.
+    Returns (|sum_{n<=N} beta_n(x)/x|, |same with gamma|), summed over
+    every row evaluation reads: the exact sums vanish (the kernel
+    diagonals are zero), so the truncated sums expose the combined
+    truncation + accumulation error level, uniformly in omega.
 
     Not meaningful near the origin.  There the high-order table rows hold
     amplified rounding noise (the recurrence divides by x^{2n}), and the
@@ -267,6 +262,5 @@ def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
     """
     if not (0 < _one_x(x) <= sol.b * (1 + 1e-12)):
         raise DomainError(f"error indicator needs x in (0, {sol.b}]")
-    n = sol.N_used + 1
-    beta, gamma = _coeff_values_at(sol, np.array([x]), sol.tables.beta[:n], sol.tables.gamma[:n])
+    beta, gamma = _coeff_values_at(sol, np.array([x]), sol.tables.beta, sol.tables.gamma)
     return float(abs(beta.sum() / x)), float(abs(gamma.sum() / x))

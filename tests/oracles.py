@@ -104,6 +104,19 @@ def u0_series_coulomb(x, deriv: bool = False, n_terms: int = 80):
     return sum(cm * x ** (2 + m) for m, cm in enumerate(c))
 
 
+def u0_coulomb_exact(x, l: float) -> np.ndarray:
+    """Particular solution for q = 1/x at real l >= -1/2: Gamma(2l+2) sqrt(x) I_{2l+1}(2 sqrt(x)).
+
+    The series of I_{2l+1} gives u0 = x^{l+1} sum_k Gamma(2l+2) x^k / (k! Gamma(2l+2+k)),
+    whose coefficients obey c_k = c_{k-1} / (k (k + 2l + 1)), the recursion
+    of u0'' = (l(l+1)/x^2 + 1/x) u0; scipy's ``iv`` evaluates it.
+    """
+    from scipy.special import iv
+
+    x = np.asarray(x, dtype=float)
+    return math.gamma(2 * l + 2) * np.sqrt(x) * iv(2 * l + 1, 2 * np.sqrt(x))
+
+
 # ---------------------------------------------------------------------------
 # Frozen values (mpmath, dps = 40; generators above).
 # ---------------------------------------------------------------------------
@@ -377,25 +390,32 @@ def extended_direct_reference(l: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def const_c_eigenvalues(c: float, b: float, kind: str, omega_max: float) -> tuple[float, ...]:
-    """Exact eigenvalues omega <= omega_max of q = c >= 0 at l = 3/2 on [0, b].
+def const_c_eigenvalues(
+    c: float, b: float, kind: str, omega_max: float, l: float = 1.5
+) -> tuple[float, ...]:
+    """Exact eigenvalues omega <= omega_max of q = c >= 0 at l (default 3/2) on [0, b].
 
-    With k^2 = omega^2 - c the regular solution is u = sqrt(x) J_2(k x), and
-    for c >= 0 every eigenvalue has real k.  Dirichlet: J_2(k b) = 0, so k b
-    is a zero of J_2.  Neumann: u' = x^{-1/2} ((1/2) J_2(t) + t J_2'(t)) at
-    t = k x, whose roots in t are bracketed on a grid of step ~0.05 (they
-    are ~pi apart) and refined by Brent's method to a few ulp.
+    With k^2 = omega^2 - c and nu = l + 1/2 the regular solution is
+    u = sqrt(x) J_nu(k x), and for c >= 0 every eigenvalue has real k.
+    Dirichlet: J_nu(k b) = 0, so k b is a zero of J_nu (scipy's
+    ``jn_zeros``, so nu must be an integer).  Neumann: u' = x^{-1/2}
+    ((1/2) J_nu(t) + t J_nu'(t)) at t = k x, whose roots in t are
+    bracketed on a grid of step ~0.05 (they are ~pi apart) and refined by
+    Brent's method to a few ulp.
     """
     from scipy.optimize import brentq
     from scipy.special import jn_zeros, jv, jvp
 
+    nu = l + 0.5
     t_max = b * math.sqrt(omega_max**2 - c)
     if kind == "dirichlet":
-        t = jn_zeros(2, int(t_max / math.pi) + 2)
+        if nu != int(nu):
+            raise DomainError(f"Dirichlet needs an integer l + 1/2, got l = {l}")
+        t = jn_zeros(int(nu), int(t_max / math.pi) + 2)
     else:
 
         def f(t):
-            return 0.5 * jv(2, t) + t * jvp(2, t)
+            return 0.5 * jv(nu, t) + t * jvp(nu, t)
 
         grid = np.linspace(0.1, t_max + 1.0, int(20 * t_max) + 40)
         fg = f(grid)
@@ -546,7 +566,7 @@ def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> t
     import dataclasses
 
     from pbessel import UniformMesh, make_potential
-    from pbessel.coefficients import recurrent_tables
+    from pbessel.coefficients import build_coefficient_tables
     from pbessel.mesh import GridFunction
     from pbessel.spps import build_u0
 
@@ -557,5 +577,5 @@ def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> t
     perturbed = GridFunction(mesh, u0.u0.values * (1 + signs * np.finfo(float).eps))
     shadow = dataclasses.replace(u0, u0=perturbed)
     # no columns asked: the tables keep x = b alone
-    (b0, g0), (b1, g1) = (recurrent_tables(v, p, N, []) for v in (u0, shadow))
-    return np.abs(b1 - b0)[:, 0], np.abs(g1 - g0)[:, 0]
+    t0, t1 = (build_coefficient_tables(v, p, N, []) for v in (u0, shadow))
+    return np.abs(t1.beta - t0.beta)[:, 0], np.abs(t1.gamma - t0.gamma)[:, 0]

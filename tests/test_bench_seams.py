@@ -34,13 +34,13 @@ def test_every_target_resolves(layers):
 
 def test_recurrence_seams_return_one_family_each():
     from pbessel import UniformMesh, build_u0, make_potential
-    from pbessel.coefficients import beta_recurrent, gamma_recurrent, recurrent_tables
+    from pbessel.coefficients import beta_recurrent, build_coefficient_tables, gamma_recurrent
 
     p = make_potential("x^2", UniformMesh(np.pi, 501), 1.5)
     u0 = build_u0(p)
-    betas, gammas = recurrent_tables(u0, p, 12)
-    assert beta_recurrent(u0, p, 12).tobytes() == betas.tobytes()
-    assert gamma_recurrent(u0, p, 12).tobytes() == gammas.tobytes()
+    t = build_coefficient_tables(u0, p, 12)
+    assert beta_recurrent(u0, p, 12).tobytes() == t.beta.tobytes()
+    assert gamma_recurrent(u0, p, 12).tobytes() == t.gamma.tobytes()
 
 
 def test_tables_hook_takes_column_subset(layers):

@@ -9,7 +9,6 @@ from pbessel import UniformMesh
 from pbessel.coefficients import (
     _TINY,
     build_coefficient_tables,
-    recurrent_tables,
     select_truncation,
 )
 from pbessel.errors import DomainError, NumericalBreakdownError
@@ -55,12 +54,10 @@ class TestTableLayout:
         p = make_potential("x^2", mesh, 1.5)
         u0 = build_u0(p)
         tables = build_coefficient_tables(u0, p, N=12)
-        betas, gammas = recurrent_tables(u0, p, 12)
-        for table, rows in ((tables.beta, betas), (tables.gamma, gammas)):
+        for table in (tables.beta, tables.gamma):
             assert table.shape == (13, mesh.m)
             assert table.dtype == np.float64
             assert not table.flags.writeable
-            assert np.array_equal(table, rows)
             with pytest.raises(ValueError):
                 table[3, 7] = 1.0
             with pytest.raises(ValueError):
@@ -98,7 +95,8 @@ class TestTableLayout:
         mesh = UniformMesh(b, 2001)
         p = make_potential(spec, mesh, l)
         u0 = build_u0(p)
-        betas, gammas = recurrent_tables(u0, p, 100)
+        t = build_coefficient_tables(u0, p, 100)
+        betas, gammas = t.beta, t.gamma
         ref_b, ref_g = plain_recurrence(u0, p, 100, four_term_gamma=True)
         assert betas.tobytes() == ref_b.tobytes()
         gap = np.abs(gammas[:, -1] - ref_g[:, -1]).max()
@@ -146,11 +144,9 @@ class TestTableLayout:
         p = make_potential("x^2", mesh, 1.5)
         u0 = build_u0(p)
         with pytest.raises(DomainError, match="N must be nonnegative and an integer"):
-            recurrent_tables(u0, p, N)
-        with pytest.raises(DomainError, match="N must be nonnegative and an integer"):
             build_coefficient_tables(u0, p, N=N)
         for n in (np.int32(3), np.uint8(3), 3):
-            assert recurrent_tables(u0, p, n)[0].shape == (4, mesh.m)
+            assert build_coefficient_tables(u0, p, n).beta.shape == (4, mesh.m)
 
 
 #: the column-subset cases: (potential, l) at m = 2001, N = 60
@@ -163,13 +159,13 @@ class TestColumnSubset:
         mesh = UniformMesh(np.pi, 2001)
         p = make_potential(spec, mesh, l)
         u0 = build_u0(p)
-        betas, gammas = recurrent_tables(u0, p, 60)
+        full = build_coefficient_tables(u0, p, 60)
         strided = np.append(np.arange(0, mesh.m - 1, 7), mesh.m - 1)
         for cols in (strided, np.array([mesh.m - 1])):
-            sub_b, sub_g = recurrent_tables(u0, p, 60, cols)
-            assert sub_b.shape == sub_g.shape == (61, cols.size)
-            assert sub_b.tobytes() == betas[:, cols].tobytes()
-            assert sub_g.tobytes() == gammas[:, cols].tobytes()
+            sub = build_coefficient_tables(u0, p, 60, cols)
+            assert sub.beta.shape == sub.gamma.shape == (61, cols.size)
+            assert sub.beta.tobytes() == full.beta[:, cols].tobytes()
+            assert sub.gamma.tobytes() == full.gamma[:, cols].tobytes()
 
     def test_tables_record_their_columns(self):
         mesh = UniformMesh(np.pi, 2001)
@@ -204,8 +200,6 @@ class TestColumnSubset:
         assert sub.gamma.tobytes() == full.gamma[:, kept].tobytes()
         assert sub.beta_residual.tobytes() == full.beta_residual.tobytes()
         assert sub.N_opt == full.N_opt
-        betas, gammas = recurrent_tables(u0, p, 20, cols)
-        assert betas.tobytes() == sub.beta.tobytes() and gammas.tobytes() == sub.gamma.tobytes()
 
     @pytest.mark.parametrize(
         "cols",
@@ -217,7 +211,7 @@ class TestColumnSubset:
         mesh = UniformMesh(np.pi, 2001)
         p = make_potential("x^2", mesh, 1.5)
         with pytest.raises(DomainError, match="columns"):
-            recurrent_tables(build_u0(p), p, 5, cols)
+            build_coefficient_tables(build_u0(p), p, 5, cols)
 
     def test_breakdown_on_one_column_names_full_row_order(self):
         # the finiteness check reads the full row of the ring, whether the
@@ -229,14 +223,14 @@ class TestColumnSubset:
         u0 = build_u0(p)
         for cols in ([mesh.m - 1], None):
             with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
-                recurrent_tables(u0, p, 100, cols)
+                build_coefficient_tables(u0, p, 100, cols)
             assert exc.value.order == 78
 
 
 def plain_recurrence(u0, p, N, four_term_gamma=False):
     """The recurrences transcribed out of place, one temporary per term.
 
-    Kept as the reference for the in-place loop of ``recurrent_tables``:
+    Kept as the reference for the in-place loop of ``build_coefficient_tables``:
     the same products and sums in the same grouping, so the tables must
     agree bit for bit.  gamma_n reuses beta_n's bracket
     Lam_n/x^{2n} = (2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n)/x^{2n}.
@@ -311,7 +305,7 @@ def plain_recurrence(u0, p, N, four_term_gamma=False):
 class TestRecurrentVsDirect:
     def test_beta0_is_u0_minus_power(self, xsq_15):
         p, u0 = xsq_15
-        betas, _ = recurrent_tables(u0, p, 0)
+        betas = build_coefficient_tables(u0, p, 0).beta
         assert betas[0][-1] == pytest.approx(u0.u0.at_end - np.pi**2.5, rel=1e-14)
 
     def test_gamma0_forms_agree(self, xsq_15):
@@ -322,7 +316,7 @@ class TestRecurrentVsDirect:
             - 2.5 * np.pi**1.5
             - p.Q.at_end * np.pi**2.5 / 2.0
         )
-        _, gammas = recurrent_tables(u0, p, 0)
+        gammas = build_coefficient_tables(u0, p, 0).gamma
         assert gammas[0][-1] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("l", [1.5, 1.0])
@@ -333,7 +327,8 @@ class TestRecurrentVsDirect:
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, l)
         u0 = build_u0(p)
-        betas, gammas = recurrent_tables(u0, p, 8)
+        t = build_coefficient_tables(u0, p, 8)
+        betas, gammas = t.beta, t.gamma
         bd, gd = oracles.extended_direct_reference(l)
         for n in range(9):
             if not (l == 1.0 and n == 8):
@@ -344,7 +339,7 @@ class TestRecurrentVsDirect:
         mesh = UniformMesh(np.pi, 20001)
         p = make_potential("x^2", mesh, 1.0)
         u0 = build_u0(p)
-        betas, _ = recurrent_tables(u0, p, 8)
+        betas = build_coefficient_tables(u0, p, 8).beta
         bd, _ = oracles.extended_direct_reference(1.0)
         assert abs(betas[8][-1] - bd[8]) <= 1e-6 * abs(bd[8])
 
@@ -439,10 +434,10 @@ class TestDecayBehavior:
         # l = 1 coefficients at n = 30 at least 100x below l = 1.5 ones
         p15, u015 = make_potential("x^2", MESH, 1.5), None
         u015 = build_u0(p15)
-        b15, _ = recurrent_tables(u015, p15, 30)
+        b15 = build_coefficient_tables(u015, p15, 30).beta
         p10 = make_potential("x^2", MESH, 1.0)
         u010 = build_u0(p10)
-        b10, _ = recurrent_tables(u010, p10, 30)
+        b10 = build_coefficient_tables(u010, p10, 30).beta
         assert abs(b10[30][-1]) <= 1e-2 * abs(b15[30][-1])
 
     def test_origin_growth_order(self, xsq_15_tables):
@@ -492,8 +487,7 @@ class TestResidualDiagnostics:
         # the opposite sign (as misprinted in one place of the source
         # material) misses by Q x^{l+1}, which is far outside tolerance
         p, u0 = xsq_15
-        _, gammas = recurrent_tables(u0, p, 0)
-        g0 = gammas[0]
+        g0 = build_coefficient_tables(u0, p, 0).gamma[0]
         x = MESH.x
         lead = 2.5 * x**1.5 + 0.5 * p.Q.values * x**2.5
         recovered = lead + g0
@@ -533,22 +527,22 @@ class TestSelectTruncation:
         strict=True,
         raises=AssertionError,
         reason="ROADMAP item 12: the residual plateau rule reads float64 noise, so "
-        "one ulp in every B_n moves N_used (x^2, m=2001: l=1 24 -> 38, l=2 12 -> 19)",
+        "one ulp in every B_n moves N_opt (x^2, m=2001: l=1 24 -> 38, l=2 12 -> 19)",
     )
     def test_truncation_stable_under_one_ulp_in_Bn(self, monkeypatch):
         from pbessel import coefficients
-        from pbessel.solution import build_solution
 
         mesh = UniformMesh(np.pi, 2001)
         ps = [make_potential("x^2", mesh, l) for l in (1.0, 2.0)]
-        before = [build_solution(p, N=100).N_used for p in ps]
+        u0s = [build_u0(p) for p in ps]
+        before = [build_coefficient_tables(u0, p, N=100).N_opt for u0, p in zip(u0s, ps)]
         bn_table = coefficients._bn_table  # the build reads every B_n from here
         monkeypatch.setattr(
             coefficients,
             "_bn_table",
             lambda N, l: tuple(b * (1.0 + 2.0**-52) for b in bn_table(N, l)),
         )
-        after = [build_solution(p, N=100).N_used for p in ps]
+        after = [build_coefficient_tables(u0, p, N=100).N_opt for u0, p in zip(u0s, ps)]
         assert after == before
 
 
@@ -562,7 +556,7 @@ class TestNumericalBreakdown:
         p2 = make_potential("const:1", mesh, 0.5)
         u02 = build_u0(p2)
         with pytest.raises(NumericalBreakdownError) as exc:
-            recurrent_tables(u02, p2, 120)
+            build_coefficient_tables(u02, p2, 120)
         assert exc.value.order is not None
 
     @pytest.mark.parametrize(
@@ -574,7 +568,7 @@ class TestNumericalBreakdown:
         # beta_n then gamma_n, and the error names the first bad one
         p = make_potential(spec, UniformMesh(b, 2001), l)
         with pytest.raises(NumericalBreakdownError, match="non-finite gamma coefficient") as exc:
-            recurrent_tables(build_u0(p), p, 100)
+            build_coefficient_tables(build_u0(p), p, 100)
         assert exc.value.order == order
 
     @pytest.mark.xfail(
@@ -587,5 +581,5 @@ class TestNumericalBreakdown:
     )
     def test_zero_potential_long_interval_builds_zero_tables(self):
         p = make_potential("zero", UniformMesh(40.0, 2001), 0.0)
-        betas, gammas = recurrent_tables(build_u0(p), p, 100)
-        assert not betas.any() and not gammas.any()
+        t = build_coefficient_tables(build_u0(p), p, 100)
+        assert not t.beta.any() and not t.gamma.any()

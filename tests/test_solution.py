@@ -1,12 +1,15 @@
 """Truncated solution evaluation: omega = 0 identities, oracles, uniformity."""
 
-import dataclasses
+import functools
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pbessel import DomainError, UniformMesh
+from pbessel.mesh import _cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
 from pbessel.solution import (
@@ -180,7 +183,7 @@ class TestColumnSubset:
         full = build_solution(p, N=60)
         xs = [0.3, 1.0, mesh.x[777], mesh.b - mesh.h / 3, mesh.b]
         sub = build_solution(p, N=60, columns=strip_columns(mesh, xs))
-        assert sub.N_used == full.N_used
+        assert sub.tables.N == full.tables.N
         omega = np.array([0.0, 0.7, 2.0, 9.5, 31.0])
         for x in xs:
             assert eval_u(sub, omega, x).tobytes() == eval_u(full, omega, x).tobytes()
@@ -254,17 +257,10 @@ class TestAgainstShooting:
         # fixed (omega, x): error vs N falls faster than geometrically
         # until the floor
         p = make_potential("x^2", MESH, 1.5)
-        sols = {n: None for n in (10, 16, 22)}
-        from pbessel.solution import NsbfSolution
-
-        full = build_solution(p, N=40)
         u_ref, _ = shoot_solution(lambda x: np.asarray(x) ** 2, 1.5, 10.0, [np.pi])
-        errs = []
-        for n in sols:
-            trunc = NsbfSolution(
-                potential=full.potential, u0=full.u0, tables=full.tables, N_used=n
-            )
-            errs.append(abs(eval_u(trunc, 10.0, np.pi) - u_ref[0]))
+        # a smaller N builds the same leading rows, bit for bit
+        errs = [abs(eval_u(build_solution(p, N=n), 10.0, np.pi) - u_ref[0])
+                for n in (10, 16, 22)]
         # successive ratios shrink: super-geometric decay
         r1 = errs[1] / errs[0]
         r2 = errs[2] / errs[1]
@@ -299,15 +295,46 @@ class TestErrorIndicator:
         assert eb < 1e-7  # residual floor regime for Example 1 tables
 
     def test_monotone_in_N(self, sol_xsq):
-        from pbessel.solution import NsbfSolution
-
-        small = NsbfSolution(
-            potential=sol_xsq.potential, u0=sol_xsq.u0, tables=sol_xsq.tables, N_used=3
-        )
-        big = NsbfSolution(
-            potential=sol_xsq.potential, u0=sol_xsq.u0, tables=sol_xsq.tables, N_used=30
-        )
+        small, big = (build_solution(sol_xsq.potential, N=n) for n in (3, 30))
         assert error_indicator(small, np.pi)[0] > error_indicator(big, np.pi)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def lagrange_solution(spec, l):
+    return build_solution(make_potential(spec, UniformMesh(np.pi, 2001), l), N=100)
+
+
+class TestLagrangeIdentity:
+    """(w1^2 - w2^2) int_0^b u1 u2 dx = u1(b) u2'(b) - u1'(b) u2(b): a check with no oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.sampled_from(["x^2", "1/x", "zero"]), st.floats(0.0, 4.0).map(lambda c: f"const:{c!r}")
+        ),
+        # 2l + 2 is an integer, so u1 u2 ~ x^{2l+2} is smooth for the panel rule
+        l=st.sampled_from([k / 2 for k in range(-1, 7)]),
+        w1=st.floats(0.5, 40.0),
+        w2=st.floats(0.5, 40.0),
+    )
+    def test_identity_holds(self, spec, l, w1, w2):
+        # 1/x at l = -1/2 reads 1.8e-7 (ROADMAP item 17: its u0 is O(h) off)
+        assume(not (spec == "1/x" and l == -0.5))
+        sol = lagrange_solution(spec, l)
+        mesh = sol.mesh
+        omega = np.array([w1, w2])
+        u, _ = _series(sol, omega, mesh.x, du=False)  # every node, every table row
+        prod = u[:, 0] * u[:, 1]
+        integral, size = (_cumulative_values(f, mesh.h)[-1] for f in (prod, np.abs(prod)))
+        du = eval_u_prime(sol, omega, mesh.b)
+        terms = (u[-1, 0] * du[1], du[0] * u[-1, 1])
+        dw2 = w1 * w1 - w2 * w2
+        # scaled by both sides' sizes: where u1(b) and u2(b) both vanish
+        # (q = 0, l = 0 at integer omegas) the right side alone is ~1e-16
+        scale = abs(terms[0]) + abs(terms[1]) + abs(dw2) * size
+        # measured (m = 2001, N = 100): worst 1.0e-9 over the corners of the
+        # omega range on every family and l, 2.6e-10 over ~1200 random pairs
+        assert abs(dw2 * integral - (terms[0] - terms[1])) <= 1e-8 * scale
 
 
 class TestDomain:
@@ -354,17 +381,6 @@ class TestDomain:
         assert eval_u(sol, om, 1.0).shape == (4,)
         assert eval_u_prime(sol, om, 1.0).shape == (4,)
 
-    def test_n_used_bounds(self, sol_free):
-        from pbessel.solution import NsbfSolution
-
-        with pytest.raises(DomainError):
-            NsbfSolution(
-                potential=sol_free.potential,
-                u0=sol_free.u0,
-                tables=sol_free.tables,
-                N_used=99,
-            )
-
 
 class TestSharedSweep:
     """u and u' at one (omega, x) share one Bessel sweep, with the bits of two."""
@@ -410,7 +426,7 @@ class TestSharedSweep:
             assert s.ravel().tobytes() == bl_scaled(l, z).tobytes()
             assert d.ravel().tobytes() == bl_prime_scaled(l, z).tobytes()
 
-    @pytest.mark.parametrize("change", ["omega", "x", "N_used"])
+    @pytest.mark.parametrize("change", ["omega", "x", "N"])
     def test_new_point_new_sweep(self, sweeps, change):
         sol = small_solution()
         eval_u(sol, self.OMEGA, self.X)
@@ -420,12 +436,12 @@ class TestSharedSweep:
         elif change == "x":
             x = np.nextafter(self.X, 2.0)
         else:
-            other = dataclasses.replace(sol, N_used=20)
+            other = build_solution(sol.potential, N=20)
         got = eval_u_prime(other, omega, x)
         assert len(sweeps) == 2
         fresh = small_solution()
-        if change == "N_used":
-            fresh = dataclasses.replace(fresh, N_used=20)
+        if change == "N":
+            fresh = build_solution(fresh.potential, N=20)
         assert got.tobytes() == eval_u_prime(fresh, omega, x).tobytes()
 
     def test_x_vector_stores_no_entry(self, sweeps):

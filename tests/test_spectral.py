@@ -243,7 +243,7 @@ class TestUnderflowedStart:
 
 
 class TestExactConstantPotential:
-    """q = 1 at l = 3/2: exact eigenvalues from the zeros of J_2, below shooting's floor."""
+    """q = 1 at l = 3/2 (and -1/2): exact eigenvalues from Bessel zeros, below shooting's floor."""
 
     @pytest.fixture(scope="class")
     def sol_const1(self):
@@ -268,12 +268,25 @@ class TestExactConstantPotential:
         assert err.max() <= 5e-11
         assert err[0] <= 1e-13
 
+    def test_l_minus_half_dirichlet_against_exact(self):
+        # nu = 0: u = sqrt(x) J_0(k x), so k pi runs through the zeros of J_0.
+        # Measured at m = 20001, N = 100: 9.2e-14 at worst, 6.9e-15 at the
+        # first root; summing only to the residual plateau (N_opt = 10) left 8.8e-4
+        window = (0.5, 30.0)
+        sol = build_solution(make_potential("const:1", MESH, -0.5), N=100)
+        exact = [w for w in oracles.const_c_eigenvalues(1.0, np.pi, "dirichlet", window[1], l=-0.5)
+                 if w >= window[0]]
+        pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, window))
+        assert [p.index for p in pairs] == list(range(1, len(exact) + 1))
+        assert np.abs(np.array([p.omega for p in pairs]) - exact).max() <= 1e-12
+
 
 @functools.lru_cache(maxsize=None)
 def coulomb_roots(l):
     sol = build_solution(make_potential("1/x", MESH, l), N=100)
     pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.1, 51.2)))
-    assert [p.index for p in pairs] == list(range(1, 51))  # the window holds the first 50
+    # the window holds the first 50 (51 at l = 0, whose 51st root is 51.02)
+    assert [p.index for p in pairs] == list(range(1, 52 if l == 0.0 else 51))
     return tuple(p.omega for p in pairs)
 
 
@@ -283,10 +296,10 @@ class TestExactCoulombPotential:
     @pytest.mark.parametrize(
         "l,k,measured",
         [
+            (0.0, 1, 4.0e-15), (0.0, 10, 3.4e-14), (0.0, 25, 9.2e-14), (0.0, 50, 1.8e-13),
             (0.5, 1, 1.3e-15), (0.5, 10, 8.9e-15), (0.5, 50, 5.6e-13),
             (1.0, 1, 2.9e-15), (1.0, 10, 3.6e-15), (1.0, 50, 2.2e-12),
-            # N_opt = 57 here, not N = 100: truncation, not table noise, sets k = 50
-            (1.5, 1, 2.2e-16), (1.5, 10, 1.1e-13), (1.5, 50, 4.3e-8),
+            (1.5, 1, 2.2e-16), (1.5, 10, 1.1e-13), (1.5, 50, 9.4e-12),
         ],
     )
     def test_root_against_exact(self, l, k, measured):

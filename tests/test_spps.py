@@ -150,6 +150,33 @@ class TestBuildU0:
         assert abs(w_h - 1.0) <= 1e-12
         build_u0(make_potential("x^2", mesh, 12.5))
 
+    @pytest.mark.parametrize(
+        "l",
+        [
+            0.0,
+            1.0,
+            pytest.param(
+                -0.5,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="ROADMAP item 17: the l = -1/2 log kernel integrates log(s) (s q w) "
+                    "with s q -> 1 at the origin, which the panel quintics cannot follow there: "
+                    "u0 is 4.7e-3 / 5.9e-4 / 1.6e-4 off at m = 2001 / 20001 / 80001, where "
+                    "oracles.u0_by_parts reads 2.4e-15 / 2.8e-15 / 5.1e-15",
+                ),
+            ),
+        ],
+    )
+    def test_coulomb_against_exact(self, l):
+        # q = 1/x, omega = 0: u0 = Gamma(2l+2) sqrt(x) I_{2l+1}(2 sqrt(x)).
+        # Measured at m = 2001 / 20001 / 80001, max relative error on (0, pi]:
+        # l = 0 2.6e-15 / 4.7e-15 / 6.2e-15, l = 1 2.9e-14 / 2.7e-15 / 4.0e-15
+        mesh = UniformMesh(np.pi, 2001)
+        u0 = build_u0(make_potential("1/x", mesh, l)).u0.values[1:]
+        exact = oracles.u0_coulomb_exact(mesh.x[1:], l)
+        assert np.max(np.abs(u0 / exact - 1.0)) <= 1e-12
+
     def test_convergence_error(self, monkeypatch):
         mesh = UniformMesh(np.pi, 501)
         p = make_potential("x^2", mesh, 1.0)
