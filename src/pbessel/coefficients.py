@@ -36,7 +36,9 @@ quadrature writes straight into; x^{2n-2}, x^{2n-1} and x^{2n}, one
 running product of multiplies by x, with no vector ``pow``;
 Lam_n/x^{2n}; two scratch rows).  Every product and sum keeps the
 grouping of the formulas as written, so the tables are bit for bit
-those of a plain transcription.
+those of a plain transcription.  The pass runs in the dtype of u0's
+samples, B_n and r_n included: float64, or longdouble (the tests'
+reference for float64 rounding noise).
 
 A caller that reads only some mesh columns (a few 6-point strips or
 nodes for point evaluation, none for eigenvalues at x = b) passes them as
@@ -104,18 +106,18 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
     x^{2n-2}.
     Callers enter the ``np.errstate`` of :func:`_safe_div` around the loop.
     """
-    mesh = u0.mesh
-    x, h, l = mesh.x, mesh.h, u0.l
+    mesh, l = u0.mesh, u0.l
     u0v, u0pv = u0.u0.values, u0.u0_prime.values
+    x, h = mesh.grid(u0v.dtype)
     u0sq = u0v * u0v
     u0q = u0v * p.q.values
     xl1 = x ** (l + 1.0)
     xu0p = x * u0pv
     Qxl1 = p.Q.values * xl1
     zero_u0sq, zero_x = _underflowed(u0sq), _underflowed(x)
-    bns = _bn_table(N, l)  # B_n of gamma_ratio_Bn, looked up once per build
+    bns = _bn_table(N, l, x.dtype)  # B_n of gamma_ratio_Bn, looked up once per build
 
-    eta, kappa, theta, mu, t2nm2, t2nm1, t2n, lam, buf, tmp = np.empty((10, mesh.m))
+    eta, kappa, theta, mu, t2nm2, t2nm1, t2n, lam, buf, tmp = np.empty((10, mesh.m), x.dtype)
     t2n[:] = 1.0  # x^0: the running product x^{2n-2} -> x^{2n-1} -> x^{2n} starts here
     k, brow, grow = len(brows), brows[0], grows[0]
     np.subtract(u0v, xl1, out=brow)
@@ -161,9 +163,9 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
         buf[0] = 0.0
         _guarded_cumulative_values(buf, h, out=mu)
 
-        sign = -1.0 if n % 2 else 1.0
-        b_n = bns[n]
-        r_n, a_n, s_n = (4 * n + 1) / (4 * n - 3), 2.0 * (4 * n - 1), sign * (4 * n - 3) * b_n
+        sign, b_n = (-1.0 if n % 2 else 1.0), bns[n]
+        r_n = x.dtype.type(4 * n + 1) / (4 * n - 3)  # rounded in the tables' dtype
+        a_n, s_n = 2.0 * (4 * n - 1), sign * (4 * n - 3) * b_n
 
         # beta_n = r_n (beta_{n-1} + u0 Lam_n / x^{2n}),
         # Lam_n = 2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n
@@ -261,7 +263,7 @@ def select_truncation(residuals: np.ndarray) -> tuple[int, bool]:
 class CoefficientTables:
     """beta_n and gamma_n tables with residual diagnostics.
 
-    ``beta`` and ``gamma`` are read-only (N+1, k) float64 arrays: row n
+    ``beta`` and ``gamma`` are read-only (N+1, k) arrays in u0's dtype: row n
     holds beta_n (gamma_n) at the kept mesh indices ``columns``, table
     column j all orders at x_{columns[j]}.  ``columns`` is None when every
     mesh column is kept (k = m, the default), else the read-only sorted
@@ -329,8 +331,8 @@ def build_coefficient_tables(
         cols = np.append(cols[cols < m - 1].astype(int), m - 1)  # a new array: x = b is kept
         cols.flags.writeable = False
     width = m if cols is None else cols.size
-    betas, gammas = np.empty((N + 1, width)), np.empty((N + 1, width))
-    ring = (betas, gammas) if cols is None else np.empty((2, 2, m))  # two rows per family
+    betas, gammas = (np.empty((N + 1, width), u0.u0.values.dtype) for _ in range(2))
+    ring = (betas, gammas) if cols is None else np.empty((2, 2, m), betas.dtype)  # two rows each
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in _orders(u0, p, N, *ring):
             if cols is not None:

@@ -124,6 +124,10 @@ class UniformMesh:
     def h(self) -> float:
         return self.b / (self.m - 1)
 
+    def grid(self, dtype=np.float64) -> tuple[np.ndarray, np.floating]:
+        """(x, h) in ``dtype``: the points of :attr:`x` cast exactly, h = b/(m-1) rounded in it."""
+        return self.x.astype(dtype, copy=False), np.dtype(dtype).type(self.b) / (self.m - 1)
+
     @cached_property
     def x(self) -> np.ndarray:
         """Mesh points as a read-only array; x[0] = 0, x[-1] = b exactly."""
@@ -147,15 +151,15 @@ class UniformMesh:
 class GridFunction:
     """Real-valued samples on a :class:`UniformMesh`.
 
-    Construction copies the data, checks it for non-finite entries and
-    freezes it; instances are safe to share between threads.
+    Construction copies the data into float64 (longdouble stays longdouble),
+    checks it for non-finite entries and freezes it; safe to share between threads.
     """
 
     mesh: UniformMesh
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
+        v = np.array(self.values, dtype=_sample_dtype(self.values), copy=True)
         if v.shape != (self.mesh.m,):
             raise DomainError(
                 f"expected {self.mesh.m} samples on the mesh, got shape {v.shape}"
@@ -170,6 +174,11 @@ class GridFunction:
     def at_end(self) -> float:
         """Sample at x = b."""
         return float(self.values[-1])
+
+
+def _sample_dtype(values) -> type:
+    """The dtype samples are kept in: longdouble for a longdouble input, else float64."""
+    return np.longdouble if getattr(values, "dtype", None) == np.longdouble else np.float64
 
 
 def _windows(y: np.ndarray, step: int) -> np.ndarray:
@@ -229,7 +238,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     exactly, so polynomial inputs of degree <= 5 are reproduced up to
     rounding; panels chain cumulatively.
     """
-    return GridFunction(f.mesh, _cumulative_values(f.values, f.mesh.h))
+    return GridFunction(f.mesh, _cumulative_values(f.values, f.mesh.grid(f.values.dtype)[1]))
 
 
 def _cutoff_index(y: np.ndarray, slack: float) -> int:
@@ -240,11 +249,10 @@ def _cutoff_index(y: np.ndarray, slack: float) -> int:
     start, chunk = 0, 32
     while start < windows.shape[0]:
         w = windows[start : start + chunk]
-        d5 = np.abs(w @ _DELTA5)
-        second_smallest = np.partition(np.abs(w), 1, axis=1)[:, 1]
-        hits = np.flatnonzero(d5 <= slack * second_smallest)
-        if hits.size:
-            return start + int(hits[0])
+        ok = np.abs(w @ _DELTA5) <= slack * np.sort(np.abs(w))[:, 1]  # |y| second smallest
+        i = int(ok.argmax())  # the first passing window, if any passes
+        if ok[i]:
+            return start + i
         start, chunk = start + chunk, 4 * chunk
     return m - 6
 
@@ -286,5 +294,5 @@ def cumulative_integral_guarded(f: GridFunction) -> GridFunction:
     rounding noise.  For smooth inputs the cut-off lands at index 0 and
     the result is identical to :func:`cumulative_integral`.
     """
-    vals, _ = _guarded_cumulative_values(f.values.copy(), f.mesh.h)
+    vals, _ = _guarded_cumulative_values(f.values.copy(), f.mesh.grid(f.values.dtype)[1])
     return GridFunction(f.mesh, vals)

@@ -459,31 +459,33 @@ def bl_prime_scaled(l: float, z) -> np.ndarray | float:
 
 
 @lru_cache(maxsize=32)
-def _bn_sequence(l: float, size: int) -> tuple[float, ...]:
+def _bn_sequence(l: float, size: int, dtype: np.dtype) -> tuple:
     # B_0 (unused), B_1 = 3(l+1)/(2l+3), then B_{k+1} = B_k r_k with
-    # r_k = (4k+3)(2k-1)(l-k+1) / ((4k-1)(k+1)(2k+2l+3)).  Each order adds a
-    # few roundings: B_n is within 1e-15 of mpmath to n = 100 for
+    # r_k = (4k+3)(2k-1)(l-k+1) / ((4k-1)(k+1)(2k+2l+3)), each step rounded in
+    # ``dtype`` (float64 gets the bits of Python floats).  Each order adds a
+    # few roundings: in float64 B_n is within 1e-15 of mpmath to n = 100 for
     # half-integer l and within 3e-14 to n = 400 for any l, where a log-gamma
     # sum carries eps * |log Gamma(n)|, ~1e-12 relative by n = 250.  Entries
     # do not depend on ``size``, so every size gives the same B_n.  For
     # integer l the reciprocal of Gamma(l-n+2) vanishes from n = l+2 on, and
     # those entries are +0.0.
-    seq = [0.0, 3.0 * (l + 1.0) / (2.0 * l + 3.0)]
+    lt = dtype.type(l)
+    seq = [0.0, 3 * (lt + 1) / (2 * lt + 3)]
     for k in range(1, size - 1):
-        num = (4 * k + 3) * (2 * k - 1) * (l - k + 1.0)
-        den = (4 * k - 1) * (k + 1) * (2 * k + 2 * l + 3.0)
+        num = (4 * k + 3) * (2 * k - 1) * (lt - k + 1)
+        den = (4 * k - 1) * (k + 1) * (2 * k + 2 * lt + 3)
         seq.append(seq[k] * num / den)
     if l.is_integer():
         seq[int(l) + 2 :] = [0.0] * len(seq[int(l) + 2 :])
     return tuple(seq)
 
 
-def _bn_table(N: int, l: float) -> tuple[float, ...]:
-    """A cached sequence whose entry n = 1..N is B_n (entry 0 is unused), for a checked ``l``.
+def _bn_table(N: int, l: float, dtype=np.float64) -> tuple:
+    """A cached sequence whose entry n = 1..N is B_n in ``dtype`` (entry 0 is unused).
 
-    A table build looks its orders up here once, not once per order.
+    ``l`` must be checked.  A table build looks its orders up here once, not once per order.
     """
-    return _bn_sequence(l, 1 << max(7, int(N).bit_length()))
+    return _bn_sequence(l, 1 << max(7, int(N).bit_length()), np.dtype(dtype))
 
 
 def gamma_ratio_Bn(n: int, l: float) -> float:
@@ -501,4 +503,4 @@ def gamma_ratio_Bn(n: int, l: float) -> float:
         raise DomainError(f"n must be a positive integer, got {n}")
     l = _check_l(l)
     n = int(n)
-    return _bn_table(n, l)[n]
+    return float(_bn_table(n, l)[n])

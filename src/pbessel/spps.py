@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonVanishingError
-from .mesh import GridFunction, UniformMesh, _cumulative_values, _guarded_cumulative_values
+from .mesh import GridFunction, UniformMesh, _sample_dtype
+from .mesh import _cumulative_values, _guarded_cumulative_values
 from .special import _check_l
 
 __all__ = ["Potential", "ParticularSolution", "build_u0"]
@@ -75,7 +76,7 @@ class Potential:
         xq_limit: float = 0.0,
     ) -> "Potential":
         l = _check_l(l)
-        v = np.array(values, dtype=float)
+        v = np.array(values, dtype=_sample_dtype(values))
         if v.shape != (mesh.m,):
             raise DomainError(f"expected {mesh.m} potential samples, got {v.shape}")
         singular = not np.isfinite(v[0])
@@ -85,7 +86,7 @@ class Potential:
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise DomainError(f"non-finite potential sample at x={mesh.x[bad]}")
         q = GridFunction(mesh, v)
-        Qv, _ = _guarded_cumulative_values(v, mesh.h)
+        Qv, _ = _guarded_cumulative_values(v, mesh.grid(v.dtype)[1])
         return Potential(
             q=q,
             l=l,
@@ -158,7 +159,7 @@ def _ode_defect(u0v, x, l, qv, h, skip):
     return float(np.max(np.abs(upp - rhs) / (1.0 + np.abs(upp))))
 
 
-def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float = 1e-12):
+def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float):
     """Iterate ``w, *aux = sweep(w)`` from the start ``w``; returns (w, aux, sweeps).
 
     Stops when the update, relative to max(1, max|w|), drops below ``tol``
@@ -177,7 +178,7 @@ def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float = 1e-1
     raise ConvergenceError(f"Picard iteration for u0 did not reach tol={tol} in {max_iter} sweeps")
 
 
-def _u0_power_case(x, sq, l: float, h, tol: float, max_iter: int, floor: float = 1e-12):
+def _u0_power_case(x, sq, l: float, h, tol: float, max_iter: int, floor: float):
     """(u0, u0', sweeps) for l > -1/2, in the dtype of ``x``.
 
     ``sq`` holds the samples x q(x), with lim_{x->0} x q at the origin;
@@ -209,7 +210,9 @@ def build_u0(p: Potential) -> ParticularSolution:
     variable w = u0/x^{l+1}, until successive sweeps differ by less than
     ``_PICARD_TOL`` = 1e-14 in the weighted sup-norm (= plain sup-norm on
     w), or until the update stalls at the rounding floor above it;
-    ``residual`` then reports the defect at that floor.
+    ``residual`` then reports the defect at that floor.  It runs in the
+    dtype of the potential's samples (float64, or longdouble), with the
+    tolerance and the floor scaled by that dtype's eps over float64's.
 
     Raises
     ------
@@ -222,7 +225,9 @@ def build_u0(p: Potential) -> ParticularSolution:
         scope; the caller must supply a potential with positive u0.
     """
     mesh = p.mesh
-    x, h, l = mesh.x, mesh.h, p.l
+    (x, h), l = mesh.grid(p.q.values.dtype), p.l
+    e = float(np.finfo(x.dtype).eps / np.finfo(np.float64).eps)  # 1.0 in float64
+    tol, floor = _PICARD_TOL * e, 1e-12 * e
     sq = x * p.q.values
     sq[0] = p.xq_limit
 
@@ -234,9 +239,7 @@ def build_u0(p: Potential) -> ParticularSolution:
         sq_log[0] = 0.0
         w, (A,), iterations = _picard_fixed_point(
             lambda w: _picard_sweep_log(w, sq, log_x, sq_log, h),
-            np.ones(mesh.m),
-            _PICARD_TOL,
-            _PICARD_MAX_SWEEPS,
+            np.ones_like(x), tol, _PICARD_MAX_SWEEPS, floor,
         )
         sqrt_x = np.sqrt(x)
         u0v = sqrt_x * w
@@ -244,7 +247,7 @@ def build_u0(p: Potential) -> ParticularSolution:
             u0pv = w / (2.0 * sqrt_x) + A / sqrt_x
         u0pv[0] = 0.0  # placeholder: u0' is unbounded at the origin for l < 0
     else:
-        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, _PICARD_TOL, _PICARD_MAX_SWEEPS)
+        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, tol, _PICARD_MAX_SWEEPS, floor)
 
     if not np.isfinite(u0v).all() or not np.isfinite(u0pv).all():
         raise ConvergenceError("Picard iteration for u0 produced non-finite samples")

@@ -6,16 +6,17 @@ values are frozen as module constants; the generating functions stay
 next to them so any constant can be recomputed on demand.  The exact
 eigenvalues of a constant potential come from scipy's Bessel zeros and
 evaluators, and those of the Coulomb potential from mpmath's Coulomb
-wave function, not from the library.  Two exceptions run the library's
-quadrature kernels in ``numpy.longdouble`` and are cached, so the tests
-that compare against them build each reference once per session:
-``extended_direct_reference`` takes the paper's direct Fourier-Legendre
-formulas (``direct_coefficients_extended``, which the library does not
-ship) on a u0 from the oracle's own Picard update (``u0_by_parts``), and
-``longdouble_recurrence`` transcribes the recurrence itself on the
-library's Picard kernel.  ``shadow_noise_estimate`` is no reference: it
-runs the library's float64 build twice, once with u0 perturbed, to
-estimate that build's rounding noise.
+wave function, not from the library.  Two exceptions run library code
+in ``numpy.longdouble`` and are cached, so the tests that compare against
+them build each reference once per session: ``extended_direct_reference``
+takes the paper's direct Fourier-Legendre formulas
+(``direct_coefficients_extended``, which the library does not ship) on a
+u0 from the oracle's own Picard update (``u0_by_parts``) and the
+library's quadrature kernels, and ``longdouble_recurrence`` is the
+library's own table build run in longdouble, a reference for float64
+rounding noise only.  ``shadow_noise_estimate`` is no reference: it runs
+the library's float64 build twice, once with u0 perturbed, to estimate
+that build's rounding noise.
 """
 
 from __future__ import annotations
@@ -480,74 +481,27 @@ def coulomb_dirichlet(l: float, c: float, b: float, guess: float) -> float:
 
 @lru_cache(maxsize=None)
 def longdouble_recurrence(spec: str, l: float, m: int = 2001, N: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """beta_n(b), gamma_n(b), n = 0..N, on [0, pi] by the recurrence in longdouble.
+    """beta_n(b), gamma_n(b), n = 0..N, on [0, pi]: the library's own build in longdouble.
 
-    The float64 build's inputs (mesh, q samples, x q at the origin) are
-    taken as they are and everything after them runs in
-    ``numpy.longdouble``: Q by the guarded quadrature, u0 by Picard
-    sweeps to the longdouble fixed point, B_n and C_n = B_n/2 from
-    ``gamma_B_n`` (mpmath), and the recurrence with gamma_n in the paper's
-    four-term form.  Quotients are zeroed where the denominator is not
-    above 1e-290, as in the float64 loop.  So a float64 table of the same
-    mesh differs from it by float64 rounding alone.  Column b only, as
-    read-only longdouble arrays; ~11 more bits than float64 where
-    ``np.finfo(np.longdouble).eps`` is ~1.1e-19 (x86 80-bit).
+    The float64 build's q samples (the origin sample of a singular q
+    zeroed, x q's limit kept) are cast to ``numpy.longdouble``, and
+    everything after them, Q, u0, B_n and the recurrence, runs the same
+    code in that dtype.  So a float64 table of the same mesh differs from
+    it by float64 rounding alone.  Column b only, as read-only longdouble
+    arrays; ~11 more bits than float64 where ``np.finfo(np.longdouble).eps``
+    is ~1.1e-19 (x86 80-bit).  The independent references are
+    ``plain_recurrence(..., four_term_gamma=True)`` in the tests and
+    ``gamma_B_n`` here.
     """
     from pbessel import UniformMesh, make_potential
-    from pbessel.mesh import _cumulative_values, _guarded_cumulative_values
-    from pbessel.spps import _u0_power_case
+    from pbessel.coefficients import build_coefficient_tables
+    from pbessel.spps import Potential, build_u0
 
-    ld = np.longdouble
     mesh = UniformMesh(np.pi, m)
     p = make_potential(spec, mesh, l)
-    x = mesh.x.astype(ld)
-    h = ld(mesh.b) / ld(m - 1)
-    q = p.q.values.astype(ld)
-    sq = x * q
-    sq[0] = ld(p.xq_limit)
-    u0, u0p, _ = _u0_power_case(x, sq, l, h, 1e-19, 120, floor=1e-13)
-    Q, _ = _guarded_cumulative_values(q, h)
-
-    def div(num, den):
-        out = np.zeros_like(num)
-        np.divide(num, den, out=out, where=den > 1e-290)
-        return out
-
-    xl1 = x ** ld(l + 1)
-    beta = u0 - xl1
-    with np.errstate(divide="ignore"):
-        gamma = u0p - (ld(l) + 1) * x ** ld(l) - Q * xl1 / 2
-    gamma[0] = 0
-    betas, gammas = [beta[-1]], [gamma[-1]]
-    t2n = np.ones_like(x)
-    for n in range(1, N + 1):
-        t2nm2, t2nm1, t2n = t2n, t2n * x, t2n * x * x
-        f = (x * u0p + (2 * n - 1) * u0) * t2nm2 * beta
-        f[0] = 0
-        eta = _cumulative_values(f, h)
-        f = u0 * q * t2n * xl1
-        f[0] = 0
-        kappa = _cumulative_values(f, h)
-        f = div(eta - t2nm1 * beta * u0, u0 * u0)
-        f[0] = 0
-        theta, _ = _guarded_cumulative_values(f, h)
-        f = div(kappa, u0 * u0)
-        f[0] = 0
-        mu, _ = _guarded_cumulative_values(f, h)
-        b_n = ld(mp.nstr(gamma_B_n(n, l), 30))
-        sign, r_n = (-1) ** n, ld(4 * n + 1) / ld(4 * n - 3)
-        bracket = 2 * (4 * n - 1) * theta + sign * (4 * n - 3) * b_n * mu
-        new_beta = r_n * (beta + u0 * div(bracket, t2n))
-        inner = (4 * n - 1) * (2 * u0p * div(theta, t2n) + 2 * div(eta, u0 * t2n) - div(beta, x))
-        tail = b_n * div(mu * u0p + div(kappa, u0), t2n) - b_n / 2 * Q * xl1
-        gamma = r_n * (gamma + inner) + sign * (4 * n + 1) * tail
-        beta = new_beta
-        beta[0] = gamma[0] = 0
-        betas.append(beta[-1])
-        gammas.append(gamma[-1])
-    bl, gl = np.array(betas, dtype=ld), np.array(gammas, dtype=ld)
-    bl.flags.writeable = gl.flags.writeable = False
-    return bl, gl
+    p = Potential.from_samples(mesh, p.q.values.astype(np.longdouble), l, p.xq_limit)
+    t = build_coefficient_tables(build_u0(p), p, N, [])  # no columns asked: x = b alone
+    return t.beta[:, 0], t.gamma[:, 0]
 
 
 def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> tuple[np.ndarray, np.ndarray]:

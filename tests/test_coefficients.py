@@ -1,5 +1,6 @@
 """Coefficient tables: recurrent scheme, direct formulas, truncation selection."""
 
+import platform
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,14 @@ class TestRecurrentVsDirect:
             oracles.direct_coefficients_extended(p, 13)
 
 
+def test_longdouble_references_run_on_x86_64():
+    # the longdouble references skip where longdouble is float64 (arm64
+    # macOS, Windows); on x86-64 Linux it is the 80-bit format, so there a
+    # skip would hide them: fail instead
+    if platform.machine() == "x86_64":
+        assert np.finfo(np.longdouble).eps < 1e-18
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18,
     reason="longdouble is no wider than float64 here, so the oracle shows no float64 noise",
@@ -360,10 +369,11 @@ class TestRecurrentVsDirect:
 )
 def test_float64_noise_against_longdouble_recurrence(spec, l, beta_bound, gamma_bound):
     # per row n, |float64 - longdouble| at x = b relative to the family's
-    # scale max_n |longdouble_n(b)|, at m = 2001, N = 100.  Measured on the
-    # four-term gamma formula and on beta's bracket alike (x86-64, 80-bit
-    # longdouble): x^2 l=1.5 beta 4.8e-13, gamma 6.5e-11; 1/x l=1 beta
-    # 2.1e-13, gamma 1.7e-10, each at n >= 64.  The bounds are ~2x those.
+    # scale max_n |longdouble_n(b)|, at m = 2001, N = 100, the longdouble
+    # column from the library's own build in that dtype.  Measured (x86-64,
+    # 80-bit longdouble): x^2 l=1.5 beta 4.8e-13, gamma 6.5e-11; 1/x l=1
+    # beta 2.1e-13, gamma 1.7e-10, each at n >= 64, the same two digits as
+    # against the former four-term transcription.  The bounds are ~2x those.
     bl, gl = oracles.longdouble_recurrence(spec, l)
     p = make_potential(spec, UniformMesh(np.pi, 2001), l)
     t = build_coefficient_tables(build_u0(p), p, N=100)
@@ -540,7 +550,7 @@ class TestSelectTruncation:
         monkeypatch.setattr(
             coefficients,
             "_bn_table",
-            lambda N, l: tuple(b * (1.0 + 2.0**-52) for b in bn_table(N, l)),
+            lambda N, l, dtype: tuple(b * (1.0 + 2.0**-52) for b in bn_table(N, l, dtype)),
         )
         after = [build_coefficient_tables(u0, p, N=100).N_opt for u0, p in zip(u0s, ps)]
         assert after == before

@@ -53,6 +53,17 @@ class TestMeshConstruction:
         assert next_valid_size(m) == expected
         UniformMesh(1.0, next_valid_size(m))  # must construct
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_grid_and_samples_in_dtype(self, dtype):
+        # the float64 points cast exactly, h = b/(m-1) rounded once in the
+        # dtype; samples keep longdouble, and any other input becomes float64
+        mesh = UniformMesh(np.pi, 2001)
+        x, h = mesh.grid(dtype)
+        assert x.dtype == dtype and np.array_equal(x, mesh.x)
+        assert h == dtype(np.pi) / dtype(2000)
+        assert GridFunction(mesh, x).values.dtype == dtype
+        assert GridFunction(mesh, x.astype(np.float32)).values.dtype == np.float64
+
     def test_gridfunction_rejects_nonfinite(self):
         mesh = UniformMesh(1.0, 11)
         bad = np.zeros(11)

@@ -15,7 +15,7 @@ from pbessel import (
     gamma_ratio_Bn,
     spherical_j_sequence,
 )
-from pbessel.special import _series_region, _start_table, bl_prime_scaled, bl_scaled
+from pbessel.special import _bn_table, _series_region, _start_table, bl_prime_scaled, bl_scaled
 
 import oracles
 
@@ -435,6 +435,22 @@ class TestGammaRatios:
                     got = gamma_ratio_Bn(n, l)
                     assert abs(got - expected) <= 1e-13 * abs(expected), (n, l)
                     assert (got == 0.0) == (expected == 0.0), (n, l)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="longdouble is float64 here: nothing to test"
+    )
+    @pytest.mark.parametrize("l", [-0.5, 0.5, 1.5, 2.5, 7.5, 1.0, 3.0])
+    def test_longdouble_Bn_against_mpmath(self, l):
+        # the B_n a longdouble table build reads: the same ratio recurrence,
+        # rounded in longdouble.  Measured (x86-64, 80-bit) to n = 100: at
+        # most 4.0e-19 relative (l = 1/2); for integer l exactly zero from
+        # n = l + 2 on, as the mpmath value is
+        ld = np.longdouble
+        got = np.array(_bn_table(100, l, ld)[1:101], dtype=ld)
+        expected = np.array([ld(oracles.mp.nstr(oracles.gamma_B_n(n, l), 30)) for n in range(1, 101)])
+        zero = (np.arange(1, 101) >= l + 2) & float(l).is_integer()
+        assert (expected[zero] == 0).all() and (got[zero] == 0).all()
+        assert (np.abs(got - expected)[~zero] <= 1e-18 * np.abs(expected[~zero])).all()
 
     def test_Bn_large_n_finite(self):
         v = gamma_ratio_Bn(400, 2.5)

@@ -11,7 +11,7 @@ from scipy.special import jv
 import pbessel.spectral as spectral
 from pbessel import DomainError, UniformMesh
 from pbessel.errors import InsufficientDataError
-from pbessel.potentials import make_potential
+from pbessel.potentials import make_potential, potential_callable
 from pbessel.shooting import shoot_eigenvalue_near
 from pbessel.solution import build_solution, eval_u, eval_u_prime
 from pbessel.spectral import (
@@ -337,6 +337,26 @@ class TestPiecewiseConstantPotential:
                 1.0, c_left, c_right, math.pi / 2, math.pi, got - 0.25, got + 0.25
             )
             assert abs(got - exact) <= 1e-11, (k, got - exact)
+
+
+class TestSqrtEndpointPotential:
+    """q2 = sqrt(pi^2 - x^2): a square-root endpoint singularity at x = b."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 25: the panel quintics cannot follow q ~ sqrt(2 pi (pi - x)) at b, "
+        "so roots converge at O(h^{5/2}); at m = 20001 they are 8.4e-11 / 1.5e-8 / 1.8e-7 / "
+        "5.4e-7 off shooting at k = 1 / 10 / 30 / 48",
+    )
+    def test_roots_against_shooting(self):
+        sol = build_solution(make_potential("q2", MESH, 1.5), N=100)
+        pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.1, 50.0)))
+        assert [p.index for p in pairs[:48]] == list(range(1, 49))
+        q, _ = potential_callable("q2")
+        for k in (1, 10, 30, 48):
+            got = pairs[k - 1].omega
+            assert abs(got - shoot_eigenvalue_near(q, 1.5, np.pi, got)) <= 1e-10, k
 
 
 class CountingPhi:
