@@ -31,9 +31,13 @@ So :func:`eval_u` and :func:`eval_u_prime` at the same (omega, x) share one
 sweep, with the same bits as two.  The next one-x call takes the entry
 whether or not it matches, so after such a pair nothing is held (an entry
 kept until the next miss split the heap under later large arrays and
-raised a 200-row grid's peak RSS by 14 MB in some runs).  Evaluation stays
-thread-safe: the held arrays are read-only, and the entry is taken and
-left by single dict operations, so a race only recomputes a sweep.
+raised a 200-row grid's peak RSS by 14 MB in some runs).  A second entry
+holds the beta, gamma and Q strips one lookup gathered for the last one-x
+call, keyed by the bytes of x, so u, u', the error indicator and a search
+at one x read the tables once; at ~2(N+1)+1 floats it stays until a one-x
+call at another x replaces it.  Evaluation stays thread-safe: the held
+arrays are read-only, and both entries are taken and left by single dict
+operations, so a race only recomputes a sweep or a lookup.
 """
 
 from __future__ import annotations
@@ -67,15 +71,17 @@ class NsbfSolution:
     Evaluation sums every row of ``tables``, n = 0..``tables.N``; the
     tables' ``N_opt`` and ``converged`` are diagnostics it does not read.
     ``_last_sweep`` holds the Bessel data a one-x evaluation leaves for the
-    next, j_{2n}, S_l and D_l (see the module docstring); it is private,
-    takes no part in init, repr or comparison, and a copy made by
-    ``dataclasses.replace`` starts with it empty.
+    next, j_{2n}, S_l and D_l; ``_last_strips`` the beta, gamma and Q strips
+    of the last one-x call, keyed by the bytes of x, kept while the sweep is
+    taken (see the module docstring).  Both are private, out of init, repr
+    and comparison, and empty in a ``dataclasses.replace`` copy.
     """
 
     potential: Potential
     u0: ParticularSolution
     tables: CoefficientTables
     _last_sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last_strips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mesh(self) -> UniformMesh:
@@ -168,6 +174,19 @@ def _coeff_values_at(sol: NsbfSolution, x: np.ndarray, *families: np.ndarray) ->
     return tuple((f[..., idx if f.shape[-1] == m else pos] * w).sum(axis=-1) for f in families)
 
 
+def _strips_at(sol: NsbfSolution, xs: np.ndarray) -> tuple:
+    """beta, gamma and Q at the one x of ``xs``, from the held entry or one lookup that replaces it."""
+    key = xs.tobytes()
+    last = sol._last_strips.get("x")
+    if last is not None and last[0] == key:
+        return last[1:]
+    strips = _coeff_values_at(sol, xs, sol.tables.beta, sol.tables.gamma, sol.potential.Q.values)
+    for a in strips:
+        a.flags.writeable = False
+    sol._last_strips["x"] = (key, *strips)
+    return strips
+
+
 def _sweep(sol: NsbfSolution, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """j_{2n}(z), n <= N, along a new last axis, S_l(z) and D_l(z), at z = outer(x, omega).
 
@@ -205,7 +224,8 @@ def _series(sol: NsbfSolution, omega, x, u: bool = True, du: bool = True) -> tup
     xs = _check_x(sol.b, x)
     l, t = sol.l, sol.tables
     families = ([t.beta] if u else []) + ([t.gamma, sol.potential.Q.values] if du else [])
-    coeffs = _coeff_values_at(sol, xs, *families)
+    # one x reads its held (beta, gamma, Q), whose [0] and [-2:] serve u and u' alike
+    coeffs = _strips_at(sol, xs) if len(xs) == 1 else _coeff_values_at(sol, xs, *families)
     z = np.multiply.outer(xs, om)
     jeven, s, d = _sweep(sol, z)
     signs = (-1.0) ** np.arange(t.N + 1)
@@ -262,5 +282,5 @@ def error_indicator(sol: NsbfSolution, x: float) -> tuple[float, float]:
     """
     if not (0 < _one_x(x) <= sol.b * (1 + 1e-12)):
         raise DomainError(f"error indicator needs x in (0, {sol.b}]")
-    beta, gamma = _coeff_values_at(sol, np.array([x]), sol.tables.beta, sol.tables.gamma)
+    beta, gamma, _ = _strips_at(sol, np.array([x], dtype=float))
     return float(abs(beta.sum() / x)), float(abs(gamma.sum() / x))

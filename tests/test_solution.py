@@ -1,5 +1,6 @@
 """Truncated solution evaluation: omega = 0 identities, oracles, uniformity."""
 
+import dataclasses
 import functools
 import threading
 
@@ -55,6 +56,22 @@ def sweeps(monkeypatch):
 
     monkeypatch.setattr(pbessel.solution, "spherical_j_sequence", counting)
     return sizes
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The x of each table lookup evaluation runs, one entry per lookup."""
+    import pbessel.solution
+
+    xs = []
+    inner = pbessel.solution._coeff_values_at
+
+    def counting(sol, x, *families):
+        xs.append(x.tolist())
+        return inner(sol, x, *families)
+
+    monkeypatch.setattr(pbessel.solution, "_coeff_values_at", counting)
+    return xs
 
 
 class TestOmegaZero:
@@ -299,6 +316,15 @@ class TestErrorIndicator:
         assert error_indicator(small, np.pi)[0] > error_indicator(big, np.pi)[0]
 
 
+@pytest.fixture(scope="session")
+def smooth_csv(tmp_path_factory):
+    """The spec of q = 2 + cos x as csv: samples on the Lagrange test's mesh, written once."""
+    mesh = UniformMesh(np.pi, 2001)
+    path = tmp_path_factory.mktemp("lagrange") / "q.csv"
+    path.write_text("".join(f"{x:.17g},{2.0 + np.cos(x):.17g}\n" for x in mesh.x))
+    return f"csv:{path}"
+
+
 @functools.lru_cache(maxsize=8)
 def lagrange_solution(spec, l):
     return build_solution(make_potential(spec, UniformMesh(np.pi, 2001), l), N=100)
@@ -310,17 +336,18 @@ class TestLagrangeIdentity:
     @settings(max_examples=40, deadline=None)
     @given(
         spec=st.one_of(
-            st.sampled_from(["x^2", "1/x", "zero"]), st.floats(0.0, 4.0).map(lambda c: f"const:{c!r}")
+            st.sampled_from(["x^2", "1/x", "zero", "csv"]),
+            st.floats(0.0, 4.0).map(lambda c: f"const:{c!r}"),
         ),
         # 2l + 2 is an integer, so u1 u2 ~ x^{2l+2} is smooth for the panel rule
         l=st.sampled_from([k / 2 for k in range(-1, 7)]),
         w1=st.floats(0.5, 40.0),
         w2=st.floats(0.5, 40.0),
     )
-    def test_identity_holds(self, spec, l, w1, w2):
+    def test_identity_holds(self, smooth_csv, spec, l, w1, w2):
         # 1/x at l = -1/2 reads 1.8e-7 (ROADMAP item 17: its u0 is O(h) off)
         assume(not (spec == "1/x" and l == -0.5))
-        sol = lagrange_solution(spec, l)
+        sol = lagrange_solution(smooth_csv if spec == "csv" else spec, l)
         mesh = sol.mesh
         omega = np.array([w1, w2])
         u, _ = _series(sol, omega, mesh.x, du=False)  # every node, every table row
@@ -333,7 +360,8 @@ class TestLagrangeIdentity:
         # (q = 0, l = 0 at integer omegas) the right side alone is ~1e-16
         scale = abs(terms[0]) + abs(terms[1]) + abs(dw2) * size
         # measured (m = 2001, N = 100): worst 1.0e-9 over the corners of the
-        # omega range on every family and l, 2.6e-10 over ~1200 random pairs
+        # omega range on every family and l, 2.6e-10 over ~1200 random pairs;
+        # the csv: samples of 2 + cos x 1.8e-10 over 17 pairs at every l
         assert abs(dw2 * integral - (terms[0] - terms[1])) <= 1e-8 * scale
 
 
@@ -454,7 +482,11 @@ class TestSharedSweep:
     def test_threads_get_serial_results(self):
         xs = np.linspace(0.1, np.pi, 24)
         ref = small_solution()
-        serial = [(eval_u(ref, self.OMEGA, x), eval_u_prime(ref, self.OMEGA, x)) for x in xs]
+
+        def row(s, x):
+            return eval_u(s, self.OMEGA, x), eval_u_prime(s, self.OMEGA, x), error_indicator(s, x)
+
+        serial = [row(ref, x) for x in xs]
         sol = small_solution()
         got = [None] * xs.size
         start = threading.Barrier(2)
@@ -462,7 +494,7 @@ class TestSharedSweep:
         def run(first):
             start.wait()
             for k in range(first, xs.size, 2):
-                got[k] = (eval_u(sol, self.OMEGA, xs[k]), eval_u_prime(sol, self.OMEGA, xs[k]))
+                got[k] = row(sol, xs[k])
 
         threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1)]
         for t in threads:
@@ -472,3 +504,68 @@ class TestSharedSweep:
         for k in range(xs.size):
             assert got[k][0].tobytes() == serial[k][0].tobytes()
             assert got[k][1].tobytes() == serial[k][1].tobytes()
+            assert got[k][2] == serial[k][2]
+
+
+class TestHeldStrips:
+    """u, u' and the error indicator at one x read the tables once, with the bits of three reads."""
+
+    OMEGA = TestSharedSweep.OMEGA
+    X = TestSharedSweep.X
+
+    def row(self, sol, x):
+        return eval_u(sol, self.OMEGA, x), eval_u_prime(sol, self.OMEGA, x), error_indicator(sol, x)
+
+    def test_one_lookup_per_row(self, lookups):
+        sol = small_solution()
+        got = self.row(sol, self.X)
+        assert lookups == [[self.X]]
+        # threads share the held arrays, so nothing may write to them
+        (held,) = sol._last_strips.values()
+        assert held[0] == np.array([self.X]).tobytes()
+        assert not any(a.flags.writeable for a in held[1:])
+        # each call on a solution of its own reads the tables itself
+        fresh = (eval_u(small_solution(), self.OMEGA, self.X),
+                 eval_u_prime(small_solution(), self.OMEGA, self.X),
+                 error_indicator(small_solution(), self.X))
+        assert got[0].tobytes() == fresh[0].tobytes()
+        assert got[1].tobytes() == fresh[1].tobytes()
+        assert got[2] == fresh[2]
+
+    def test_new_x_reads_again(self, lookups):
+        sol = small_solution()
+        self.row(sol, self.X)
+        nxt = np.nextafter(self.X, 2.0)
+        got = self.row(sol, nxt)
+        assert lookups == [[self.X], [nxt]]
+        ref = self.row(small_solution(), nxt)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        assert got[2] == ref[2]
+
+    def test_replace_copy_reads_again(self, lookups):
+        sol = small_solution()
+        eval_u(sol, self.OMEGA, self.X)
+        copy = dataclasses.replace(sol)
+        assert not copy._last_strips
+        got = eval_u(copy, self.OMEGA, self.X)
+        assert len(lookups) == 2
+        assert got.tobytes() == eval_u(sol, self.OMEGA, self.X).tobytes()
+
+    def test_x_vector_leaves_the_entry(self, lookups):
+        sol = small_solution()
+        eval_u(sol, self.OMEGA, self.X)
+        held = sol._last_strips["x"]
+        _series(sol, self.OMEGA, [self.X, 2.5])
+        assert sol._last_strips["x"] is held
+        eval_u_prime(sol, self.OMEGA, self.X)
+        assert lookups == [[self.X], [self.X, 2.5]]
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "robin"])
+    def test_search_reads_once(self, lookups, kind):
+        from pbessel.spectral import BoundaryCondition, SpectralProblem, find_eigenvalues
+
+        sol = small_solution()
+        bc = BoundaryCondition(kind, H=0.5 if kind == "robin" else 0.0)
+        roots = find_eigenvalues(sol, SpectralProblem(sol.potential, bc, (0.5, 12.0)))
+        assert len(roots) >= 3
+        assert lookups == [[sol.b]]
