@@ -21,7 +21,10 @@ potential.  The production path is the recurrent integration scheme
 with r_n = (4n+1)/(4n-3), C_n = B_n/2 and gamma_0 = beta_0' - x^{l+1} Q/2,
 so gamma_n reuses beta_n's bracket Lam_n/x^{2n}.  One pass over n
 (:func:`build_coefficient_tables`) fills row n of both tables from eta_n,
-kappa_n, theta_n and mu_n, and holds only the current order's integrals.
+kappa_n, theta_n and mu_n, or from eta_n and theta_n alone where B_n = 0
+(integer l, n >= l+2: kappa_n, mu_n and the C_n Q term are weighed by B_n
+alone, so they are not integrated there), and holds only the current
+order's integrals.
 The paper's direct Fourier-Legendre formulas lose roughly a digit per
 order in float64; they live in the test oracle
 (``tests/oracles.py``), in longdouble, as the independent reference the
@@ -98,7 +101,9 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
     ring is the (N+1, m) tables themselves for a full build, or two rows
     per family that the next orders overwrite.  A block of ten rows
     holds the rest: the order's four integrals (written by the quadrature
-    kernels through their ``out`` rows), x^{2n-2}, x^{2n-1}, x^{2n},
+    kernels through their ``out`` rows; row n comes from eta_n, kappa_n,
+    theta_n and mu_n, or from eta_n and theta_n alone where B_n = 0),
+    x^{2n-2}, x^{2n-1}, x^{2n},
     Lam_n/x^{2n} and two scratch rows, so an order allocates no
     mesh-sized float row.  The powers are one running product from 1
     (x^{2n-1} = x^{2n-2} x, x^{2n} = x^{2n-1} x), and both families
@@ -144,12 +149,6 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
         buf[0] = 0.0
         _cumulative_values(buf, h, out=eta)
 
-        # kappa_n: u0 q x^{2n} x^{l+1}
-        np.multiply(u0q, t2n, out=buf)
-        buf *= xl1
-        buf[0] = 0.0
-        _cumulative_values(buf, h, out=kappa)
-
         # theta_n: (eta_n - x^{2n-1} beta_{n-1} u0) / u0^2
         np.multiply(t2nm1, bprev, out=buf)
         buf *= u0v
@@ -158,20 +157,30 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
         buf[0] = 0.0
         _guarded_cumulative_values(buf, h, out=theta)
 
-        # mu_n: kappa_n / u0^2
-        _safe_div(kappa, u0sq, zero_u0sq, buf)
-        buf[0] = 0.0
-        _guarded_cumulative_values(buf, h, out=mu)
-
         sign, b_n = (-1.0 if n % 2 else 1.0), bns[n]
         r_n = x.dtype.type(4 * n + 1) / (4 * n - 3)  # rounded in the tables' dtype
         a_n, s_n = 2.0 * (4 * n - 1), sign * (4 * n - 3) * b_n
 
-        # beta_n = r_n (beta_{n-1} + u0 Lam_n / x^{2n}),
-        # Lam_n = 2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n
+        # Lam_n = 2(4n-1) theta_n + (-1)^n (4n-3) B_n mu_n and
+        # E_n = 2(4n-1) eta_n + (-1)^n (4n-3) B_n kappa_n.  kappa_n and mu_n
+        # appear only times B_n, which is +0.0 for integer l from n = l+2 on
+        # (_bn_sequence): there they are neither integrated nor added
         np.multiply(theta, a_n, out=lam)
-        np.multiply(mu, s_n, out=tmp)
-        lam += tmp
+        np.multiply(eta, a_n, out=buf)
+        if b_n:
+            # kappa_n: u0 q x^{2n} x^{l+1}
+            np.multiply(u0q, t2n, out=tmp)
+            tmp *= xl1
+            tmp[0] = 0.0
+            _cumulative_values(tmp, h, out=kappa)
+            # mu_n: kappa_n / u0^2
+            _safe_div(kappa, u0sq, zero_u0sq, tmp)
+            tmp[0] = 0.0
+            _guarded_cumulative_values(tmp, h, out=mu)
+            lam += np.multiply(mu, s_n, out=tmp)
+            buf += np.multiply(kappa, s_n, out=tmp)
+
+        # beta_n = r_n (beta_{n-1} + u0 Lam_n / x^{2n})
         _safe_div(lam, t2n, zero_x2n, lam)
         np.multiply(lam, u0v, out=brow)
         brow += bprev
@@ -183,11 +192,7 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
             )
 
         # gamma_n = r_n (gamma_{n-1} + u0' Lam_n/x^{2n} + E_n/(u0 x^{2n})
-        #           - (4n-1) beta_{n-1}/x) - (-1)^n (4n+1) C_n Q x^{l+1},
-        # E_n = 2(4n-1) eta_n + (-1)^n (4n-3) B_n kappa_n
-        np.multiply(eta, a_n, out=buf)
-        np.multiply(kappa, s_n, out=tmp)
-        buf += tmp
+        #           - (4n-1) beta_{n-1}/x) - (-1)^n (4n+1) C_n Q x^{l+1}
         np.multiply(u0v, t2n, out=tmp)
         _safe_div(buf, tmp, _underflowed(tmp), buf)  # u0 is not monotone: scan the row
         np.multiply(lam, u0pv, out=grow)
@@ -197,7 +202,8 @@ def _orders(u0: ParticularSolution, p: Potential, N: int, brows: np.ndarray, gro
         buf *= 4 * n - 1
         grow -= buf
         grow *= r_n
-        grow -= np.multiply(Qxl1, sign * (4 * n + 1) * (0.5 * b_n), out=buf)  # C_n = B_n / 2
+        if b_n:
+            grow -= np.multiply(Qxl1, sign * (4 * n + 1) * (0.5 * b_n), out=buf)  # C_n = B_n / 2
         grow[0] = 0.0
         if not np.isfinite(grow).all():
             raise NumericalBreakdownError(
@@ -306,10 +312,10 @@ def build_coefficient_tables(
     same pass on two full rows per family and copies the kept columns of
     each order out, so it holds the full build's ``[:, kept]`` bit for bit.
 
-    Order n integrates eta_n, kappa_n, theta_n and mu_n and writes beta_n
-    and then gamma_n from them; the next order's integrals replace them,
-    so the pass holds one order's integrals at a time, never a table of
-    them.
+    Order n integrates eta_n, kappa_n, theta_n and mu_n (eta_n and theta_n
+    alone where B_n = 0) and writes beta_n and then gamma_n from them; the
+    next order's integrals replace them, so the pass holds one order's
+    integrals at a time, never a table of them.
 
     Raises
     ------

@@ -468,7 +468,8 @@ def _bn_sequence(l: float, size: int, dtype: np.dtype) -> tuple:
     # sum carries eps * |log Gamma(n)|, ~1e-12 relative by n = 250.  Entries
     # do not depend on ``size``, so every size gives the same B_n.  For
     # integer l the reciprocal of Gamma(l-n+2) vanishes from n = l+2 on, and
-    # those entries are +0.0.
+    # those entries are +0.0: the table build relies on this exact zero to
+    # skip kappa_n, mu_n and the C_n Q term, which B_n alone weighs.
     lt = dtype.type(l)
     seq = [0.0, 3 * (lt + 1) / (2 * lt + 3)]
     for k in range(1, size - 1):

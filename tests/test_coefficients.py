@@ -16,7 +16,7 @@ from pbessel.errors import DomainError, NumericalBreakdownError
 from pbessel.mesh import _cumulative_values, _guarded_cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.spectral import decay_fit
-from pbessel.special import gamma_ratio_Bn
+from pbessel.special import _bn_table, gamma_ratio_Bn
 from pbessel.spps import build_u0
 
 import oracles
@@ -70,8 +70,11 @@ class TestTableLayout:
         [("x^2", 1.5, np.pi, 30), ("1/x", 1.0, np.pi, 30), ("x^2", -0.5, np.pi, 30),
          # b = 0.1: x^{200} underflows on 710 of 2001 points, so the loop's
          # prefix zero set meets the transcription's `den > _TINY` masks
-         ("x^2", 1.5, 0.1, 100)],
-        ids=["x^2-1.5", "1/x-1.0", "x^2--0.5", "x^2-1.5-short"],
+         ("x^2", 1.5, 0.1, 100),
+         # integer l: the build skips kappa_n, mu_n and the C_n Q term where
+         # B_n = 0 (n >= l+2), the transcription integrates and weighs them all
+         ("x^2", 0.0, np.pi, 100), ("x^2", 2.0, np.pi, 100)],
+        ids=["x^2-1.5", "1/x-1.0", "x^2--0.5", "x^2-1.5-short", "x^2-0.0", "x^2-2.0"],
     )
     def test_matches_plain_transcription(self, spec, l, b, N):
         mesh = UniformMesh(b, 2001)
@@ -122,6 +125,30 @@ class TestTableLayout:
             tracemalloc.stop()
         assert peak <= tables.beta.nbytes + tables.gamma.nbytes + 22 * 8 * mesh.m
 
+    @pytest.mark.parametrize("l,calls", [(1.0, 32), (1.5, 60)])
+    def test_integrates_only_what_Bn_weighs(self, monkeypatch, l, calls):
+        # each order integrates eta_n (plain) and theta_n (guarded); kappa_n
+        # (plain) and mu_n (guarded) only where B_n is nonzero.  At N = 30
+        # that is 2 x 30 calls of each kernel for l = 3/2, and 2 x 2 + 28 for
+        # l = 1, whose B_n vanishes from n = 3 on; a column subset runs the
+        # same pass
+        from pbessel import coefficients
+
+        mesh = UniformMesh(np.pi, 2001)
+        p = make_potential("x^2", mesh, l)
+        u0 = build_u0(p)
+        counts = {}
+        for name in ("_cumulative_values", "_guarded_cumulative_values"):
+            def counted(*args, _kernel=getattr(coefficients, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(coefficients, name, counted)
+        for cols in (None, [mesh.m - 1]):
+            counts.update(_cumulative_values=0, _guarded_cumulative_values=0)
+            build_coefficient_tables(u0, p, 30, cols)
+            assert counts == {"_cumulative_values": calls, "_guarded_cumulative_values": calls}
+
     @pytest.mark.parametrize("spec,l", [("x^2", 1.5), ("1/x", 1.0), ("x^2", -0.5)])
     def test_rows_independent_of_table_size(self, spec, l):
         # row n depends only on rows < n: a row written while an earlier one
@@ -151,7 +178,7 @@ class TestTableLayout:
 
 
 #: the column-subset cases: (potential, l) at m = 2001, N = 60
-SUBSET_CASES = [("x^2", 1.5), ("x^2", -0.5), ("1/x", 1.0), ("const:1", 2.5)]
+SUBSET_CASES = [("x^2", 1.5), ("x^2", -0.5), ("1/x", 1.0), ("const:1", 2.5), ("x^2", 0.0)]
 
 
 class TestColumnSubset:
@@ -461,10 +488,18 @@ class TestDecayBehavior:
             assert slope >= 1.5 + 0.8
 
     def test_Bn_branch_off_for_integer_l(self):
-        # for l = 1 the kappa/mu branch is exactly zero from n >= 3
-        from pbessel.special import gamma_ratio_Bn
-
+        # for integer l the kappa/mu branch is exactly zero from n >= l+2, and
+        # the build skips it where B_n is zero: there the zero must be an exact
+        # +0.0, and no B_n may vanish at a half-integer or near-integer l
         assert all(gamma_ratio_Bn(n, 1.0) == 0.0 for n in range(3, 40))
+        for dtype in (np.float64, np.longdouble):
+            for l in (0.0, 1.0, 2.0, 5.0):
+                bns = np.array(_bn_table(100, l, dtype)[1:], dtype)  # B_1, B_2, ...
+                assert bns[: int(l) + 1].all()
+                tail = bns[int(l) + 1 :]
+                assert tail.size and not tail.any() and not np.signbit(tail).any()
+            for l in (1.0 + 2.0**-40, -0.5, 0.5, 1.5, 2.5):
+                assert np.array(_bn_table(100, l, dtype)[1:], dtype).all()
 
 
 class TestResidualDiagnostics:
