@@ -282,11 +282,23 @@ class TestExactConstantPotential:
 
 
 @functools.lru_cache(maxsize=None)
-def coulomb_roots(l):
-    sol = build_solution(make_potential("1/x", MESH, l), N=100)
+def coulomb_roots(l, noise_free=False):
+    """The Dirichlet roots of 1/x in (0.1, 51.2) at m = 20001, N = 100.
+
+    ``noise_free`` swaps column b of the float64 tables for the library's
+    own build in longdouble (``oracles.longdouble_recurrence``), cast to
+    float64: the search then sees the algorithm's error without the
+    rounding draw of the float64 build.
+    """
+    sol = build_solution(make_potential("1/x", MESH, l), N=100, columns=[] if noise_free else None)
+    if noise_free:
+        bl, gl = oracles.longdouble_recurrence("1/x", l, m=MESH.m, N=100)
+        tables = dataclasses.replace(sol.tables, beta=bl.astype(float)[:, None], gamma=gl.astype(float)[:, None])
+        sol = dataclasses.replace(sol, tables=tables)
     pairs = find_eigenvalues(sol, SpectralProblem(sol.potential, DIRICHLET, (0.1, 51.2)))
-    # the window holds the first 50 (51 at l = 0, whose 51st root is 51.02)
-    assert [p.index for p in pairs] == list(range(1, 52 if l == 0.0 else 51))
+    # the window holds the first 50 (51 for l <= 0, whose 51st roots are 51.02 at l = 0
+    # and below it at l = -1/2)
+    assert [p.index for p in pairs] == list(range(1, 52 if l <= 0.0 else 51))
     return tuple(p.omega for p in pairs)
 
 
@@ -307,6 +319,22 @@ class TestExactCoulombPotential:
         err = abs(got - oracles.coulomb_dirichlet(l, 1.0, math.pi, got))
         # margin: 10x the error measured at m = 20001, N = 100 (at least 1e-14)
         assert err <= 10.0 * max(measured, 1e-15), err
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18,
+        reason="longdouble is no wider than float64 here, so the twin would be the float64 build",
+    )
+    @pytest.mark.parametrize("k", [1, 10, 25, 50])
+    @pytest.mark.parametrize("l", [0.5, 1.0])
+    def test_root_against_exact_noise_free(self, l, k):
+        # the twin of test_root_against_exact on tables whose column b is the
+        # longdouble build, cast: it bounds the algorithm, not one rounding draw
+        # of the float64 build (which moves these roots by up to 2.1e-12).
+        # Measured (x86-64, 80-bit longdouble): 0.0 at every root but l = 1,
+        # k = 25 / 50, which read 3.6e-15 / 2.1e-14
+        got = coulomb_roots(l, noise_free=True)[k - 1]
+        err = abs(got - oracles.coulomb_dirichlet(l, 1.0, math.pi, got))
+        assert err <= 5e-14, err
 
 
 class TestPiecewiseConstantPotential:
