@@ -4,14 +4,18 @@ The seed of the whole method is the non-vanishing solution u0 of
 
     -u0'' + (l(l+1)/x^2 + q(x)) u0 = 0,   u0(x) ~ x^{l+1} as x -> 0.
 
-It is produced by Picard iteration of the Volterra equation
+It is produced by Picard iteration in the scaled variable w = u0/x^{l+1},
+so the x^{l+1} asymptotics is built in exactly and the iteration works on
+O(1) quantities.  The Volterra equation (x^{2l+2} w')' = x^{2l+2} q w,
+integrated by parts, gives one update for every l >= -1/2:
 
-    u0(x) = x^{l+1} + (2l+1)^{-1} integral_0^x (x^{l+1} s^{-l} - x^{-l} s^{l+1}) q(s) u0(s) ds,
+    w(x) = 1 + x^{-(2l+1)} integral_0^x s^{2l+1} g(s) ds,   g = G/s,   G(s) = integral_0^s t q w dt.
 
-written in the scaled variable w = u0/x^{l+1} so the x^{l+1} asymptotics
-is built in exactly and the iteration works on O(1) quantities.  The
-derivative comes from differentiating the same representation, never
-from numerical differentiation.
+No integral is divided by a power of x that it cannot follow on the
+first panel: there s^{2l+1} is integrated exactly against g's quintic,
+and at l = -1/2, where s^{2l+1} = 1, it is the same update with no log
+kernel.  The derivative u0' = x^l (G + 2l + 1 - l w) comes from the same
+representation, never from numerical differentiation.
 """
 
 from __future__ import annotations
@@ -126,27 +130,38 @@ class ParticularSolution:
         return self.u0.mesh
 
 
-def _picard_sweep(w, sq, s_pow, two_l_p1, h):
-    """One Picard update of w = u0/x^{l+1} for l > -1/2.
+def _first_panel_weights(l):
+    """(5, 6) weights V of the first panel: (w - 1)(x_k) = h sum_j V_kj g_j, k = 1..5.
 
-    Returns (w_new, A, B) with A = cum(s q w), B = cum(s^{2l+2} q w),
-    in the dtype of its inputs.
+    V_kj = sum_i a_ji k^{i+1}/(2l+2+i), where L_j(t) = sum_i a_ji t^i is the
+    Lagrange basis on 0..5, so s^{2l+1} is integrated exactly against the
+    quintic through g_0..g_5; in the dtype of ``l``.
     """
-    gA = sq * w
-    A = _cumulative_values(gA, h)
-    B = _cumulative_values(gA * s_pow, h)
-    ratio = np.zeros_like(B)
-    np.divide(B, s_pow, out=ratio, where=s_pow > 0.0)
-    return 1.0 + (A - ratio) / two_l_p1, A, B
+    k = np.arange(1, 6, dtype=type(l))[:, None]
+    i = np.arange(6)
+    # inv(Vandermonde on 0..5)[i, j] = a_ji, and 120 a_ji are integers: rounding recovers them
+    A = np.rint(120 * np.linalg.inv(np.vander(np.arange(6.0), increasing=True))).astype(type(l))
+    return (k ** (i + 1) / (2 * l + 2 + i)) @ A / 120
 
 
-def _picard_sweep_log(w, sq, log_x, sq_log, h):
-    """One Picard update for the degenerate case l = -1/2 (log kernel)."""
-    A = _cumulative_values(sq * w, h)
-    A_log = _cumulative_values(sq_log * w, h)
-    w_new = 1.0 + log_x * A - A_log
-    w_new[0] = 1.0
-    return w_new, A
+def _picard_sweep(w, x, sq, s_pow, V, h):
+    """One Picard update of w = u0/x^{l+1}, by parts; returns (w_new, G) in the dtype of its inputs.
+
+    w_new = 1 + x^{-(2l+1)} S with S = cum(s^{2l+1} g), g = G/s and
+    G = cum(s q w), g(0) = (x q)(0) w(0).  The first panel integrates
+    s^{2l+1} exactly against g's quintic (``V``), and later values of S
+    shift by that exact panel minus the quintic rule's.
+    """
+    G = _cumulative_values(sq * w, h)
+    g = np.concatenate(([sq[0] * w[0]], G[1:] / x[1:]))
+    S = _cumulative_values(s_pow * g, h)
+    head = h * (V @ g[:6])  # (w - 1)(x_k), k = 1..5
+    S[6:] += s_pow[5] * head[4] - S[5]
+    w_new = np.ones_like(w)
+    w_new[1:6] += head
+    # w stays 1 where s^{2l+1} underflows to 0 (l of about 75 and more)
+    w_new[6:] += np.divide(S[6:], s_pow[6:], out=np.zeros_like(w[6:]), where=s_pow[6:] > 0.0)
+    return w_new, G
 
 
 def _ode_defect(u0v, x, l, qv, h, skip):
@@ -178,31 +193,6 @@ def _picard_fixed_point(sweep, w, tol: float, max_iter: int, floor: float):
     raise ConvergenceError(f"Picard iteration for u0 did not reach tol={tol} in {max_iter} sweeps")
 
 
-def _u0_power_case(x, sq, l: float, h, tol: float, max_iter: int, floor: float):
-    """(u0, u0', sweeps) for l > -1/2, in the dtype of ``x``.
-
-    ``sq`` holds the samples x q(x), with lim_{x->0} x q at the origin;
-    ``tol``, ``max_iter`` and ``floor`` go to :func:`_picard_fixed_point`.
-    u0' is differentiated from the integral representation.
-    """
-    lt = x.dtype.type(l)
-    two_l_p1 = 2 * lt + 1
-    s_pow = x ** (2.0 * l + 1.0)  # s^{2l+1}; s_pow[0] = 0 for l > -1/2
-    w, (A, B), iterations = _picard_fixed_point(
-        lambda w: _picard_sweep(w, sq, s_pow, two_l_p1, h), np.ones_like(x), tol, max_iter, floor
-    )
-    xl1 = x ** (l + 1.0)
-    u0v = xl1 * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xl = x**l
-        b_over = np.zeros_like(B)
-        np.divide(B, xl1, out=b_over, where=x > 0.0)
-        u0pv = (lt + 1) * xl * (1 + A / two_l_p1) + lt * b_over / two_l_p1
-    # (l+1) x^l -> 1 for l = 0; 0 for l > 0, a placeholder for the unbounded l < 0
-    u0pv[0] = 1.0 if l == 0.0 else 0.0
-    return u0v, u0pv, iterations
-
-
 def build_u0(p: Potential) -> ParticularSolution:
     """Construct the non-vanishing particular solution with x^{l+1} asymptotics.
 
@@ -231,23 +221,17 @@ def build_u0(p: Potential) -> ParticularSolution:
     sq = x * p.q.values
     sq[0] = p.xq_limit
 
-    if l == -0.5:
-        with np.errstate(divide="ignore"):
-            log_x = np.log(x)
-        log_x[0] = 0.0  # multiplied by A(0) = 0; pinned for finiteness
-        sq_log = sq * log_x
-        sq_log[0] = 0.0
-        w, (A,), iterations = _picard_fixed_point(
-            lambda w: _picard_sweep_log(w, sq, log_x, sq_log, h),
-            np.ones_like(x), tol, _PICARD_MAX_SWEEPS, floor,
-        )
-        sqrt_x = np.sqrt(x)
-        u0v = sqrt_x * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u0pv = w / (2.0 * sqrt_x) + A / sqrt_x
-        u0pv[0] = 0.0  # placeholder: u0' is unbounded at the origin for l < 0
-    else:
-        u0v, u0pv, iterations = _u0_power_case(x, sq, l, h, tol, _PICARD_MAX_SWEEPS, floor)
+    lt = x.dtype.type(l)
+    s_pow = x ** (2 * lt + 1)  # s^{2l+1}: 1 everywhere for l = -1/2
+    V = _first_panel_weights(lt)
+    w, (G,), iterations = _picard_fixed_point(
+        lambda w: _picard_sweep(w, x, sq, s_pow, V, h), np.ones_like(x), tol, _PICARD_MAX_SWEEPS, floor
+    )
+    u0v = x ** (lt + 1) * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u0pv = x**lt * (G + 2 * lt + 1 - lt * w)
+    # x^l -> 1 for l = 0; 0 for l > 0, a placeholder for the unbounded l < 0
+    u0pv[0] = 1.0 if l == 0.0 else 0.0
 
     if not np.isfinite(u0v).all() or not np.isfinite(u0pv).all():
         raise ConvergenceError("Picard iteration for u0 produced non-finite samples")

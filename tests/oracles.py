@@ -11,12 +11,13 @@ in ``numpy.longdouble`` and are cached, so the tests that compare against
 them build each reference once per session: ``extended_direct_reference``
 takes the paper's direct Fourier-Legendre formulas
 (``direct_coefficients_extended``, which the library does not ship) on a
-u0 from the oracle's own Picard update (``u0_by_parts``) and the
-library's quadrature kernels, and ``longdouble_recurrence`` is the
-library's own table build run in longdouble, a reference for float64
+u0 from ``plain_picard``, the out-of-place transcription of the
+library's Picard update that also pins it bit for bit (``u0_by_parts``),
+and the library's quadrature kernels, and ``longdouble_recurrence`` is
+the library's own table build run in longdouble, a reference for float64
 rounding noise only.  ``shadow_noise_estimate`` is no reference: it runs
-the library's float64 build twice, once with u0 perturbed, to estimate
-that build's rounding noise.
+the library's float64 build again with u0 perturbed, to estimate that
+build's rounding noise.
 """
 
 from __future__ import annotations
@@ -255,11 +256,11 @@ def xtilde_chain(u0v, h, N: int) -> list:
     return xt
 
 
-def u0_by_parts(x, sq, l, h) -> tuple[np.ndarray, np.ndarray]:
-    """(u0, u0') for l >= -1/2 by Picard iteration written by parts, in the dtype of ``x``.
+def plain_picard(x, sq, l, h, tol, max_sweeps, floor) -> tuple[np.ndarray, np.ndarray, int]:
+    """(u0, u0', sweeps) of ``spps.build_u0``'s Picard iteration, transcribed out of place.
 
-    The update never divides a cumulative integral of s^{2l+2} q w by
-    x^{2l+1}:
+    The update written by parts never divides a cumulative integral of
+    s^{2l+2} q w by x^{2l+1}:
 
         w <- 1 + x^{-(2l+1)} int_0^x s^{2l+1} g ds,   g = G/s,   G = int_0^s t q w dt,
 
@@ -268,37 +269,57 @@ def u0_by_parts(x, sq, l, h) -> tuple[np.ndarray, np.ndarray]:
     except that on the first panel s^{2l+1} is integrated exactly against
     the quintic through g_0..g_5: (w - 1)(x_k) = h sum_j V_kj g_j with
     V_kj = sum_i a_ji k^{i+1}/(2l+2+i), L_j = sum_i a_ji t^i.  Later values
-    shift by that exact panel integral minus the quintic rule's.  Then
-    u0 = x^{l+1} w and u0' = x^l (G + 2l + 1 - l w), which is +inf at the
-    origin for l < 0.  Sweeps stop at the longdouble fixed point
-    (``_picard_fixed_point(..., 1e-19, 120, floor=1e-13)``).
+    shift by that exact panel integral minus the quintic rule's, and w
+    stays 1 where s^{2l+1} underflows to 0.  Then u0 = x^{l+1} w and
+    u0' = x^l (G + 2l + 1 - l w), with the library's origin placeholder.
+    Sweeps stop by ``_picard_fixed_point``'s rule on ``tol``, ``max_sweeps``
+    and ``floor``.  One temporary per term, as ``plain_recurrence`` does for
+    the tables, in the same products, sums and order as the library and in
+    the dtype of ``x``: a rewrite of the sweep, its stopping rule or the u0'
+    epilogue (in place, fused, reordered) that moves a bit of u0 differs.
     """
     from pbessel.mesh import _cumulative_values
-    from pbessel.spps import _picard_fixed_point
 
-    l = x.dtype.type(l)
-    s_pow = x ** (2 * l + 1)
+    l_ = x.dtype.type(l)
+    s_pow = x ** (2 * l_ + 1)
     k = np.arange(1, 6, dtype=x.dtype)[:, None]
     i = np.arange(6)
     # inv(Vandermonde on 0..5)[i, j] = a_ji, and 120 a_ji are integers: rounding recovers them
     A = np.rint(120 * np.linalg.inv(np.vander(np.arange(6.0), increasing=True))).astype(x.dtype)
-    V = (k ** (i + 1) / (2 * l + 2 + i)) @ A / 120
-
-    def sweep(w):
+    V = (k ** (i + 1) / (2 * l_ + 2 + i)) @ A / 120
+    w, prev_delta = np.ones_like(x), np.inf
+    for sweeps in range(1, max_sweeps + 1):
         G = _cumulative_values(sq * w, h)
         g = np.concatenate(([sq[0] * w[0]], G[1:] / x[1:]))
         S = _cumulative_values(s_pow * g, h)
         head = h * (V @ g[:6])  # (w - 1)(x_k), k = 1..5
-        S[6:] += s_pow[5] * head[4] - S[5]
-        w_new = np.ones_like(w)
-        w_new[1:6] += head
-        w_new[6:] += S[6:] / s_pow[6:]
-        return w_new, G
+        shifted = S[6:] + (s_pow[5] * head[4] - S[5])
+        ratio = np.zeros_like(shifted)
+        np.divide(shifted, s_pow[6:], out=ratio, where=s_pow[6:] > 0.0)
+        w_new = np.concatenate((np.ones(1, dtype=x.dtype), 1 + head, 1 + ratio))
+        delta = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        scale = max(1.0, float(np.max(np.abs(w))))
+        stalled = delta < floor * scale and delta >= 0.5 * prev_delta
+        if delta < tol * scale or stalled:
+            break
+        prev_delta = delta
+    else:
+        raise AssertionError("no fixed point")
+    u0v = x ** (l_ + 1) * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u0pv = x**l_ * (G + 2 * l_ + 1 - l_ * w)
+    u0pv[0] = 1.0 if l == 0.0 else 0.0
+    return u0v, u0pv, sweeps
 
-    w, (G,), _ = _picard_fixed_point(sweep, np.ones_like(x), 1e-19, 120, floor=1e-13)
-    with np.errstate(divide="ignore"):
-        u0p = x**l * (G + 2 * l + 1 - l * w)
-    return x ** (l + 1) * w, u0p
+
+def u0_by_parts(x, sq, l, h) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, u0') for l >= -1/2 at the longdouble fixed point, in the dtype of ``x``.
+
+    :func:`plain_picard` with its own stopping constants (tol 1e-19, 120
+    sweeps, floor 1e-13), which run past the library's float64 ones.
+    """
+    return plain_picard(x, sq, l, h, 1e-19, 120, 1e-13)[:2]
 
 
 def direct_coefficients_extended(p, N: int, x: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -507,15 +528,16 @@ def longdouble_recurrence(spec: str, l: float, m: int = 2001, N: int = 100) -> t
 def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise float64 noise estimates of beta_n(b), gamma_n(b), n = 0..N, on [0, pi].
 
-    One extra build of the library's float64 tables, on the same mesh,
-    whose u0 is multiplied by (1 + s_k eps), eps = 2^-52, with the fixed
-    sign s_k = (-1)^floor(k phi) at sample k (phi the golden ratio: an
-    aperiodic pattern, so reruns agree bit for bit and no quadrature
-    period averages it away).  The estimate is |shadow - build| at x = b,
-    row by row: Monte Carlo arithmetic (Parker, 1997) with one fixed
-    draw.  Family maxima track the true noise of
-    :func:`longdouble_recurrence` within a small factor; single rows
-    scatter more.
+    Four extra builds of the library's float64 tables, on the same mesh,
+    each with u0 multiplied by (1 + s_k eps), eps = 2^-52, with the fixed
+    sign s_k = (-1)^floor((k + j m) phi) at sample k, j = 0..3: four
+    disjoint windows of one golden-ratio sequence (aperiodic, so reruns
+    agree bit for bit and no quadrature period averages it away).  The
+    estimate is the largest |shadow - build| at x = b over the four, row by
+    row: Monte Carlo arithmetic (Parker, 1997) with four fixed draws.  One
+    draw alone scatters by ~4x either way; family maxima over four track
+    the true noise of :func:`longdouble_recurrence` within a small factor,
+    single rows less closely.
     """
     import dataclasses
 
@@ -527,9 +549,13 @@ def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> t
     mesh = UniformMesh(np.pi, m)
     p = make_potential(spec, mesh, l)
     u0 = build_u0(p)
-    signs = np.where(np.floor(np.arange(m) * (1 + math.sqrt(5)) / 2) % 2, -1.0, 1.0)
-    perturbed = GridFunction(mesh, u0.u0.values * (1 + signs * np.finfo(float).eps))
-    shadow = dataclasses.replace(u0, u0=perturbed)
     # no columns asked: the tables keep x = b alone
-    t0, t1 = (build_coefficient_tables(v, p, N, []) for v in (u0, shadow))
-    return np.abs(t1.beta - t0.beta)[:, 0], np.abs(t1.gamma - t0.gamma)[:, 0]
+    t0 = build_coefficient_tables(u0, p, N, [])
+    beta_est, gamma_est = np.zeros(N + 1), np.zeros(N + 1)
+    for j in range(4):
+        signs = np.where(np.floor((np.arange(m) + j * m) * (1 + math.sqrt(5)) / 2) % 2, -1.0, 1.0)
+        perturbed = GridFunction(mesh, u0.u0.values * (1 + signs * np.finfo(float).eps))
+        t1 = build_coefficient_tables(dataclasses.replace(u0, u0=perturbed), p, N, [])
+        np.maximum(beta_est, np.abs(t1.beta - t0.beta)[:, 0], out=beta_est)
+        np.maximum(gamma_est, np.abs(t1.gamma - t0.gamma)[:, 0], out=gamma_est)
+    return beta_est, gamma_est

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbessel import DomainError, UniformMesh
@@ -345,8 +345,6 @@ class TestLagrangeIdentity:
         w2=st.floats(0.5, 40.0),
     )
     def test_identity_holds(self, smooth_csv, spec, l, w1, w2):
-        # 1/x at l = -1/2 reads 1.8e-7 (ROADMAP item 17: its u0 is O(h) off)
-        assume(not (spec == "1/x" and l == -0.5))
         sol = lagrange_solution(smooth_csv if spec == "csv" else spec, l)
         mesh = sol.mesh
         omega = np.array([w1, w2])
@@ -361,7 +359,9 @@ class TestLagrangeIdentity:
         scale = abs(terms[0]) + abs(terms[1]) + abs(dw2) * size
         # measured (m = 2001, N = 100): worst 1.0e-9 over the corners of the
         # omega range on every family and l, 2.6e-10 over ~1200 random pairs;
-        # the csv: samples of 2 + cos x 1.8e-10 over 17 pairs at every l
+        # the csv: samples of 2 + cos x 1.8e-10 over 17 pairs at every l.  1/x
+        # at l = -1/2 reads 6.2e-12 over pairs from {0.5, 1, 20, 40} (1.5e-7
+        # with the former log kernel, whose u0 was O(h) off)
         assert abs(dw2 * integral - (terms[0] - terms[1])) <= 1e-8 * scale
 
 

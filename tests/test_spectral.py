@@ -308,16 +308,23 @@ class TestExactCoulombPotential:
     @pytest.mark.parametrize(
         "l,k,measured",
         [
+            (-0.5, 1, 3.1e-15), (-0.5, 10, 8.9e-15), (-0.5, 25, 1.1e-14), (-0.5, 50, 7.1e-15),
             (0.0, 1, 4.0e-15), (0.0, 10, 3.4e-14), (0.0, 25, 9.2e-14), (0.0, 50, 1.8e-13),
             (0.5, 1, 1.3e-15), (0.5, 10, 8.9e-15), (0.5, 50, 5.6e-13),
-            (1.0, 1, 2.9e-15), (1.0, 10, 3.6e-15), (1.0, 50, 2.2e-12),
+            (1.0, 1, 2.9e-15), (1.0, 10, 8.7e-14), (1.0, 50, 2.2e-12),
             (1.5, 1, 2.2e-16), (1.5, 10, 1.1e-13), (1.5, 50, 9.4e-12),
         ],
     )
     def test_root_against_exact(self, l, k, measured):
         got = coulomb_roots(l)[k - 1]
         err = abs(got - oracles.coulomb_dirichlet(l, 1.0, math.pi, got))
-        # margin: 10x the error measured at m = 20001, N = 100 (at least 1e-14)
+        # margin: 10x the error measured at m = 20001, N = 100 (at least 1e-14).
+        # l = -1/2 read 2.5e-9 ... 1.7e-8 with the former log kernel.  l = 1,
+        # k = 10 is one rounding draw: its pin was 3.6e-15 on the draw 3.6e-15
+        # (8 re-rolls of u0 by (1 + s_k 2^-52), s_k = (-1)^floor((k + j) phi),
+        # j = 1..8: 1.8e-15 ... 2.7e-14) and is 8.7e-14 on the draw 8.7e-14
+        # (re-rolls 6.4e-14 ... 9.6e-14); test_root_against_exact_noise_free
+        # holds that root at 0.0
         assert err <= 10.0 * max(measured, 1e-15), err
 
     @pytest.mark.skipif(
@@ -329,9 +336,10 @@ class TestExactCoulombPotential:
     def test_root_against_exact_noise_free(self, l, k):
         # the twin of test_root_against_exact on tables whose column b is the
         # longdouble build, cast: it bounds the algorithm, not one rounding draw
-        # of the float64 build (which moves these roots by up to 2.1e-12).
+        # of the float64 build (which moves these roots by up to 2.9e-12).
         # Measured (x86-64, 80-bit longdouble): 0.0 at every root but l = 1,
-        # k = 25 / 50, which read 3.6e-15 / 2.1e-14
+        # k = 50, which reads 7.1e-15 (3.6e-15 at k = 25 and 2.1e-14 at k = 50
+        # with the former power kernel)
         got = coulomb_roots(l, noise_free=True)[k - 1]
         err = abs(got - oracles.coulomb_dirichlet(l, 1.0, math.pi, got))
         assert err <= 5e-14, err

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from pbessel import ConvergenceError, NonVanishingError, UniformMesh, spps
-from pbessel.mesh import _cumulative_values
 from pbessel.potentials import make_potential
 from pbessel.shooting import shoot_solution
-from pbessel.spps import Potential, _picard_sweep, build_u0
+from pbessel.spps import Potential, _first_panel_weights, _picard_sweep, build_u0
 
 import oracles
 
@@ -102,7 +101,7 @@ class TestBuildU0:
         assert u0_coulomb.residual < 1e-6
 
     def test_l_half_integer_boundary(self):
-        # l = -1/2 takes the log-kernel branch; check against shooting
+        # l = -1/2: s^{2l+1} = 1, so the update integrates g plainly; check against shooting
         mesh = UniformMesh(np.pi, 5001)
         sol = build_u0(make_potential("x^2", mesh, -0.5))
         idx = np.linspace(0, mesh.m - 1, 12, dtype=int)
@@ -112,20 +111,19 @@ class TestBuildU0:
         assert np.max(np.abs(sol.u0_prime.values[idx] / up_ref - 1.0)) < 1e-8
 
     def test_picard_monotone_for_nonnegative_q(self):
-        # q >= 0: successive iterates nondecreasing pointwise
+        # q >= 0: successive iterates nondecreasing pointwise, at every point:
+        # the first panel integrates s^{2l+1} exactly against g's quintic
         mesh = UniformMesh(np.pi, 501)
         p = make_potential("x^2", mesh, 1.0)
-        sq = mesh.x * p.q.values
+        x, h = mesh.x, mesh.h
+        sq = x * p.q.values
         sq[0] = p.xq_limit
-        s_pow = mesh.x ** (2 * p.l + 1.0)
+        l = np.float64(p.l)
+        s_pow, V = x ** (2 * l + 1), _first_panel_weights(l)
         w = np.ones(mesh.m)
         for _ in range(6):
-            w_new, _, _ = _picard_sweep(w, sq, s_pow, 2 * p.l + 1.0, mesh.h)
-            # the s^{2l+4} integrand is degree 6, so its first-panel quadrature
-            # error divided by x^{2l+1} leaves an O(h^4) wiggle at the first
-            # few points; beyond that the exact-arithmetic monotonicity shows
-            assert np.all(w_new >= w - 10 * mesh.h**4)
-            assert np.all(w_new[10:] >= w[10:] - 1e-13)
+            w_new, _ = _picard_sweep(w, x, sq, s_pow, V, h)
+            assert np.all(w_new >= w)
             w = w_new
 
     def test_nonvanishing_violation(self):
@@ -135,43 +133,24 @@ class TestBuildU0:
         with pytest.raises(NonVanishingError):
             build_u0(p)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 17: at large l, u0 near the origin dips (x^2, "
-        "m=20001: w(h) = 0.849 at l=10.5) and turns non-positive from l=12.5 "
-        "on, a false NonVanishingError; the likely cause is the first quintic "
-        "panel of B = cum(s^{2l+2} q w), divided by x^{2l+1}",
-    )
     def test_large_l_u0_near_origin(self):
-        # q = x^2 > 0 keeps u0 positive on (0, b], and w = u0/x^{l+1} = 1 + O(x^4)
+        # q = x^2 > 0 keeps u0 positive on (0, b], and w = u0/x^{l+1} = 1 + O(x^4).
+        # The update by parts reads |w(h) - 1| = 0.0 at l = 7.5 ... 20.5 (m = 20001);
+        # dividing cum(s^{2l+2} q w) by x^{2l+1} read 0.849 at l = 10.5 and raised
+        # a false NonVanishingError from l = 12.5 on
         mesh = UniformMesh(np.pi, 20001)
         u0 = build_u0(make_potential("x^2", mesh, 10.5))
         w_h = u0.u0.values[1] / mesh.x[1] ** 11.5
         assert abs(w_h - 1.0) <= 1e-12
         build_u0(make_potential("x^2", mesh, 12.5))
 
-    @pytest.mark.parametrize(
-        "l",
-        [
-            0.0,
-            1.0,
-            pytest.param(
-                -0.5,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="ROADMAP item 17: the l = -1/2 log kernel integrates log(s) (s q w) "
-                    "with s q -> 1 at the origin, which the panel quintics cannot follow there: "
-                    "u0 is 4.7e-3 / 5.9e-4 / 1.6e-4 off at m = 2001 / 20001 / 80001, where "
-                    "oracles.u0_by_parts reads 2.4e-15 / 2.8e-15 / 5.1e-15",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("l", [0.0, 1.0, -0.5])
     def test_coulomb_against_exact(self, l):
         # q = 1/x, omega = 0: u0 = Gamma(2l+2) sqrt(x) I_{2l+1}(2 sqrt(x)).
         # Measured at m = 2001 / 20001 / 80001, max relative error on (0, pi]:
-        # l = 0 2.6e-15 / 4.7e-15 / 6.2e-15, l = 1 2.9e-14 / 2.7e-15 / 4.0e-15
+        # l = 0 2.0e-15 / 2.7e-15 / 5.3e-15, l = 1 1.8e-15 / 2.2e-15 / 3.0e-15,
+        # l = -1/2 2.4e-15 / 2.8e-15 / 5.1e-15 (a log kernel read 4.7e-3 / 5.9e-4
+        # / 1.6e-4 there)
         mesh = UniformMesh(np.pi, 2001)
         u0 = build_u0(make_potential("1/x", mesh, l)).u0.values[1:]
         exact = oracles.u0_coulomb_exact(mesh.x[1:], l)
@@ -185,60 +164,28 @@ class TestBuildU0:
             build_u0(p)
 
 
-def plain_picard(p):
-    """u0, u0', sweeps and residual of ``build_u0`` for l > -1/2, transcribed out of place.
-
-    One temporary per term, as ``plain_recurrence`` does for the tables: the
-    Picard sweep, its stopping rule, the u0' epilogue and the ODE defect in
-    the same products, sums and order as the library, so a rewrite of any of
-    them (in place, fused, reordered) that moves a bit of u0 fails here.
-    """
+@pytest.mark.parametrize(
+    "name,l", [("x^2", 1.5), ("1/x", 1.0), ("const:1", 2.5), ("x^2", -0.5), ("x^2", 0.0)]
+)
+def test_u0_matches_plain_transcription_bit_for_bit(name, l):
+    # oracles.plain_picard transcribes the sweep, its stopping rule and the u0'
+    # epilogue out of place; the ODE defect is transcribed here, in the same
+    # products, sums and order as the library
+    p = make_potential(name, UniformMesh(np.pi, 2001), l)
+    sol = build_u0(p)
     mesh = p.mesh
-    x, h, l = mesh.x, mesh.h, p.l
+    x, h = mesh.x, mesh.h
     sq = x * p.q.values
     sq[0] = p.xq_limit
-    lt = np.float64(l)
-    two_l_p1 = 2 * lt + 1
-    s_pow = x ** (2.0 * l + 1.0)
-    w, prev_delta = np.ones_like(x), np.inf
-    for sweeps in range(1, spps._PICARD_MAX_SWEEPS + 1):
-        gA = sq * w
-        A = _cumulative_values(gA, h)
-        B = _cumulative_values(gA * s_pow, h)
-        ratio = np.zeros_like(B)
-        np.divide(B, s_pow, out=ratio, where=s_pow > 0.0)
-        w_new = 1.0 + (A - ratio) / two_l_p1
-        delta = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        scale = max(1.0, float(np.max(np.abs(w))))
-        stalled = delta < 1e-12 * scale and delta >= 0.5 * prev_delta
-        if delta < spps._PICARD_TOL * scale or stalled:
-            break
-        prev_delta = delta
-    else:
-        raise AssertionError("no fixed point")
-    xl1 = x ** (l + 1.0)
-    u0v = xl1 * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xl = x**l
-        b_over = np.zeros_like(B)
-        np.divide(B, xl1, out=b_over, where=x > 0.0)
-        u0pv = (lt + 1) * xl * (1 + A / two_l_p1) + lt * b_over / two_l_p1
-    u0pv[0] = 1.0 if l == 0.0 else 0.0
+    u0v, u0pv, sweeps = oracles.plain_picard(
+        x, sq, l, h, spps._PICARD_TOL, spps._PICARD_MAX_SWEEPS, 1e-12
+    )
     i = np.arange(max(2, mesh.m // 400), mesh.m - 2)
     upp = (-u0v[i - 2] + 16 * u0v[i - 1] - 30 * u0v[i] + 16 * u0v[i + 1] - u0v[i + 2]) / (
         12.0 * h * h
     )
     rhs = (l * (l + 1) / x[i] ** 2 + p.q.values[i]) * u0v[i]
     residual = float(np.max(np.abs(upp - rhs) / (1.0 + np.abs(upp))))
-    return u0v, u0pv, sweeps, residual
-
-
-@pytest.mark.parametrize("name,l", [("x^2", 1.5), ("1/x", 1.0), ("const:1", 2.5)])
-def test_u0_matches_plain_transcription_bit_for_bit(name, l):
-    p = make_potential(name, UniformMesh(np.pi, 2001), l)
-    sol = build_u0(p)
-    u0v, u0pv, sweeps, residual = plain_picard(p)
     assert sol.u0.values.tobytes() == u0v.tobytes()
     assert sol.u0_prime.values.tobytes() == u0pv.tobytes()
     assert (sol.iterations, sol.residual) == (sweeps, residual)
