@@ -144,24 +144,27 @@ def _first_panel_weights(l):
     return (k ** (i + 1) / (2 * l + 2 + i)) @ A / 120
 
 
-def _picard_sweep(w, x, sq, s_pow, V, h):
+def _picard_sweep(w, x, sq, s_pow, den, V, h):
     """One Picard update of w = u0/x^{l+1}, by parts; returns (w_new, G) in the dtype of its inputs.
 
     w_new = 1 + x^{-(2l+1)} S with S = cum(s^{2l+1} g), g = G/s and
     G = cum(s q w), g(0) = (x q)(0) w(0).  The first panel integrates
     s^{2l+1} exactly against g's quintic (``V``), and later values of S
-    shift by that exact panel minus the quintic rule's.
+    shift by that exact panel minus the quintic rule's.  ``den`` is
+    s^{2l+1} with 1 where it is 0: at the origin, and near it where it
+    underflows (from l ~ 80 at m = 2001), so w stays 1 there.
     """
     G = _cumulative_values(sq * w, h)
-    g = np.concatenate(([sq[0] * w[0]], G[1:] / x[1:]))
+    g = np.empty_like(G)
+    np.divide(G[1:], x[1:], out=g[1:])
+    g[0] = sq[0] * w[0]
     S = _cumulative_values(s_pow * g, h)
     head = h * (V @ g[:6])  # (w - 1)(x_k), k = 1..5
     S[6:] += s_pow[5] * head[4] - S[5]
-    w_new = np.ones_like(w)
-    w_new[1:6] += head
-    # w stays 1 where s^{2l+1} underflows to 0 (l of about 75 and more)
-    w_new[6:] += np.divide(S[6:], s_pow[6:], out=np.zeros_like(w[6:]), where=s_pow[6:] > 0.0)
-    return w_new, G
+    S /= den
+    S[1:6] = head
+    S += 1
+    return S, G
 
 
 def _ode_defect(u0v, x, l, qv, h, skip):
@@ -223,9 +226,10 @@ def build_u0(p: Potential) -> ParticularSolution:
 
     lt = x.dtype.type(l)
     s_pow = x ** (2 * lt + 1)  # s^{2l+1}: 1 everywhere for l = -1/2
-    V = _first_panel_weights(lt)
+    den, V = np.where(s_pow > 0.0, s_pow, 1), _first_panel_weights(lt)
     w, (G,), iterations = _picard_fixed_point(
-        lambda w: _picard_sweep(w, x, sq, s_pow, V, h), np.ones_like(x), tol, _PICARD_MAX_SWEEPS, floor
+        lambda w: _picard_sweep(w, x, sq, s_pow, den, V, h),
+        np.ones_like(x), tol, _PICARD_MAX_SWEEPS, floor,
     )
     u0v = x ** (lt + 1) * w
     with np.errstate(divide="ignore", invalid="ignore"):

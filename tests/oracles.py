@@ -269,8 +269,9 @@ def plain_picard(x, sq, l, h, tol, max_sweeps, floor) -> tuple[np.ndarray, np.nd
     except that on the first panel s^{2l+1} is integrated exactly against
     the quintic through g_0..g_5: (w - 1)(x_k) = h sum_j V_kj g_j with
     V_kj = sum_i a_ji k^{i+1}/(2l+2+i), L_j = sum_i a_ji t^i.  Later values
-    shift by that exact panel integral minus the quintic rule's, and w
-    stays 1 where s^{2l+1} underflows to 0.  Then u0 = x^{l+1} w and
+    shift by that exact panel integral minus the quintic rule's, and are
+    divided by s^{2l+1}, or by 1 where it underflows to 0 (which leaves w
+    at 1 up to subnormals).  Then u0 = x^{l+1} w and
     u0' = x^l (G + 2l + 1 - l w), with the library's origin placeholder.
     Sweeps stop by ``_picard_fixed_point``'s rule on ``tol``, ``max_sweeps``
     and ``floor``.  One temporary per term, as ``plain_recurrence`` does for
@@ -287,15 +288,14 @@ def plain_picard(x, sq, l, h, tol, max_sweeps, floor) -> tuple[np.ndarray, np.nd
     # inv(Vandermonde on 0..5)[i, j] = a_ji, and 120 a_ji are integers: rounding recovers them
     A = np.rint(120 * np.linalg.inv(np.vander(np.arange(6.0), increasing=True))).astype(x.dtype)
     V = (k ** (i + 1) / (2 * l_ + 2 + i)) @ A / 120
+    den = np.where(s_pow > 0.0, s_pow, 1)
     w, prev_delta = np.ones_like(x), np.inf
     for sweeps in range(1, max_sweeps + 1):
         G = _cumulative_values(sq * w, h)
         g = np.concatenate(([sq[0] * w[0]], G[1:] / x[1:]))
         S = _cumulative_values(s_pow * g, h)
         head = h * (V @ g[:6])  # (w - 1)(x_k), k = 1..5
-        shifted = S[6:] + (s_pow[5] * head[4] - S[5])
-        ratio = np.zeros_like(shifted)
-        np.divide(shifted, s_pow[6:], out=ratio, where=s_pow[6:] > 0.0)
+        ratio = (S[6:] + (s_pow[5] * head[4] - S[5])) / den[6:]
         w_new = np.concatenate((np.ones(1, dtype=x.dtype), 1 + head, 1 + ratio))
         delta = float(np.max(np.abs(w_new - w)))
         w = w_new

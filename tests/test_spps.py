@@ -54,6 +54,10 @@ class TestBuildU0:
             if l > 0:
                 expected_prime[0] = 0.0
             assert np.array_equal(sol.u0_prime.values, expected_prime)
+        # l = 100 at m = 2001: s^{2l+1} underflows to 0 up to x_15, x^{l+1} does not
+        mesh = UniformMesh(np.pi, 2001)
+        sol = build_u0(make_potential("zero", mesh, 100.0))
+        assert np.array_equal(sol.u0.values, mesh.x**101.0)
 
     def test_xsq_against_series_oracle(self, u0_xsq):
         # endpoint values frozen from the independent power-series oracle
@@ -120,9 +124,10 @@ class TestBuildU0:
         sq[0] = p.xq_limit
         l = np.float64(p.l)
         s_pow, V = x ** (2 * l + 1), _first_panel_weights(l)
+        den = np.where(s_pow > 0.0, s_pow, 1.0)
         w = np.ones(mesh.m)
         for _ in range(6):
-            w_new, _ = _picard_sweep(w, x, sq, s_pow, V, h)
+            w_new, _ = _picard_sweep(w, x, sq, s_pow, den, V, h)
             assert np.all(w_new >= w)
             w = w_new
 
