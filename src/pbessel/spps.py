@@ -6,15 +6,13 @@ The seed of the whole method is the non-vanishing solution u0 of
 
 It is produced by Picard iteration in the scaled variable w = u0/x^{l+1},
 so the x^{l+1} asymptotics is built in exactly and the iteration works on
-O(1) quantities.  The Volterra equation (x^{2l+2} w')' = x^{2l+2} q w,
-integrated by parts, gives one update for every l >= -1/2:
+O(1) quantities.  One update, (x^{2l+2} w')' = x^{2l+2} q w integrated by
+parts, serves every l >= -1/2 (at l = -1/2, s^{2l+1} = 1):
 
-    w(x) = 1 + x^{-(2l+1)} integral_0^x s^{2l+1} g(s) ds,   g = G/s,   G(s) = integral_0^s t q w dt.
+    w(x) = 1 + x^{-(2l+1)} integral_0^x s^{2l+1} g(s) ds,   g = G/s,   G(s) = integral_0^s t q w dt,
 
-No integral is divided by a power of x that it cannot follow on the
-first panel: there s^{2l+1} is integrated exactly against g's quintic,
-and at l = -1/2, where s^{2l+1} = 1, it is the same update with no log
-kernel.  The derivative u0' = x^l (G + 2l + 1 - l w) comes from the same
+with s^{2l+1} integrated exactly against g's quintic on the first panel.
+The derivative u0' = x^l (G + 2l + 1 - l w) comes from the same
 representation, never from numerical differentiation.
 """
 
@@ -130,18 +128,28 @@ class ParticularSolution:
         return self.u0.mesh
 
 
+# The Lagrange basis on the nodes 0..5, L_j(t) = sum_i a_ji t^i: row i holds
+# the integers 120 a_ji, j = 0..5 (120 a = 120 times the inverse of the
+# Vandermonde matrix on 0..5).
+_LAGRANGE_120 = (
+    (120, 0, 0, 0, 0, 0),
+    (-274, 600, -600, 400, -150, 24),
+    (225, -770, 1070, -780, 305, -50),
+    (-85, 355, -590, 490, -205, 35),
+    (15, -70, 130, -120, 55, -10),
+    (-1, 5, -10, 10, -5, 1),
+)
+
+
 def _first_panel_weights(l):
     """(5, 6) weights V of the first panel: (w - 1)(x_k) = h sum_j V_kj g_j, k = 1..5.
 
-    V_kj = sum_i a_ji k^{i+1}/(2l+2+i), where L_j(t) = sum_i a_ji t^i is the
-    Lagrange basis on 0..5, so s^{2l+1} is integrated exactly against the
-    quintic through g_0..g_5; in the dtype of ``l``.
+    V_kj = sum_i a_ji k^{i+1}/(2l+2+i), so s^{2l+1} is integrated exactly
+    against the quintic through g_0..g_5; in the dtype of ``l``.
     """
     k = np.arange(1, 6, dtype=type(l))[:, None]
     i = np.arange(6)
-    # inv(Vandermonde on 0..5)[i, j] = a_ji, and 120 a_ji are integers: rounding recovers them
-    A = np.rint(120 * np.linalg.inv(np.vander(np.arange(6.0), increasing=True))).astype(type(l))
-    return (k ** (i + 1) / (2 * l + 2 + i)) @ A / 120
+    return (k ** (i + 1) / (2 * l + 2 + i)) @ np.array(_LAGRANGE_120, dtype=type(l)) / 120
 
 
 def _picard_sweep(w, x, sq, s_pow, den, V, h):
