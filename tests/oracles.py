@@ -535,9 +535,10 @@ def shadow_noise_estimate(spec: str, l: float, m: int = 2001, N: int = 100) -> t
     agree bit for bit and no quadrature period averages it away).  The
     estimate is the largest |shadow - build| at x = b over the four, row by
     row: Monte Carlo arithmetic (Parker, 1997) with four fixed draws.  One
-    draw alone scatters by ~4x either way; family maxima over four track
-    the true noise of :func:`longdouble_recurrence` within a small factor,
-    single rows less closely.
+    draw alone reads 0.1x to 4.7x the true family maximum on the five noise
+    test cases; the maximum over four tracks the true noise of
+    :func:`longdouble_recurrence` within a small factor, single rows less
+    closely.
     """
     import dataclasses
 
